@@ -4,8 +4,13 @@ Off the interval the fundamental solution is analytic in z; approaching
 a cut point s from above and below gives different limits W+ and W-.
 For the rank-one scenario the two limits differ by the constant factor
 R^2 = I + 2 pi J beta* beta, and the difference V = W+ - W- stays
-uniformly bounded along the cut.  The limits are computed by Richardson
-extrapolation along a geometric ladder of offsets eta.
+uniformly bounded along the cut.  Each limit is computed at z = s +/- i0
+directly, as an ordered product of matrix exponentials over panels graded
+towards s, with the weight 1/(z - t) integrated exactly on every panel
+(its logarithm takes -/+ i pi across s).  The grading is refined until two
+successive products agree; ``extrapolation_error`` reports their
+difference.  The dressed limits are cross-checked against Richardson
+extrapolation of RK45 solutions along a ladder of offsets eta.
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ expected = rank_one.jump_matrix()
 print("expected jump R^2 =\n", np.round(expected, 6))
 
 for s in (0.25, 0.5, 0.75):
-    report = boundary_values(system, 1.0, s, eta0=1e-2, levels=6, tol=1e-10)
+    report = boundary_values(system, 1.0, s, tol=1e-10)
     print(f"s = {s}: |jump - R^2| = {fro(report.jump - expected):.2e} "
           f"(extrapolation error {report.extrapolation_error:.2e}), "
           f"|V| = {fro(report.v):.4f}")
@@ -34,5 +39,5 @@ traj = evolve(
     system, grid=np.linspace(0, 1, 201), tol=1e-11,
 )
 dressed = transformed_boundary_values(traj, 1.0, 0.5, tol=1e-10)
-print("dressed limits, formula vs direct extrapolation:",
+print("dressed limits, product formula vs RK45 extrapolation:",
       dressed.cross_check_error)

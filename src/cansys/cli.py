@@ -76,8 +76,6 @@ DEFAULT_TOLERANCES = {
     "transfer_tol": 1e-9,
     "probe_tol": 5e-2,
     "v_sup_bound": 1e3,
-    "eta0": 1e-2,
-    "levels": 6,
 }
 
 _TASK_KEYS = {
@@ -85,7 +83,7 @@ _TASK_KEYS = {
     "evolve": {"points"},
     "transform": set(),
     "charfn": {"z", "N", "compare"},
-    "rh-jump": {"s", "x", "eta0", "levels"},
+    "rh-jump": {"s", "x"},
     "example-n1": {"z"},
     "probe": {"N", "band"},
 }
@@ -498,15 +496,13 @@ class _Runner:
         for s in s_list:
             try:
                 rep = boundary_values(
-                    self.system, x, s,
-                    eta0=self.tol["eta0"], levels=int(self.tol["levels"]),
-                    tol=min(self.tol["ode_tol"], 1e-10),
+                    self.system, x, s, tol=min(self.tol["ode_tol"], 1e-10)
                 )
             except (SpectralPointError, ValueError) as exc:
                 raise NumericalFailure("rh-jump", f"s = {s}: {exc}") from exc
             if rep.divergent:
                 raise NumericalFailure(
-                    "rh-jump", f"extrapolation divergent at s = {s}"
+                    "rh-jump", f"cut limits divergent at s = {s}"
                 )
             v_sup = max(v_sup, fro(rep.v))
             cells = [repr(s)] + _matrix_cells(rep.jump) + [repr(fro(rep.v))]

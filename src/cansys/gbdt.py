@@ -487,9 +487,10 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
     """Cut limits of the dressed solution via the multiplier identity.
 
     Primary route: W~(x, s +/- i0) = v(x, s) W+-(x, s) v(xi, s)^{-1},
-    built from the base-system extrapolants; the same eta ladder is also
-    extrapolated directly on W~ and the discrepancy is reported as
-    ``cross_check_error``.
+    built from the base-system limits of :func:`boundary_values`.  As an
+    independent check, RK45 samples along the ladder eta = eta0 * 2^-j
+    (``levels`` rungs) are dressed and Richardson-extrapolated directly
+    on W~; the discrepancy is reported as ``cross_check_error``.
     """
     from .system import boundary_values
 
@@ -499,13 +500,15 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
     spectrum_margin = SPECTRUM_MARGIN * (b_int - a_int)
     if np.abs(eigs - s).min() < spectrum_margin:
         raise ValueError(f"s = {s} within the spectrum margin of sigma(B)")
-    base = boundary_values(sys, x, s, eta0=eta0, levels=levels, tol=tol, margin=margin)
+    if not 3 <= levels <= 10:
+        raise ValueError("extrapolation needs 3..10 levels")
+    base = boundary_values(sys, x, s, tol=tol, margin=margin)
     v_xs = transfer(traj, x, s).v
     v_xi_inv = np.linalg.inv(transfer(traj, sys.xi, s).v)
     w_plus = v_xs @ base.w_plus @ v_xi_inv
     w_minus = v_xs @ base.w_minus @ v_xi_inv
 
-    etas = base.eta_sequence
+    etas = eta0 * 2.0 ** (-np.arange(levels))
     plus, minus = limit_samples(sys, x, s, etas, tol)
 
     def dressed_limit(samples, sign):
@@ -531,7 +534,7 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
         w_minus=w_minus,
         v=w_plus - w_minus,
         jump=np.linalg.solve(w_minus, w_plus),
-        eta_sequence=etas,
+        panels=base.panels,
         extrapolation_error=base.extrapolation_error
         * max(spec_norm(v_xs) * spec_norm(v_xi_inv), 1.0),
         divergent=base.divergent,

@@ -281,7 +281,8 @@ def order_one_closed_forms(B, g, h, x, z, b=1.0):
     the scalar S(x) is equivalent to ``Im ln(B - x) != Re(h / g)``; a
     violation raises :class:`~cansys.linalg.SingularMatrixError`.  For
     ``h = 0`` the simplified beta-row formula is used and cross-checked
-    against the general one.
+    against the general one; a disagreement above 1e-10 raises
+    :class:`ArithmeticError`.
     """
     B = complex(B)
     g = complex(g)
@@ -312,7 +313,11 @@ def order_one_closed_forms(B, g, h, x, z, b=1.0):
         simplified = BETA - (B - np.conj(B)) / (
             4.0 * (np.conj(B) - x) * ln.imag
         ) * np.array([[2j * ln, 1.0]]) @ T
-        assert fro(simplified - beta_t) < 1e-10
+        gap = fro(simplified - beta_t)
+        if not gap < 1e-10:
+            raise ArithmeticError(
+                f"h = 0 beta-row formula disagrees with the general one by {gap:.2e}"
+            )
         beta_t = simplified
 
     c_w0 = 1j * (B - np.conj(B)) / (2.0 * (np.conj(B) - x) * denom_core)

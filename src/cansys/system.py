@@ -16,8 +16,16 @@ This module provides
 * :func:`fundamental_solution` -- adaptive Runge-Kutta integration,
 * :func:`product_integral` -- the multiplicative-integral route
   (ordered products of matrix exponentials over a partition),
-* :func:`boundary_values` -- Richardson-extrapolated limits W(x, s +/- i0)
-  on the cut and the jump matrix relating them,
+* :func:`boundary_values` -- limits W(x, s +/- i0) on the cut and the jump
+  matrix relating them, each an ordered product of exact-log-weight
+  fourth-order Magnus factors exp(Omega_j) taken at z = s +/- i0 directly
+  (the Lie-group integrators of Iserles & Norsett 1999 and Blanes, Casas,
+  Oteo & Ros 2009, with the weight 1/(z - t) integrated exactly), over
+  panels graded geometrically towards s; ``extrapolation_error`` is the
+  change of the limits under the last halving of the grading ratio,
+* :func:`limit_samples` and :func:`extrapolate_eta_sequence` -- the
+  independent RK45 reference for cut limits: samples along an eta ladder
+  and their Richardson limit,
 * :func:`kernel_bound` -- the degenerate-kernel supremum
   sup |beta(x) J beta(t)*| / (x - t) controlling cut limits for factored
   Hamiltonians H = beta* beta.
@@ -28,15 +36,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .linalg import ascomplex, expm, fro, hermitian_part
+from .linalg import ascomplex, fro, hermitian_part
 
 #: Points closer than this to the cut are rejected outside boundary_values.
 DISTANCE_TOL = 1e-6
 
 #: Default local error target for the adaptive integrator.
 ODE_TOL = 1e-10
+
+#: boundary_values stops refining once a cut-limit product has more factors.
+MAX_CUT_PANELS = 4096
 
 
 class SpectralPointError(ValueError):
@@ -138,6 +150,20 @@ class HamiltonianSpec:
             b = self.beta_at(x)
             return b.conj().T @ b
         return hermitian_part(_interp_stack(self.x, self.h, x))
+
+    def hamiltonians(self, xs):
+        """H at every point of ``xs`` as one (len(xs), m, m) stack.
+
+        Grid data is interpolated in one vectorised pass; callables are
+        sampled point by point.
+        """
+        if self.h_fn is not None or self.beta_fn is not None:
+            return np.stack([self.hamiltonian(x) for x in xs])
+        if self.beta is not None:
+            b = _interp_stack(self.x, self.beta, xs)
+            return np.conj(np.swapaxes(b, 1, 2)) @ b
+        h = _interp_stack(self.x, self.h, xs)
+        return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
 
     def cumulative(self, x, base):
         """tau(x) = integral of H from ``base`` to ``x`` (per-panel Simpson).
@@ -359,20 +385,26 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, _allow_near_cut=False):
     )
 
 
-def _ordered_product(sys, z, partition):
-    J = sys.J
-    spec = sys.hamiltonian
-    m = sys.m
-    values = np.empty((partition.size, m, m), dtype=complex)
-    values[0] = np.eye(m)
-    acc = np.eye(m, dtype=complex)
-    for j in range(partition.size - 1):
-        left, right = partition[j], partition[j + 1]
-        mid = 0.5 * (left + right)
-        factor = expm(J @ spec.hamiltonian(mid), scale=1j * (right - left) / (z - mid))
-        acc = factor @ acc  # later factors multiply from the left
-        values[j + 1] = acc
-    return values
+def _ordered_product(exponents):
+    """Partial products exp(E_j) ... exp(E_0) of a stack of exponents.
+
+    Later factors multiply from the left.  All exponentials come from one
+    stacked ``expm`` call and the partial products from a log-depth scan;
+    returns the (n + 1, m, m) stack that starts with the identity.
+    """
+    acc = scipy.linalg.expm(exponents)
+    shift = 1
+    while shift < len(acc):
+        acc[shift:] = acc[shift:] @ acc[:-shift]
+        shift *= 2
+    return np.concatenate([np.eye(acc.shape[-1], dtype=complex)[None], acc])
+
+
+def _midpoint_product(sys, z, partition):
+    mid = 0.5 * (partition[:-1] + partition[1:])
+    scale = 1j * np.diff(partition) / (z - mid)
+    jh = sys.J @ sys.hamiltonian.hamiltonians(mid)
+    return _ordered_product(scale[:, None, None] * jh)
 
 
 def product_integral(sys, z, partition):
@@ -395,11 +427,11 @@ def product_integral(sys, z, partition):
     if abs(partition[0] - a) > 1e-12:
         raise ValueError("partition must start at the base point a")
 
-    values = _ordered_product(sys, z, partition)
+    values = _midpoint_product(sys, z, partition)
     fine_partition = np.sort(
         np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
     )
-    fine_at_coarse = _ordered_product(sys, z, fine_partition)[::2]
+    fine_at_coarse = _midpoint_product(sys, z, fine_partition)[::2]
     # halving difference times the order->=1 Richardson safety factor
     err = 2.0 * float(np.max(np.linalg.norm(fine_at_coarse - values, axis=(1, 2))))
     return FundamentalSolution(
@@ -435,7 +467,12 @@ def j_monotonicity_defect(sol):
 
 @dataclass
 class BoundaryValueReport:
-    """Extrapolated cut limits W(x, s +/- i0) and the jump between them."""
+    """Cut limits W(x, s +/- i0) and the jump between them.
+
+    ``panels`` counts the factors of the last product of each limit;
+    ``extrapolation_error`` is the change of the limits under the last
+    grading refinement.
+    """
 
     x: float
     s: float
@@ -443,7 +480,7 @@ class BoundaryValueReport:
     w_minus: np.ndarray
     v: np.ndarray
     jump: np.ndarray
-    eta_sequence: np.ndarray
+    panels: int
     extrapolation_error: float
     divergent: bool
     cross_check_error: float | None = None
@@ -496,13 +533,100 @@ def limit_samples(sys, x, s, etas, tol):
     return plus, minus
 
 
-def boundary_values(sys, x, s, eta0=1e-2, levels=6, tol=ODE_TOL, margin=None):
-    """Cut limits W(x, s +/- i0) by extrapolation along eta = eta0 * 2^-j.
+def _graded_breakpoints(nodes, lo, hi, c, rho, eta):
+    """Panel ends on [lo, hi] graded geometrically towards c (clipped).
 
+    The ends are the sample nodes, c itself and the points c +/- d_k with
+    d_k = delta (1 + rho)^k, so a panel at distance d from c is at most
+    rho d wide.  The innermost half-width delta shrinks like rho^4; it
+    stays below half the distance from c to the nearest other node, so
+    the two panels meeting at c lie on one sample panel each, and below
+    rho |Im z| = rho eta off the cut.
+    """
+    c = min(max(c, lo), hi)
+    fixed = np.concatenate([[lo, hi], nodes[(nodes > lo) & (nodes < hi)]])
+    delta = min(rho**4 * (hi - lo), 0.5 * np.min(np.abs(fixed[fixed != c] - c)))
+    if eta > 0:
+        delta = min(delta, rho * eta)
+    count = int(np.ceil(np.log((hi - lo) / delta) / np.log1p(rho)))
+    d = delta * (1.0 + rho) ** np.arange(count + 1)
+    t = np.unique(np.concatenate([fixed, [c], c - d, c + d]))
+    return t[(t >= lo) & (t <= hi)]
+
+
+def _log1p(w):
+    """ln(1 + w), accurate for small complex w (numpy's complex log1p is not)."""
+    return 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(
+        w.imag, 1.0 + w.real
+    )
+
+
+def _log_weight_product(sys, x, z, rho, side=0):
+    """W(x, z) as an ordered product of exact-log-weight Magnus factors.
+
+    Returns ``(W, panels)``.  On a panel [t0, t1] the exponent is
+    i J int H(t) / (z - t) dt, integrated exactly for the quadratic
+    through H at t0, the midpoint and t1 (exact for constant, beta-grid
+    and h-grid data), plus the two-point Gauss commutator
+    (sqrt(3) h^2 / 12) [A(g2), A(g1)] of fourth-order Magnus, A = i J H /
+    (z - t).  Panels are graded towards Re z with ratio ``rho``.
+
+    ``side`` = +1 / -1 with real z = s inside the cut gives the limit
+    W(x, s +/- i0): the two panels that meet at s form one factor whose
+    ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s)) -/+ i pi).
+    """
+    spec, J = sys.hamiltonian, sys.J
+    lo, hi = sorted((sys.xi, float(x)))
+    z = complex(z)
+    s = z.real
+    t = _graded_breakpoints(spec.x, lo, hi, s, rho, abs(z.imag))
+    t0, t1 = t[:-1], t[1:]
+    n = t0.size
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    h = spec.hamiltonians(np.concatenate([t, mid]))
+    # H = hm + c1 tau + c2 tau^2 in tau = (t - mid) / half, and
+    # int tau^k / (zeta - tau) dtau over [-1, 1] gives, with
+    # log = ln((zeta + 1) / (zeta - 1)) = ln((z - t0) / (z - t1)):
+    # int H / (z - t) dt = H(zeta) log - 2 (c1 + c2 zeta)
+    hm = h[n + 1:]
+    c1 = 0.5 * (h[1:n + 1] - h[:n])
+    c2 = 0.5 * (h[1:n + 1] + h[:n]) - hm
+    zeta = ((z - mid) / half)[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = _log1p((t1 - t0) / (z - t1))[:, None, None]
+        weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
+    if side and lo < s < hi:
+        k = int(np.searchsorted(t, s)) - 1  # panels k and k + 1 meet at s
+        weighted[k + 1] = (
+            h[k + 1] * (np.log((s - t[k]) / (t[k + 2] - s)) - side * 1j * np.pi)
+            - 2.0 * (c1[k] + c2[k]) - 2.0 * (c1[k + 1] - c2[k + 1])
+        )
+        weighted = np.delete(weighted, k, axis=0)
+        t = np.delete(t, k + 1)
+        n -= 1
+        mid, half = 0.5 * (t[:-1] + t[1:]), 0.5 * (t[1:] - t[:-1])
+    gauss = np.concatenate([mid - half / np.sqrt(3.0), mid + half / np.sqrt(3.0)])
+    ja = J @ spec.hamiltonians(gauss) / (z - gauss)[:, None, None]
+    commutator = ja[n:] @ ja[:n] - ja[:n] @ ja[n:]  # -[A(g2), A(g1)]
+    omega = 1j * J @ weighted - (half**2 / np.sqrt(3.0))[:, None, None] * commutator
+    w = _ordered_product(omega)[-1]
+    return (w if x >= sys.xi else np.linalg.inv(w)), n
+
+
+def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):
+    """Cut limits W(x, s +/- i0) from exact-log-weight Magnus products.
+
+    Each limit is one ordered product of exp(Omega_j) over panels graded
+    towards s (see :func:`_log_weight_product`), taken at z = s +/- i0
+    directly.  The grading ratio rho halves from 1/2 until two successive
+    results differ by at most ``tol`` or a product would exceed
+    ``MAX_CUT_PANELS``; ``extrapolation_error`` is that last difference
+    (rounding level for commuting H, where every product is exact).
     ``s`` strictly inside the cut (a, x) must keep a configurable margin
     from both endpoints where the limits degenerate; s outside [a, x] is
-    allowed and reproduces the off-cut analyticity (jump = I).  A growing
-    last-level difference flags the report divergent instead of raising.
+    allowed and reproduces the off-cut analyticity (jump = I).  Successive
+    differences that grow above ``100 tol`` flag the report divergent
+    instead of raising.
     """
     a, b = sys.interval
     if not a < x <= b:
@@ -516,17 +640,20 @@ def boundary_values(sys, x, s, eta0=1e-2, levels=6, tol=ODE_TOL, margin=None):
         )
     if not inside and min(abs(s - a), abs(s - x)) < margin:
         raise ValueError(f"s = {s} within margin {margin} of a cut endpoint")
-    if not 3 <= levels <= 10:
-        raise ValueError("extrapolation needs 3..10 levels")
-    etas = eta0 * 2.0 ** (-np.arange(levels))
-    plus, minus = limit_samples(sys, x, s, etas, tol)
-    w_plus, err_p = extrapolate_eta_sequence(etas, plus)
-    w_minus, err_m = extrapolate_eta_sequence(etas, minus)
-    diffs = np.linalg.norm(np.diff(plus, axis=0), axis=(1, 2))
-    # growth below the integration noise floor is not divergence
+    rho, diffs, previous = 0.5, [], None
+    while True:
+        (w_plus, panels), (w_minus, _) = (
+            _log_weight_product(sys, x, s, rho, side) for side in (1, -1)
+        )
+        if previous is not None:
+            diffs.append(max(fro(w_plus - previous[0]), fro(w_minus - previous[1])))
+            if diffs[-1] <= tol or panels > MAX_CUT_PANELS:
+                break
+        previous = (w_plus, w_minus)
+        rho *= 0.5
+    # growth below the rounding floor is not divergence
     divergent = bool(
-        diffs.size >= 2
-        and diffs[-1] > max(diffs[-2] * (1.0 + 1e-9), 100.0 * tol)
+        len(diffs) >= 2 and diffs[-1] > max(diffs[-2] * (1.0 + 1e-9), 100.0 * tol)
     )
     return BoundaryValueReport(
         x=float(x),
@@ -535,8 +662,8 @@ def boundary_values(sys, x, s, eta0=1e-2, levels=6, tol=ODE_TOL, margin=None):
         w_minus=w_minus,
         v=w_plus - w_minus,
         jump=np.linalg.solve(w_minus, w_plus),
-        eta_sequence=etas,
-        extrapolation_error=max(err_p, err_m),
+        panels=panels,
+        extrapolation_error=diffs[-1],
         divergent=divergent,
     )
 

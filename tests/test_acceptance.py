@@ -218,8 +218,7 @@ def test_criterion_6_boundary_jump(scenario_system):
     worst = 0.0
     v_norms = []
     for s in (0.2, 0.35, 0.5, 0.65, 0.8):
-        report = boundary_values(scenario_system, 1.0, s, eta0=1e-2, levels=6,
-                                 tol=1e-10)
+        report = boundary_values(scenario_system, 1.0, s, tol=1e-10)
         assert not report.divergent
         worst = max(worst, fro(report.jump - expected))
         v_norms.append(fro(report.v))

@@ -201,3 +201,15 @@ def test_tol_override(tmp_path):
     assert results["tolerances"]["ode_tol"] == 1e-8
     identity = [c for c in results["checks"] if c["name"] == "identity_residual"][0]
     assert identity["bound"] == 1e-7
+
+
+def test_rh_jump_rejects_eta_ladder_keys(tmp_path, capsys):
+    # cut limits come from graded products, not an eta ladder: the old
+    # ladder knobs are unknown keys, not silently ignored ones
+    out = str(tmp_path / "out")
+    task = minimal_config(tasks=[{"task": "rh-jump", "s": [0.5], "eta0": 1e-3}])
+    assert main(["run", str(write_config(tmp_path, task)), "--out", out]) == 2
+    assert "eta0" in capsys.readouterr().err
+    tol = minimal_config(tasks=["validate"], tolerances={"levels": 8})
+    assert main(["run", str(write_config(tmp_path, tol)), "--out", out]) == 2
+    assert "levels" in capsys.readouterr().err

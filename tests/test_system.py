@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cansys import rank_one
 from cansys.linalg import expm, fro
@@ -7,10 +8,13 @@ from cansys.system import (
     CanonicalSystem,
     HamiltonianSpec,
     SpectralPointError,
+    _log_weight_product,
     boundary_values,
+    extrapolate_eta_sequence,
     fundamental_solution,
     j_monotonicity_defect,
     kernel_bound,
+    limit_samples,
     product_integral,
     validate_system,
 )
@@ -279,6 +283,50 @@ def test_boundary_values_margin_enforced(unit_system):
         boundary_values(unit_system, 1.0, 1.0 - 1e-4)
 
 
+# Kinked commuting profile beta = c(x) [1, i]: H = c^2 H0 with J H0 nilpotent,
+# so W(1, s +/- i0) = I + i J H0 (PV int c(t)^2 / (s - t) dt -/+ i pi c(s)^2).
+PROFILE_X = np.linspace(0.0, 1.0, 33)
+PROFILE_C = (1.0 + 0.4 * np.sin(2 * np.pi * (PROFILE_X + 0.3))
+             + 0.02 * (-1.0) ** np.arange(PROFILE_X.size))  # a kink at every node
+
+
+def profile_system():
+    spec = HamiltonianSpec.from_beta_grid(
+        PROFILE_X, PROFILE_C[:, None, None] * rank_one.BETA
+    )
+    return CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec)
+
+
+def cauchy_oracle(s, side):
+    """The limit from scipy quad: a Cauchy-weight window around s (holding
+    no node but s itself) plus plain quadrature between the kinks."""
+    def c2(t):
+        return np.interp(t, PROFILE_X, PROFILE_C) ** 2
+
+    others = PROFILE_X[np.abs(PROFILE_X - s) > 1e-12]
+    w = 0.5 * np.min(np.abs(others - s))
+    pv = -quad(c2, s - w, s + w, weight="cauchy", wvar=s, epsabs=1e-14,
+               epsrel=1e-11, limit=200)[0]
+    ends = np.unique(np.concatenate([PROFILE_X, [s - w, s + w]]))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        if not s - w <= lo < s + w:
+            pv += quad(lambda t: c2(t) / (s - t), lo, hi, epsabs=1e-14)[0]
+    weight = pv - side * 1j * np.pi * c2(s)
+    return np.eye(2) + 1j * J_OFF @ rank_one.hamiltonian() * weight
+
+
+@pytest.mark.parametrize("s", [
+    PROFILE_X[16],                                       # on a kink
+    PROFILE_X[16] + 0.03 * PROFILE_X[1],                 # 0.03 panels right of one
+    PROFILE_X[9] - 0.03 * PROFILE_X[1],                  # 0.03 panels left of one
+])
+def test_boundary_values_kinked_commuting_profile(s):
+    report = boundary_values(profile_system(), 1.0, s, tol=1e-10)
+    assert not report.divergent
+    assert fro(report.w_plus - cauchy_oracle(s, +1)) < 1e-8
+    assert fro(report.w_minus - cauchy_oracle(s, -1)) < 1e-8
+
+
 # -- kernel bounds ------------------------------------------------------------
 
 
@@ -366,3 +414,23 @@ def test_varying_system_boundary_limits_exist(varying_system):
     assert not report.divergent
     assert report.extrapolation_error < 1e-4
     assert fro(report.v) < 50.0
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5037])  # on a sample node, and between two
+def test_varying_system_cut_limits_match_rk45_richardson(varying_system, s):
+    # the independent route: RK45 along an eta ladder, Richardson-extrapolated
+    etas = 1e-2 * 2.0 ** -np.arange(6)
+    plus, minus = limit_samples(varying_system, 1.0, s, etas, 1e-12)
+    report = boundary_values(varying_system, 1.0, s, tol=1e-10)
+    assert not report.divergent
+    assert fro(report.w_plus - extrapolate_eta_sequence(etas, plus)[0]) < 1e-7
+    assert fro(report.w_minus - extrapolate_eta_sequence(etas, minus)[0]) < 1e-7
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5037])
+@pytest.mark.parametrize("eta", [1e-2, 1e-4])
+def test_varying_system_log_weight_product_near_cut(varying_system, s, eta):
+    z = s + 1j * eta
+    w, _ = _log_weight_product(varying_system, 1.0, z, rho=1 / 16)
+    ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12)
+    assert fro(w - ode.values[0]) < 1e-7
