@@ -48,11 +48,12 @@ from .gbdt import (
     transformed_hamiltonian,
     validate_params,
 )
-from .linalg import SingularMatrixError, fro, hermitian_part
+from .linalg import SingularMatrixError, _adj, fro, hermitian_part
 from .system import (
     CanonicalSystem,
     HamiltonianSpec,
     SpectralPointError,
+    _signature_defect,
     boundary_values,
     kernel_bound,
     validate_system,
@@ -153,10 +154,7 @@ def _build_system(block):
     if not isinstance(m, int) or m < 1:
         raise ConfigError("'m' must be a positive integer", key="m")
     jmat = _cmatrix_from(block["J"], "J", shape=(m, m))
-    j_defect = max(
-        float(np.linalg.norm(jmat - jmat.conj().T)),
-        float(np.linalg.norm(jmat @ jmat - np.eye(m))),
-    )
+    j_defect = _signature_defect(jmat)
     if j_defect > 1e-12:
         raise ConfigError(
             f"'J' is not a signature matrix (J = J* = J^-1 defect {j_defect:.2e})",
@@ -278,6 +276,19 @@ def _matrix_cells(mat):
     return cells
 
 
+def _table(key_names, keys, mats):
+    """CSV header and rows: the key columns, then re/im of every entry of
+    the row's matrix (``keys`` holds one value or one tuple per row)."""
+    mats = np.asarray(mats)
+    keys = np.reshape(keys, (len(mats), len(key_names)))
+    header = list(key_names) + _entry_columns(*mats.shape[1:])
+    rows = [
+        [repr(float(k)) for k in key] + _matrix_cells(mat)
+        for key, mat in zip(keys, mats)
+    ]
+    return header, rows
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(row) for row in rows]
@@ -286,13 +297,7 @@ def _write_csv(path, header, rows):
 
 def write_solution_csv(solution, path):
     """Write a fundamental-solution grid: columns x, then re/im per entry."""
-    m = solution.values.shape[1]
-    header = ["x"] + _entry_columns(m, solution.values.shape[2])
-    rows = [
-        [repr(float(x))] + _matrix_cells(solution.values[j])
-        for j, x in enumerate(solution.grid)
-    ]
-    _write_csv(Path(path), header, rows)
+    _write_csv(Path(path), *_table(["x"], solution.grid, solution.values))
 
 
 # -- task runner ------------------------------------------------------------
@@ -391,32 +396,21 @@ class _Runner:
                        rep.inverse_bound_defect, 10 * tol)
         for name, stack in (("pi", traj.pi), ("s", traj.s),
                             ("k", traj.k), ("q", traj.q)):
-            header = ["x"] + _entry_columns(*stack.shape[1:])
-            rows = [
-                [repr(float(x))] + _matrix_cells(stack[j])
-                for j, x in enumerate(traj.grid)
-            ]
-            self.emit(f"evolve_{name}.csv", header, rows)
+            self.emit(f"evolve_{name}.csv", *_table(["x"], traj.grid, stack))
 
     def run_transform(self, options):
         traj = self.trajectory()
+        # dressed H on the trajectory grid, from the samples it stores
         dressed = transformed_hamiltonian(traj)
-        psd_defect = 0.0
-        for x in traj.grid:
-            h = dressed.hamiltonian(x)
-            psd_defect = max(
-                psd_defect,
-                fro(h - h.conj().T),
-                max(0.0, -float(np.linalg.eigvalsh(hermitian_part(h))[0])),
-            )
+        h = dressed.h if dressed.beta is None else _adj(dressed.beta) @ dressed.beta
+        psd_defect = max(
+            0.0,
+            float(np.max(np.linalg.norm(h - _adj(h), axis=(1, 2)))),
+            -float(np.min(np.linalg.eigvalsh(hermitian_part(h))[:, 0])),
+        )
         self.check("transform", "transformed_psd_defect", psd_defect,
                    self.tol["psd_tol"] * 100)
-        header = ["x"] + _entry_columns(self.system.m, self.system.m)
-        rows = [
-            [repr(float(x))] + _matrix_cells(dressed.hamiltonian(x))
-            for x in traj.grid
-        ]
-        self.emit("transformed_hamiltonian.csv", header, rows)
+        self.emit("transformed_hamiltonian.csv", *_table(["x"], traj.grid, h))
         if dressed.is_factored:
             base = kernel_bound(self.system.hamiltonian, self.system.J)
             out = kernel_bound(dressed, self.system.J)
@@ -426,15 +420,7 @@ class _Runner:
             if base.finite:
                 self.check("transform", "transformed_kernel_bound_finite",
                            0.0 if out.finite else 1.0, 0.0)
-            beta_rows = [
-                [repr(float(x))] + _matrix_cells(dressed.beta_at(x))
-                for x in traj.grid
-            ]
-            self.emit(
-                "transformed_beta.csv",
-                ["x"] + _entry_columns(dressed.k, dressed.m),
-                beta_rows,
-            )
+            self.emit("transformed_beta.csv", *_table(["x"], traj.grid, dressed.beta))
 
     def run_charfn(self, options):
         if not self.system.hamiltonian.is_factored:
@@ -453,20 +439,14 @@ class _Runner:
         )
         op = discretize(model, num)
         worst = 0.0
-        rows = []
+        values = []
         for z in z_list:
-            sample = char_fn(op, z)
-            rows.append(
-                [repr(z.real), repr(z.imag)] + _matrix_cells(sample.value)
-            )
+            values.append(char_fn(op, z).value)
             if options.get("compare", True):
                 ref = char_fn_via_fundamental(model, z, tol=self.tol["ode_tol"])
-                worst = max(worst, fro(sample.value - ref.value) / fro(ref.value))
-        self.emit(
-            "charfn.csv",
-            ["re_z", "im_z"] + _entry_columns(self.system.m, self.system.m),
-            rows,
-        )
+                worst = max(worst, fro(values[-1] - ref.value) / fro(ref.value))
+        self.emit("charfn.csv", *_table(["re_z", "im_z"],
+                                        [(z.real, z.imag) for z in z_list], values))
         if options.get("compare", True):
             self.check("charfn", "charfn_max_rel_error", worst,
                        self.tol["charfn_tol"])
@@ -539,20 +519,19 @@ class _Runner:
         h = complex(self.diag.h[0])
         xs = np.linspace(a + 0.1 * (b - a), b, 7)
         zs = [a + 2j * (b - a), b + 1.5j * (b - a), a - 0.7 * (b - a) + 0.5j]
+        te = transfer(traj, xs[:, None], zs)
+        s = traj.s_at(xs)
+        beta = self.system.hamiltonian.beta_at(xs) @ te.w0[:, 0]
         s_err = beta_err = wa_err = v_err = wt_err = 0.0
-        for x in xs:
+        # the closed forms are scalar, one (x, z) at a time
+        for i, x in enumerate(xs):
             forms = rank_one.order_one_closed_forms(B, g, h, x, zs[0], b=b)
-            s_err = max(s_err, abs(traj.s_at(x)[0, 0] - forms.s))
-            beta_err = max(
-                beta_err,
-                fro(self.system.hamiltonian.beta_at(x)
-                    @ transfer(traj, x, zs[0]).w0 - forms.beta_t),
-            )
-            for z in zs:
+            s_err = max(s_err, abs(s[i, 0, 0] - forms.s))
+            beta_err = max(beta_err, fro(beta[i] - forms.beta_t))
+            for j, z in enumerate(zs):
                 forms_z = rank_one.order_one_closed_forms(B, g, h, x, z, b=b)
-                te = transfer(traj, x, z)
-                wa_err = max(wa_err, fro(te.w_a - forms_z.w_a))
-                v_err = max(v_err, fro(te.v - forms_z.v))
+                wa_err = max(wa_err, fro(te.w_a[i, j] - forms_z.w_a))
+                v_err = max(v_err, fro(te.v[i, j] - forms_z.v))
         sweep_z = [
             _complex_from(z, "z") for z in options.get(
                 "z",
@@ -560,19 +539,16 @@ class _Runner:
                  (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)],
             )
         ]
-        rows = []
+        # one RK45 solve per z: the base solution W(b, z) has no shared route
+        sweep = []
         for z in sweep_z:
-            dressed = transformed_fundamental(
+            sweep.append(transformed_fundamental(
                 traj, z, grid=np.array([b]), tol=min(self.tol["ode_tol"], 1e-10)
-            ).values[0]
+            ).values[0])
             explicit = rank_one.transformed_fundamental_matrix(self.diag, b, z, b=b)
-            wt_err = max(wt_err, fro(dressed - explicit))
-            rows.append([repr(z.real), repr(z.imag)] + _matrix_cells(dressed))
-        self.emit(
-            "transformed_sweep.csv",
-            ["re_z", "im_z"] + _entry_columns(self.system.m, self.system.m),
-            rows,
-        )
+            wt_err = max(wt_err, fro(sweep[-1] - explicit))
+        self.emit("transformed_sweep.csv", *_table(
+            ["re_z", "im_z"], [(z.real, z.imag) for z in sweep_z], sweep))
         grid_solution = transformed_fundamental(
             traj, zs[0], grid=np.linspace(a, b, 51),
             tol=min(self.tol["ode_tol"], 1e-10),

@@ -20,7 +20,14 @@ and its z -> infinity limit w0(x) produce the dressed system: the
 Hamiltonian transforms by the congruence H~ = w0* H w0 and the dressed
 fundamental solution is W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1} with
 v = w0^{-1} w_A.  A(x) is never integrated; the closed-form resolvent is
-used everywhere, and S^{-1} is never formed (linear solves only).
+used everywhere (once per right-hand side evaluation of the evolution),
+and S^{-1} is never formed (linear solves only).
+
+:func:`transfer`, :func:`w0_at` and :func:`g0_eval` take arrays of x
+(and z) and evaluate them as one batch.  They all read (Pi, S) through
+one checked lookup: one dense-output call for the whole stack and one
+stacked SVD of S, raising :class:`~cansys.linalg.SingularMatrixError` at
+the first x, in order, where S(x) is singular to working tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import numpy as np
 from .linalg import (
     SINGULAR_COND,
     SingularMatrixError,
+    _adj,
     ascomplex,
     cond2,
     fro,
@@ -42,6 +50,7 @@ from .system import (
     BoundaryValueReport,
     FundamentalSolution,
     HamiltonianSpec,
+    boundary_values,
     extrapolate_eta_sequence,
     fundamental_solution,
     integrate_matrix_ode,
@@ -88,8 +97,9 @@ class GbdtParams:
         return self.Pi0.shape[1]
 
     def a_at(self, x):
-        """Generalised spectral parameter A(x) = (B - x I)^{-1}."""
-        return np.linalg.inv(self.B - x * np.eye(self.n))
+        """Generalised spectral parameter A(x) = (B - x I)^{-1}, stacked
+        behind x's shape for an array of x."""
+        return np.linalg.inv(self.B - np.asarray(x)[..., None, None] * np.eye(self.n))
 
     def identity_residual(self, J):
         a0 = self.a_at(self.xi)
@@ -138,6 +148,38 @@ def validate_params(params, sys, margin=None):
     )
 
 
+def _split(flat, n, m):
+    """(Pi, S, K) from flat joint states, one triple per leading index."""
+    lead = flat.shape[:-1]
+    return (
+        flat[..., : n * m].reshape(lead + (n, m)),
+        flat[..., n * m : n * m + n * n].reshape(lead + (n, n)),
+        flat[..., n * m + n * n :].reshape(lead + (n, n)),
+    )
+
+
+def _check_s(x, s, s_scale=None):
+    """Raise :class:`SingularMatrixError` at the first x where solving
+    against S(x) is too ill-conditioned; returns the S scale (the largest
+    singular value when none is given).
+
+    One stacked SVD gives both measures: cond2 and the condition relative
+    to the trajectory's S scale, which catches 1x1 zero crossings.
+    """
+    sv = np.linalg.svd(s, compute_uv=False)
+    if s_scale is None:
+        s_scale = max(float(np.max(sv[..., 0])), 1e-300)
+    with np.errstate(divide="ignore"):
+        cond = np.maximum(sv[..., 0], s_scale) / sv[..., -1]
+    bad = ~(cond <= SINGULAR_COND)
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise SingularMatrixError(
+            "S(x) singular", cond_estimate=float(cond.flat[j]), location=float(x.flat[j])
+        )
+    return s_scale
+
+
 @dataclass
 class GbdtTrajectory:
     """Evolved dressing data sampled on a grid, plus a dense evaluator.
@@ -171,13 +213,9 @@ class GbdtTrajectory:
         return self.params.m
 
     def state_at(self, x):
-        """(Pi(x), S(x), K(x)) via the integrator's dense output."""
-        n, m = self.n, self.m
-        flat = self._dense(x)
-        pi = flat[: n * m].reshape(n, m)
-        s = flat[n * m : n * m + n * n].reshape(n, n)
-        k = flat[n * m + n * n :].reshape(n, n)
-        return pi, s, k
+        """(Pi(x), S(x), K(x)) via the integrator's dense output; an array
+        of x gives stacks from one call."""
+        return _split(self._dense(x), self.n, self.m)
 
     def pi_at(self, x):
         return self.state_at(x)[0]
@@ -195,9 +233,10 @@ class GbdtTrajectory:
 def evolve(params, sys, grid=None, tol=ODE_TOL):
     """Evolve (Pi, S, K) jointly with one adaptive controller.
 
-    A(x) comes from the closed-form resolvent; the joint state keeps the
-    displacement-identity residual coherent with the integration error.
-    Raises :class:`~cansys.linalg.SingularMatrixError` if S(x) passes the
+    A(x) comes from the closed-form resolvent, once per right-hand side
+    evaluation; the joint state keeps the displacement-identity residual
+    coherent with the integration error.  Raises
+    :class:`~cansys.linalg.SingularMatrixError` if S(x) passes the
     singularity threshold anywhere on the grid.
     """
     report = validate_params(params, sys)
@@ -210,26 +249,18 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     n, m = params.n, params.m
     J = sys.J
     spec = sys.hamiltonian
-    B = params.B
-    eye_n = np.eye(n)
 
     def rhs(x, y):
-        pi = y[: n * m].reshape(n, m)
-        s = y[n * m : n * m + n * n].reshape(n, n)
-        k = y[n * m + n * n :].reshape(n, n)
-        bx = B - x * eye_n
+        pi, s, k = _split(y, n, m)
+        a = params.a_at(x)
         h = spec.hamiltonian(x)
-        a_pi = np.linalg.solve(bx, pi)
-        d_pi = -1j * a_pi @ (J @ h)
         pj = pi @ J
-        a_s = np.linalg.solve(bx, s)
-        s_a_star = np.linalg.solve(bx, s.conj().T).conj().T
-        d_s = pj @ h @ pj.conj().T - (a_s + s_a_star)
-        d_k = np.linalg.solve(bx.T, k.T).T
-        return np.concatenate([d_pi.ravel(), d_s.ravel(), d_k.ravel()])
+        d_pi = -1j * a @ pi @ (J @ h)
+        d_s = pj @ h @ pj.conj().T - (a @ s + s @ a.conj().T)
+        return np.concatenate([d_pi.ravel(), d_s.ravel(), (k @ a).ravel()])
 
     y0 = np.concatenate(
-        [params.Pi0.ravel(), params.S0.ravel(), eye_n.astype(complex).ravel()]
+        [params.Pi0.ravel(), params.S0.ravel(), np.eye(n, dtype=complex).ravel()]
     )
     # the residual contract is absolute while rtol is relative; drive the
     # controller two digits below tol so state growth cannot breach 10*tol
@@ -238,27 +269,10 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
         max(tol * 1e-2, 3e-14), max(tol * 1e-3, 1e-16),
     )
 
-    pi = flat[:, : n * m].reshape(-1, n, m)
-    s = flat[:, n * m : n * m + n * n].reshape(-1, n, n)
-    k = flat[:, n * m + n * n :].reshape(-1, n, n)
-    a = np.stack([params.a_at(x) for x in grid])
-    q = np.einsum("jab,jbc,jdc->jad", k, s, k.conj())
-
-    # condition of solving against S, relative to the trajectory's own
-    # S scale (a plain condition number misses 1x1 zero crossings)
-    s_scale = max(float(np.max(np.linalg.norm(s, ord=2, axis=(1, 2)))), 1e-300)
-    residual = 0.0
-    min_eig = np.inf
-    for j, x in enumerate(grid):
-        cond = max(cond2(s[j]), s_scale / min(np.linalg.svd(s[j], compute_uv=False)))
-        if not np.isfinite(cond) or cond > SINGULAR_COND:
-            raise SingularMatrixError(
-                "S(x) singular along the trajectory", cond_estimate=cond, location=x
-            )
-        lhs = a[j] @ s[j] - s[j] @ a[j].conj().T
-        residual = max(residual, fro(lhs - 1j * pi[j] @ J @ pi[j].conj().T))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(hermitian_part(s[j]))[0]))
-
+    pi, s, k = _split(flat, n, m)
+    a = params.a_at(grid)
+    s_scale = _check_s(grid, s)
+    defect = a @ s - s @ _adj(a) - 1j * pi @ J @ _adj(pi)
     return GbdtTrajectory(
         params=params,
         system=sys,
@@ -267,9 +281,9 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
         s=s,
         pi=pi,
         k=k,
-        q=q,
-        identity_residual=residual,
-        min_eig_s=min_eig,
+        q=k @ s @ _adj(k),
+        identity_residual=float(np.max(np.linalg.norm(defect, axis=(1, 2)))),
+        min_eig_s=float(np.min(np.linalg.eigvalsh(hermitian_part(s))[:, 0])),
         ode_tol=tol,
         s_scale=s_scale,
         _dense=dense,
@@ -308,28 +322,24 @@ def positivity_report(traj, tol=None):
     s0 = hermitian_part(traj.params.S0)
     if float(np.linalg.eigvalsh(s0)[0]) <= 0:
         raise ValueError("positivity report requires S(xi) > 0")
-    q_defect = 0.0
-    for dq in np.diff(traj.q, axis=0):
-        q_defect = max(q_defect, -float(np.linalg.eigvalsh(hermitian_part(dq))[0]))
-    inv_defect = 0.0
-    for j in range(traj.grid.size):
-        k = traj.k[j]
-        bound = k.conj().T @ np.linalg.solve(s0, k)
-        s_inv = np.linalg.inv(hermitian_part(traj.s[j]))
-        gap = hermitian_part(bound - s_inv)
-        scale = max(1.0, spec_norm(bound))
-        inv_defect = max(inv_defect, -float(np.linalg.eigvalsh(gap)[0]) / scale)
+    dq = hermitian_part(np.diff(traj.q, axis=0))
+    bound = _adj(traj.k) @ np.linalg.solve(s0, traj.k)
+    gap = hermitian_part(bound - np.linalg.inv(hermitian_part(traj.s)))
+    scale = np.maximum(1.0, np.linalg.norm(bound, ord=2, axis=(1, 2)))
     return PositivityReport(
         min_eig_s=traj.min_eig_s,
-        q_step_defect=q_defect,
-        inverse_bound_defect=inv_defect,
+        q_step_defect=float(np.max(-np.linalg.eigvalsh(dq)[:, 0], initial=0.0)),
+        inverse_bound_defect=float(
+            np.max(-np.linalg.eigvalsh(gap)[:, 0] / scale, initial=0.0)
+        ),
         tol=tol,
     )
 
 
 @dataclass
 class TransferEval:
-    """Transfer-matrix data at one point (x, z).
+    """Transfer-matrix data at (x, z), or at every pair of broadcast
+    arrays x and z (fields then carry the broadcast shape in front).
 
     ``j_defect`` measures the J-relation w_A(x, conj(z))* J w_A(x, z) = J;
     ``w0_inv`` comes from the exact formula
@@ -348,60 +358,70 @@ class TransferEval:
     w0_inv_residual: float
 
 
-def _w0_pair(pi, s, bx, J, m):
-    """w0 and its closed-form inverse from state (Pi, S) at one point."""
-    j_pi = J @ pi.conj().T
-    w0 = np.eye(m) - 1j * j_pi @ np.linalg.solve(s, bx @ pi)
-    w0_inv = np.eye(m) + 1j * j_pi @ bx.conj().T @ np.linalg.solve(s, pi)
-    return w0, w0_inv
+def _dressing_state(traj, x):
+    """x as an array, with Pi(x), B - x, S(x)^{-1} (B - x) and
+    S(x)^{-1} Pi(x) at every point.
+
+    The single place where S is read and checked: one dense-output call
+    for the whole stack, one stacked SVD (see :func:`_check_s`) and one
+    stacked solve against S.
+    """
+    x = np.asarray(x, dtype=float)
+    pi, s, _ = traj.state_at(x)
+    _check_s(x, s, traj.s_scale)
+    bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
+    sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
+    return x, pi, bx, sol[..., : traj.n], sol[..., traj.n :]
 
 
 def w0_at(traj, x):
-    """Dressing factor w0(x) = I - i J Pi* S^{-1} (B - x) Pi."""
-    pi, s, _ = traj.state_at(x)
-    bx = traj.params.B - x * np.eye(traj.n)
-    return _w0_pair(pi, s, bx, traj.system.J, traj.m)[0]
+    """Dressing factor w0(x) = I - i J Pi* S^{-1} (B - x) Pi.
+
+    ``x`` may be a point or an array of points (the result then stacks
+    m x m matrices behind x's shape).  Raises
+    :class:`~cansys.linalg.SingularMatrixError` at the first x where
+    S(x) is singular to working tolerance.
+    """
+    _, pi, _, s_bx, _ = _dressing_state(traj, x)
+    return np.eye(traj.m) - 1j * traj.system.J @ _adj(pi) @ s_bx @ pi
 
 
 def transfer(traj, x, z):
     """Evaluate w_A, w0, v = w0^{-1} w_A at (x, z).
 
-    z (and conj(z)) must avoid the spectrum of B; x may sit anywhere in
-    the trajectory's range (dense interpolation between grid samples).
+    x and z broadcast against each other; scalars give one m x m
+    evaluation.  Every z and conj(z) must avoid the spectrum of B; x may
+    sit anywhere in the trajectory's range (dense interpolation between
+    grid samples), and S(x) is checked as in :func:`w0_at`.
     """
-    z = complex(z)
-    eigs = np.linalg.eigvals(traj.params.B)
-    if min(np.abs(eigs - z).min(), np.abs(eigs - np.conj(z)).min()) < 1e-10:
-        raise ValueError(f"z = {z} meets the spectrum of B")
-    n, m = traj.n, traj.m
-    J = traj.system.J
-    B = traj.params.B
-    pi, s, _ = traj.state_at(x)
-    cond = max(
-        cond2(s), traj.s_scale / min(np.linalg.svd(s, compute_uv=False))
+    x, z = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(z, dtype=complex)
     )
-    if not np.isfinite(cond) or cond > SINGULAR_COND:
-        raise SingularMatrixError("S(x) singular", cond_estimate=cond, location=x)
-    bx = B - x * np.eye(n)
-    j_pi = J @ pi.conj().T
-
-    def w_a_for(zz):
-        resolvent = (x - zz) * bx @ np.linalg.solve(B - zz * np.eye(n), pi)
-        return np.eye(m) - 1j * j_pi @ np.linalg.solve(s, resolvent)
-
-    w_a = w_a_for(z)
-    w0, w0_inv = _w0_pair(pi, s, bx, J, m)
-    v = w0_inv @ w_a
-    j_defect = fro(w_a_for(np.conj(z)).conj().T @ J @ w_a - J)
+    B = traj.params.B
+    eigs = np.linalg.eigvals(B)
+    near = np.abs(z[..., None] - np.append(eigs, eigs.conj())).min(axis=-1) < 1e-10
+    if near.any():
+        raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
+    _, pi, bx, s_bx, s_pi = _dressing_state(traj, x)
+    J = traj.system.J
+    eye_m = np.eye(traj.m)
+    j_pi = J @ _adj(pi)
+    core = j_pi @ s_bx
+    w0 = eye_m - 1j * core @ pi
+    w0_inv = eye_m + 1j * j_pi @ _adj(bx) @ s_pi
+    # w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi at z and conj(z)
+    zz = np.stack([z, z.conj()])[..., None, None]
+    resolvent_pi = np.linalg.solve(B - zz * np.eye(traj.n), pi)
+    w_a, w_a_conj = eye_m - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
     return TransferEval(
-        x=float(x),
-        z=z,
+        x=x[()],
+        z=z[()],
         w_a=w_a,
         w0=w0,
         w0_inv=w0_inv,
-        v=v,
-        j_defect=j_defect,
-        w0_inv_residual=fro(w0 @ w0_inv - np.eye(m)),
+        v=w0_inv @ w_a,
+        j_defect=np.linalg.norm(_adj(w_a_conj) @ J @ w_a - J, axis=(-2, -1))[()],
+        w0_inv_residual=np.linalg.norm(w0 @ w0_inv - eye_m, axis=(-2, -1))[()],
     )
 
 
@@ -412,27 +432,22 @@ def transformed_hamiltonian(traj):
     (grid samples plus an exact callable along the trajectory); otherwise
     an H-grid with an exact callable is returned.
     """
-    sys = traj.system
-    spec = sys.hamiltonian
+    spec = traj.system.hamiltonian
     grid = traj.grid
-    w0s = np.stack([w0_at(traj, x) for x in grid])
+    w0 = w0_at(traj, grid)
     if spec.is_factored:
-        beta_t = np.stack([spec.beta_at(x) @ w0s[j] for j, x in enumerate(grid)])
         return HamiltonianSpec.from_beta_grid(
-            grid, beta_t, beta_fn=lambda x: spec.beta_at(x) @ w0_at(traj, x)
+            grid, spec.beta_at(grid) @ w0,
+            beta_fn=lambda x: spec.beta_at(x) @ w0_at(traj, x),
         )
-    h_t = np.stack(
-        [
-            hermitian_part(w0s[j].conj().T @ spec.hamiltonian(x) @ w0s[j])
-            for j, x in enumerate(grid)
-        ]
-    )
 
     def dressed_h(x):
         w0 = w0_at(traj, x)
         return w0.conj().T @ spec.hamiltonian(x) @ w0
 
-    out = HamiltonianSpec.from_grid(grid, h_t)
+    out = HamiltonianSpec.from_grid(
+        grid, hermitian_part(_adj(w0) @ spec.hamiltonians(grid) @ w0)
+    )
     out.h_fn = dressed_h
     return out
 
@@ -443,43 +458,38 @@ def transformed_fundamental(traj, z, grid=None, tol=1e-10):
     if grid is None:
         grid = traj.grid
     base = fundamental_solution(sys, z, grid=grid, tol=tol)
-    v_xi_inv = np.linalg.inv(transfer(traj, sys.xi, z).v)
-    values = np.stack(
-        [
-            transfer(traj, x, z).v @ base.values[j] @ v_xi_inv
-            for j, x in enumerate(base.grid)
-        ]
-    )
+    v = transfer(traj, np.append(sys.xi, base.grid), base.z).v
+    v_xi_inv = np.linalg.inv(v[0])
     return FundamentalSolution(
         z=base.z,
         grid=base.grid,
-        values=values,
+        values=v[1:] @ base.values @ v_xi_inv,
         method=base.method,
         error_estimate=base.error_estimate,
         J=sys.J,
         xi=sys.xi,
-        interpolant=lambda x: transfer(traj, x, complex(z)).v @ base.at(x) @ v_xi_inv,
+        interpolant=lambda x: transfer(traj, x, base.z).v @ base.at(x) @ v_xi_inv,
     )
 
 
 def g0_eval(traj, x):
     """Logarithmic derivative generator of w0: d/dx w0 = G0 w0 with
 
-        G0 = -J (i Pi* S^{-1} Pi - H J Pi* S^{-1} Pi + Pi* S^{-1} Pi J H).
+        G0 = -J (i Pi* S^{-1} Pi - H J Pi* S^{-1} Pi + Pi* S^{-1} Pi J H);
+
+    ``x`` may be an array of points, as for :func:`w0_at`.
     """
-    sys = traj.system
-    pi, s, _ = traj.state_at(x)
-    J = sys.J
-    h = sys.hamiltonian.hamiltonian(x)
-    core = pi.conj().T @ np.linalg.solve(s, pi)
+    x, pi, _, _, s_pi = _dressing_state(traj, x)
+    J = traj.system.J
+    h = traj.system.hamiltonian.hamiltonians(x.ravel()).reshape(x.shape + J.shape)
+    core = _adj(pi) @ s_pi
     return -J @ (1j * core - h @ J @ core + core @ J @ h)
 
 
 def w0_lipschitz_bound(traj):
     """Grid supremum of |G0(x) w0(x)|, a Lipschitz constant for w0."""
-    return max(
-        spec_norm(g0_eval(traj, x) @ w0_at(traj, x)) for x in traj.grid
-    )
+    gw = g0_eval(traj, traj.grid) @ w0_at(traj, traj.grid)
+    return float(np.max(np.linalg.norm(gw, ord=2, axis=(1, 2))))
 
 
 def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
@@ -492,8 +502,6 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
     (``levels`` rungs) are dressed and Richardson-extrapolated directly
     on W~; the discrepancy is reported as ``cross_check_error``.
     """
-    from .system import boundary_values
-
     sys = traj.system
     eigs = np.linalg.eigvals(traj.params.B)
     a_int, b_int = sys.interval
@@ -503,28 +511,18 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
     if not 3 <= levels <= 10:
         raise ValueError("extrapolation needs 3..10 levels")
     base = boundary_values(sys, x, s, tol=tol, margin=margin)
-    v_xs = transfer(traj, x, s).v
-    v_xi_inv = np.linalg.inv(transfer(traj, sys.xi, s).v)
-    w_plus = v_xs @ base.w_plus @ v_xi_inv
-    w_minus = v_xs @ base.w_minus @ v_xi_inv
-
     etas = eta0 * 2.0 ** (-np.arange(levels))
     plus, minus = limit_samples(sys, x, s, etas, tol)
-
-    def dressed_limit(samples, sign):
-        dressed = np.stack(
-            [
-                transfer(traj, x, s + sign * 1j * e).v
-                @ samples[j]
-                @ np.linalg.inv(transfer(traj, sys.xi, s + sign * 1j * e).v)
-                for j, e in enumerate(etas)
-            ]
-        )
-        return extrapolate_eta_sequence(etas, dressed)[0]
-
+    # v at x (row 0) and xi (row 1) for z = s, then the ladder above and below
+    zs = np.concatenate([[s], s + 1j * etas, s - 1j * etas])
+    v = transfer(traj, [[x], [sys.xi]], zs).v
+    v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
+    w_plus = v_x[0] @ base.w_plus @ v_xi_inv[0]
+    w_minus = v_x[0] @ base.w_minus @ v_xi_inv[0]
+    ladder = v_x[1:] @ np.concatenate([plus, minus]) @ v_xi_inv[1:]
     cross = max(
-        fro(w_plus - dressed_limit(plus, +1.0)),
-        fro(w_minus - dressed_limit(minus, -1.0)),
+        fro(w_plus - extrapolate_eta_sequence(etas, ladder[:levels])[0]),
+        fro(w_minus - extrapolate_eta_sequence(etas, ladder[levels:])[0]),
     )
 
     return BoundaryValueReport(
@@ -536,8 +534,9 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
         jump=np.linalg.solve(w_minus, w_plus),
         panels=base.panels,
         extrapolation_error=base.extrapolation_error
-        * max(spec_norm(v_xs) * spec_norm(v_xi_inv), 1.0),
+        * max(spec_norm(v_x[0]) * spec_norm(v_xi_inv[0]), 1.0),
         divergent=base.divergent,
+        converged=base.converged,
         cross_check_error=cross,
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Condition estimate above which a linear system is treated as singular.
 SINGULAR_COND = 1e12
@@ -60,22 +59,19 @@ def spec_norm(matrix):
     return float(np.linalg.norm(matrix, ord=2))
 
 
+def _adj(matrix):
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.conj(np.swapaxes(matrix, -1, -2))
+
+
 def hermitian_part(matrix):
-    return 0.5 * (matrix + matrix.conj().T)
+    """(M + M*)/2 of a matrix or of every matrix in a stack."""
+    return 0.5 * (matrix + _adj(matrix))
 
 
 def cond2(matrix):
     """2-norm condition number; ``inf`` for exactly singular input."""
     return float(np.linalg.cond(matrix))
-
-
-def expm(matrix, scale=1.0):
-    """exp(scale * matrix) by scaling-and-squaring with a Pade approximant.
-
-    Relative error stays below ~1e-12 for ``spec_norm(scale * matrix) <= 10``.
-    """
-    m = ascomplex(matrix, square=True)
-    return scipy.linalg.expm(scale * m)
 
 
 def solve(a, b):

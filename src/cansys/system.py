@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .linalg import ascomplex, fro, hermitian_part
+from .linalg import _adj, ascomplex, fro, hermitian_part
 
 #: Points closer than this to the cut are rejected outside boundary_values.
 DISTANCE_TOL = 1e-6
@@ -136,7 +136,11 @@ class HamiltonianSpec:
         raise ValueError("no factored form present")
 
     def beta_at(self, x):
+        """beta(x), or a stack of them for an array of points (a callable
+        is then sampled point by point)."""
         if self.beta_fn is not None:
+            if np.ndim(x):
+                return np.stack([self.beta_at(xx) for xx in x])
             return np.asarray(self.beta_fn(x), dtype=complex)
         if self.beta is None:
             raise ValueError("no factored form present")
@@ -161,9 +165,8 @@ class HamiltonianSpec:
             return np.stack([self.hamiltonian(x) for x in xs])
         if self.beta is not None:
             b = _interp_stack(self.x, self.beta, xs)
-            return np.conj(np.swapaxes(b, 1, 2)) @ b
-        h = _interp_stack(self.x, self.h, xs)
-        return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+            return _adj(b) @ b
+        return hermitian_part(_interp_stack(self.x, self.h, xs))
 
     def cumulative(self, x, base):
         """tau(x) = integral of H from ``base`` to ``x`` (per-panel Simpson).
@@ -231,6 +234,11 @@ class SystemReport:
         return not self.violations
 
 
+def _signature_defect(J):
+    """max(|J - J*|, |J J - I|): zero iff J = J* = J^{-1}."""
+    return max(fro(J - J.conj().T), fro(J @ J - np.eye(J.shape[0])))
+
+
 def validate_system(sys, psd_tol=1e-10, beta_lipschitz=None):
     """Check J = J* = J^{-1}, H(x_j) PSD Hermitian, xi inside the interval.
 
@@ -238,9 +246,7 @@ def validate_system(sys, psd_tol=1e-10, beta_lipschitz=None):
     factored Hamiltonian's beta grid (continuity guard).
     """
     violations = []
-    j_defect = max(
-        fro(sys.J - sys.J.conj().T), fro(sys.J @ sys.J - np.eye(sys.m))
-    )
+    j_defect = _signature_defect(sys.J)
     if j_defect > 1e-12:
         violations.append(f"J is not a signature matrix (defect {j_defect:.2e})")
     a, b = sys.interval
@@ -290,12 +296,13 @@ class FundamentalSolution:
 def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol):
     """Integrate a flat complex ODE both directions from xi over a grid.
 
-    Returns (values_at_grid, dense_evaluator, total_steps).
+    Returns (values_at_grid, dense_evaluator, total_steps); the dense
+    evaluator takes a point or an array of points.
     """
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size, y0.size), dtype=complex)
     out[np.abs(grid - xi) <= 1e-15] = y0
-    pieces = []
+    spans = []  # (lo, hi, dense output) of each direction
     steps = 0
     for leftward in (True, False):
         sel = grid < xi - 1e-15 if leftward else grid > xi + 1e-15
@@ -323,17 +330,32 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol):
         res = np.empty_like(y)
         res[order] = y
         out[sel] = res
-        pieces.append(sol.sol)
+        spans.append((sol.sol.t_min - 1e-12, sol.sol.t_max + 1e-12, sol.sol))
         steps += sol.t.size
 
     def dense(x):
-        if abs(x - xi) <= 1e-15:
-            return y0.copy()
-        for piece in pieces:
-            lo, hi = min(piece.t_min, piece.t_max), max(piece.t_min, piece.t_max)
-            if lo - 1e-12 <= x <= hi + 1e-12:
-                return piece(x)
-        raise ValueError(f"x = {x} outside the integrated range")
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            # OdeSolution's scalar call costs about half its array call
+            if abs(x - xi) <= 1e-15:
+                return y0.copy()
+            for lo, hi, piece in spans:
+                if lo <= x <= hi:
+                    return piece(x)
+            raise ValueError(f"x = {x} outside the integrated range")
+        # an array of x takes one vectorised call per piece
+        flat = x.ravel()
+        out = np.empty((flat.size, y0.size), dtype=complex)
+        todo = np.abs(flat - xi) > 1e-15
+        out[~todo] = y0
+        for lo, hi, piece in spans:
+            sel = todo & (flat >= lo) & (flat <= hi)
+            if sel.any():
+                out[sel] = piece(flat[sel]).T
+                todo &= ~sel
+        if todo.any():
+            raise ValueError(f"x = {flat[todo][0]} outside the integrated range")
+        return out.reshape(x.shape + y0.shape)
 
     return out, dense, steps
 
@@ -471,7 +493,8 @@ class BoundaryValueReport:
 
     ``panels`` counts the factors of the last product of each limit;
     ``extrapolation_error`` is the change of the limits under the last
-    grading refinement.
+    grading refinement, and ``converged`` says whether it met the
+    tolerance (False when the refinement stopped at the panel cap).
     """
 
     x: float
@@ -483,6 +506,7 @@ class BoundaryValueReport:
     panels: int
     extrapolation_error: float
     divergent: bool
+    converged: bool
     cross_check_error: float | None = None
 
 
@@ -665,6 +689,7 @@ def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):
         panels=panels,
         extrapolation_error=diffs[-1],
         divergent=divergent,
+        converged=bool(diffs[-1] <= tol),
     )
 
 
@@ -698,10 +723,7 @@ def kernel_bound(spec, J, degeneracy_tol=1e-9):
     if not spec.is_factored:
         raise ValueError("kernel bound needs the factored form beta")
     x = spec.x
-    if spec.beta is not None:
-        beta = spec.beta
-    else:
-        beta = np.stack([spec.beta_at(xx) for xx in x])
+    beta = spec.beta if spec.beta is not None else spec.beta_at(x)
     corr = np.einsum("iam,mn,jbn->ijab", beta, J, beta.conj())
     norms = np.linalg.svd(corr, compute_uv=False)[..., 0]
     scale = max(1.0, float(np.max(np.linalg.norm(beta, axis=(1, 2)))) ** 2)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, ascomplex, fro, hermitian_part
+from .linalg import SingularMatrixError, _adj, ascomplex, fro, hermitian_part
 from .system import (
     CanonicalSystem,
     HamiltonianSpec,
@@ -42,7 +42,6 @@ class TriangularModel:
     x: np.ndarray
     beta: np.ndarray
     beta_fn: object = field(default=None, repr=False)
-    quadrature: str = "midpoint"
 
     def __post_init__(self):
         self.J = ascomplex(self.J, "J", square=True)
@@ -54,8 +53,6 @@ class TriangularModel:
         self.beta = np.asarray(self.beta, dtype=complex)
         if self.beta.ndim != 3 or self.beta.shape[0] != self.x.size:
             raise ValueError("beta samples must be (len(x), k, m)")
-        if self.quadrature != "midpoint":
-            raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
 
     @property
     def k(self):
@@ -221,19 +218,12 @@ def transform_model(model, traj):
     """
     from .gbdt import w0_at
 
-    beta_t = np.stack(
-        [model.beta_at(x) @ w0_at(traj, x) for x in model.x]
-    )
-    fn = None
-    if model.beta_fn is not None or traj is not None:
-        fn = lambda x: model.beta_at(x) @ w0_at(traj, x)
     return TriangularModel(
         interval=model.interval,
         J=model.J,
         x=model.x,
-        beta=beta_t,
-        beta_fn=fn,
-        quadrature=model.quadrature,
+        beta=model.beta @ w0_at(traj, model.x),
+        beta_fn=lambda x: model.beta_at(x) @ w0_at(traj, x),
     )
 
 
@@ -249,14 +239,13 @@ def conjugate_transform_model(model, traj):
         w0 = w0_at(traj, x)
         return w0.conj().T @ model.beta_at(x) @ w0
 
-    beta_t = np.stack([dressed(x) for x in model.x])
+    w0 = w0_at(traj, model.x)
     return TriangularModel(
         interval=model.interval,
         J=model.J,
         x=model.x,
-        beta=beta_t,
+        beta=_adj(w0) @ model.beta @ w0,
         beta_fn=dressed,
-        quadrature=model.quadrature,
     )
 
 

@@ -191,6 +191,45 @@ def test_transfer_j_property_and_w0_inverse(traj_n1):
         assert fro(w0 @ J_OFF @ w0.conj().T - J_OFF) <= 1e-9 * cond
 
 
+def test_transfer_broadcasts_like_pointwise_calls(traj_n1):
+    xs = np.array([0.0, 0.123456, 0.5, 1.0])
+    zs = np.array([2j, -1.0 + 0.5j, 3.0 + 0.0j])
+    stacked = transfer(traj_n1, xs[:, None], zs)
+    assert stacked.v.shape == (4, 3, 2, 2)
+    for i, x in enumerate(xs):
+        assert fro(w0_at(traj_n1, xs)[i] - transfer(traj_n1, x, 2j).w0) < 1e-12
+        for j, z in enumerate(zs):
+            one = transfer(traj_n1, x, z)
+            assert (stacked.x[i, j], stacked.z[i, j]) == (one.x, one.z)
+            for name in ("w_a", "w0", "w0_inv", "v"):
+                assert fro(getattr(stacked, name)[i, j] - getattr(one, name)) < 1e-12
+            assert abs(stacked.j_defect[i, j] - one.j_defect) < 1e-12
+
+
+def _nearly_singular_trajectory(unit_system):
+    # S vanishes at x = 0.5, between the grid points, so evolve succeeds
+    h = np.log(1j - 0.5).imag
+    diag = rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[h])
+    return evolve(diag.to_gbdt_params(), unit_system,
+                  grid=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], tol=1e-10)
+
+
+def test_w0_and_dressed_hamiltonian_check_s(unit_system):
+    traj = _nearly_singular_trajectory(unit_system)
+    dressed = transformed_hamiltonian(traj)
+    for evaluate in (lambda: w0_at(traj, 0.5), lambda: dressed.hamiltonian(0.5)):
+        with pytest.raises(SingularMatrixError) as excinfo:
+            evaluate()
+        assert excinfo.value.location == pytest.approx(0.5)
+
+
+def test_transfer_names_first_singular_point(unit_system):
+    traj = _nearly_singular_trajectory(unit_system)
+    with pytest.raises(SingularMatrixError) as excinfo:
+        transfer(traj, [0.2, 0.5], 2j)
+    assert excinfo.value.location == pytest.approx(0.5)
+
+
 def test_transfer_rejects_spectrum_of_b(traj_n1):
     with pytest.raises(ValueError):
         transfer(traj_n1, 0.5, 1j)

@@ -4,7 +4,6 @@ import pytest
 from cansys.linalg import (
     SingularMatrixError,
     ascomplex,
-    expm,
     fro,
     hermitian_report,
     solve,
@@ -18,30 +17,6 @@ def test_ascomplex_rejects_bad_shapes():
         ascomplex([[1.0, np.nan]])
     with pytest.raises(ValueError):
         ascomplex([[1.0, 2.0]], square=True)
-
-
-def test_expm_zero_matrix():
-    assert np.allclose(expm(np.zeros((2, 2))), np.eye(2), atol=1e-15)
-
-
-def test_expm_diagonal():
-    a, b = 0.3 + 0.2j, -1.1j
-    out = expm(np.diag([a, b]))
-    assert np.allclose(out, np.diag([np.exp(a), np.exp(b)]), atol=1e-14)
-
-
-def test_expm_nilpotent_series_terminates():
-    out = expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(out, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
-
-
-def test_expm_scale_inverse_pairs():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        scale = 10.0 / max(np.linalg.norm(m, 2), 1.0) * rng.uniform(0.1, 1.0)
-        prod = expm(m, scale) @ expm(m, -scale)
-        assert fro(prod - np.eye(3)) < 1e-10
 
 
 def test_solve_identity_and_self():
