@@ -394,14 +394,16 @@ def transfer(traj, x, z):
     sit anywhere in the trajectory's range (dense interpolation between
     grid samples), and S(x) is checked as in :func:`w0_at`.
     """
-    x, z = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(z, dtype=complex)
-    )
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    z = np.broadcast_to(z, shape)
     B = traj.params.B
     eigs = np.linalg.eigvals(B)
     near = np.abs(z[..., None] - np.append(eigs, eigs.conj())).min(axis=-1) < 1e-10
     if near.any():
         raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
+    # the state depends on x alone: read it once per x, not per (x, z) pair
     _, pi, bx, s_bx, s_pi = _dressing_state(traj, x)
     J = traj.system.J
     eye_m = np.eye(traj.m)
@@ -409,19 +411,21 @@ def transfer(traj, x, z):
     core = j_pi @ s_bx
     w0 = eye_m - 1j * core @ pi
     w0_inv = eye_m + 1j * j_pi @ _adj(bx) @ s_pi
+    residual = np.linalg.norm(w0 @ w0_inv - eye_m, axis=(-2, -1))
     # w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi at z and conj(z)
     zz = np.stack([z, z.conj()])[..., None, None]
     resolvent_pi = np.linalg.solve(B - zz * np.eye(traj.n), pi)
     w_a, w_a_conj = eye_m - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
+    mm = (traj.m, traj.m)
     return TransferEval(
-        x=x[()],
+        x=np.broadcast_to(x, shape)[()],
         z=z[()],
         w_a=w_a,
-        w0=w0,
-        w0_inv=w0_inv,
+        w0=np.broadcast_to(w0, shape + mm).copy(),
+        w0_inv=np.broadcast_to(w0_inv, shape + mm).copy(),
         v=w0_inv @ w_a,
         j_defect=np.linalg.norm(_adj(w_a_conj) @ J @ w_a - J, axis=(-2, -1))[()],
-        w0_inv_residual=np.linalg.norm(w0 @ w0_inv - eye_m, axis=(-2, -1))[()],
+        w0_inv_residual=np.broadcast_to(residual, shape)[()],
     )
 
 

@@ -334,16 +334,8 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol):
         steps += sol.t.size
 
     def dense(x):
+        # a point or an array of x; one vectorised call per piece
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            # OdeSolution's scalar call costs about half its array call
-            if abs(x - xi) <= 1e-15:
-                return y0.copy()
-            for lo, hi, piece in spans:
-                if lo <= x <= hi:
-                    return piece(x)
-            raise ValueError(f"x = {x} outside the integrated range")
-        # an array of x takes one vectorised call per piece
         flat = x.ravel()
         out = np.empty((flat.size, y0.size), dtype=complex)
         todo = np.abs(flat - xi) > 1e-15

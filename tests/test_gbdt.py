@@ -204,6 +204,12 @@ def test_transfer_broadcasts_like_pointwise_calls(traj_n1):
             for name in ("w_a", "w0", "w0_inv", "v"):
                 assert fro(getattr(stacked, name)[i, j] - getattr(one, name)) < 1e-12
             assert abs(stacked.j_defect[i, j] - one.j_defect) < 1e-12
+            assert abs(stacked.w0_inv_residual[i, j] - one.w0_inv_residual) < 1e-12
+    # x with more axes than z: every field still carries the broadcast shape
+    by_x = transfer(traj_n1, xs, 2j)
+    assert by_x.x.shape == by_x.z.shape == by_x.w0_inv_residual.shape == (4,)
+    assert by_x.w0.shape == by_x.w0_inv.shape == by_x.v.shape == (4, 2, 2)
+    assert fro(by_x.v - stacked.v[:, 0]) < 1e-12
 
 
 def _nearly_singular_trajectory(unit_system):
