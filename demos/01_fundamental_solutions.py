@@ -2,8 +2,10 @@
 
 The constant rank-one scenario ships with a logarithmic closed form, so
 we can compare the adaptive integrator and the multiplicative-integral
-(ordered product) route against an exact answer, and watch the midpoint
-product rule converge at second order.
+(ordered product) route against an exact answer.  The product's factors
+integrate the weight 1/(z - t) exactly, so for this constant H every
+factor is exact and the product matches the closed form to rounding at
+any partition.
 """
 
 import numpy as np
@@ -25,9 +27,9 @@ print("W(1, z) =\n", np.round(sol.values[-1], 6))
 exact = rank_one.fundamental_matrix(1.0, z)
 print("closed-form deviation:", fro(sol.values[-1] - exact))
 
-# 3. multiplicative integral: ordered product of matrix exponentials over
-#    a partition; halving the partition quarters the error (midpoint rule)
-for num in (8, 32, 128):
+# 3. multiplicative integral: ordered product of fourth-order Magnus
+#    factors over a partition, exact for constant H even with one factor
+for num in (1, 8, 32):
     prod = product_integral(system, z, np.linspace(0.0, 1.0, num + 1))
     print(f"product integral, {num:4d} factors: "
           f"error {fro(prod.values[-1] - exact):.3e} "

@@ -450,7 +450,7 @@ def transformed_hamiltonian(traj):
         return w0.conj().T @ spec.hamiltonian(x) @ w0
 
     out = HamiltonianSpec.from_grid(
-        grid, hermitian_part(_adj(w0) @ spec.hamiltonians(grid) @ w0)
+        grid, hermitian_part(_adj(w0) @ spec.hamiltonian(grid) @ w0)
     )
     out.h_fn = dressed_h
     return out
@@ -485,7 +485,7 @@ def g0_eval(traj, x):
     """
     x, pi, _, _, s_pi = _dressing_state(traj, x)
     J = traj.system.J
-    h = traj.system.hamiltonian.hamiltonians(x.ravel()).reshape(x.shape + J.shape)
+    h = traj.system.hamiltonian.hamiltonian(x.ravel()).reshape(x.shape + J.shape)
     core = _adj(pi) @ s_pi
     return -J @ (1j * core - h @ J @ core + core @ J @ h)
 

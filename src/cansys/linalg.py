@@ -61,7 +61,7 @@ def spec_norm(matrix):
 
 def _adj(matrix):
     """Conjugate transpose of a matrix or of every matrix in a stack."""
-    return np.conj(np.swapaxes(matrix, -1, -2))
+    return np.conj(matrix).swapaxes(-1, -2)
 
 
 def hermitian_part(matrix):

@@ -14,15 +14,16 @@ J-contractive for Im z < 0.
 This module provides
 
 * :func:`fundamental_solution` -- adaptive Runge-Kutta integration,
-* :func:`product_integral` -- the multiplicative-integral route
-  (ordered products of matrix exponentials over a partition),
+* :func:`product_integral` -- the multiplicative-integral route: the
+  ordered product of exact-log-weight fourth-order Magnus factors
+  exp(Omega_j) over a user partition (the Lie-group integrators of
+  Iserles & Norsett 1999 and Blanes, Casas, Oteo & Ros 2009, with the
+  weight 1/(z - t) integrated exactly), exact for commuting H,
 * :func:`boundary_values` -- limits W(x, s +/- i0) on the cut and the jump
-  matrix relating them, each an ordered product of exact-log-weight
-  fourth-order Magnus factors exp(Omega_j) taken at z = s +/- i0 directly
-  (the Lie-group integrators of Iserles & Norsett 1999 and Blanes, Casas,
-  Oteo & Ros 2009, with the weight 1/(z - t) integrated exactly), over
-  panels graded geometrically towards s; ``extrapolation_error`` is the
-  change of the limits under the last halving of the grading ratio,
+  matrix relating them, each an ordered product of the same factors taken
+  at z = s +/- i0 directly, over panels graded geometrically towards s;
+  ``extrapolation_error`` is the change of the limits under the last
+  halving of the grading ratio,
 * :func:`limit_samples` and :func:`extrapolate_eta_sequence` -- the
   independent RK45 reference for cut limits: samples along an eta ladder
   and their Richardson limit,
@@ -147,26 +148,15 @@ class HamiltonianSpec:
         return _interp_stack(self.x, self.beta, x)
 
     def hamiltonian(self, x):
-        """H(x), Hermitian PSD up to interpolation rounding."""
+        """H(x), or a stack of them for an array of points; Hermitian PSD up
+        to interpolation rounding.  Callables are sampled point by point."""
         if self.h_fn is not None:
-            return hermitian_part(np.asarray(self.h_fn(x), dtype=complex))
+            h = np.asarray([self.h_fn(xx) for xx in np.ravel(x)], dtype=complex)
+            return hermitian_part(h.reshape(np.shape(x) + h.shape[1:]))
         if self.is_factored:
             b = self.beta_at(x)
-            return b.conj().T @ b
-        return hermitian_part(_interp_stack(self.x, self.h, x))
-
-    def hamiltonians(self, xs):
-        """H at every point of ``xs`` as one (len(xs), m, m) stack.
-
-        Grid data is interpolated in one vectorised pass; callables are
-        sampled point by point.
-        """
-        if self.h_fn is not None or self.beta_fn is not None:
-            return np.stack([self.hamiltonian(x) for x in xs])
-        if self.beta is not None:
-            b = _interp_stack(self.x, self.beta, xs)
             return _adj(b) @ b
-        return hermitian_part(_interp_stack(self.x, self.h, xs))
+        return hermitian_part(_interp_stack(self.x, self.h, x))
 
     def cumulative(self, x, base):
         """tau(x) = integral of H from ``base`` to ``x`` (per-panel Simpson).
@@ -255,14 +245,12 @@ def validate_system(sys, psd_tol=1e-10, beta_lipschitz=None):
     spec = sys.hamiltonian
     if spec.m != sys.m:
         violations.append(f"Hamiltonian size {spec.m} != system size {sys.m}")
-    min_eig = np.inf
-    for j, xj in enumerate(spec.x):
-        hj = spec.hamiltonian(xj)
-        herm = fro(hj - hj.conj().T)
-        eig = float(np.linalg.eigvalsh(hermitian_part(hj))[0])
-        min_eig = min(min_eig, eig)
-        if herm > 1e-10 or eig < -psd_tol:
-            violations.append(f"H not PSD Hermitian at x_{j} = {xj}")
+    h = spec.hamiltonian(spec.x)
+    herm = np.linalg.norm(h - _adj(h), axis=(1, 2))
+    eig = np.linalg.eigvalsh(hermitian_part(h))[:, 0]
+    min_eig = float(eig.min())
+    for j in np.flatnonzero((herm > 1e-10) | (eig < -psd_tol)):
+        violations.append(f"H not PSD Hermitian at x_{j} = {spec.x[j]}")
     if beta_lipschitz is not None and spec.beta is not None:
         rate = spec.beta_jump_rate()
         if rate > beta_lipschitz:
@@ -414,19 +402,14 @@ def _ordered_product(exponents):
     return np.concatenate([np.eye(acc.shape[-1], dtype=complex)[None], acc])
 
 
-def _midpoint_product(sys, z, partition):
-    mid = 0.5 * (partition[:-1] + partition[1:])
-    scale = 1j * np.diff(partition) / (z - mid)
-    jh = sys.J @ sys.hamiltonian.hamiltonians(mid)
-    return _ordered_product(scale[:, None, None] * jh)
-
-
 def product_integral(sys, z, partition):
     """Multiplicative integral over a partition of [a, x] (xi = a).
 
-    The ordered product of midpoint factors exp(i J H(t*) dt / (z - t*)),
-    later subintervals multiplying from the left, realises the
-    curved-arrow product; the error estimate comes from one partition
+    The ordered product of the fourth-order Magnus factors of
+    :func:`_magnus_exponents` on the partition's panels, later panels
+    multiplying from the left, realises the curved-arrow product; each
+    factor is exact when the values of H commute on its panel (constant
+    or scalar-profile H).  The error estimate comes from one partition
     halving.
     """
     z = complex(z)
@@ -440,12 +423,14 @@ def product_integral(sys, z, partition):
         raise ValueError("partition must be strictly increasing with >= 2 points")
     if abs(partition[0] - a) > 1e-12:
         raise ValueError("partition must start at the base point a")
+    if partition[-1] > b + 1e-12:
+        raise ValueError(f"partition must lie within [{a}, {b}]")
 
-    values = _midpoint_product(sys, z, partition)
+    values = _ordered_product(_magnus_exponents(sys, partition, z))
     fine_partition = np.sort(
         np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
     )
-    fine_at_coarse = _midpoint_product(sys, z, fine_partition)[::2]
+    fine_at_coarse = _ordered_product(_magnus_exponents(sys, fine_partition, z))[::2]
     # halving difference times the order->=1 Richardson safety factor
     err = 2.0 * float(np.max(np.linalg.norm(fine_at_coarse - values, axis=(1, 2))))
     return FundamentalSolution(
@@ -467,16 +452,12 @@ def j_monotonicity_defect(sol):
     cut W is exactly J-unitary; returned is the worst grid violation
     (negative-eigenvalue magnitude, or the J-unitarity defect for real z).
     """
-    J = sol.J
-    worst = 0.0
-    for w in sol.values:
-        g = w.conj().T @ J @ w - J
-        if abs(sol.z.imag) < 1e-13:
-            worst = max(worst, fro(g))
-        else:
-            g = hermitian_part(g if sol.z.imag > 0 else -g)
-            worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(g)[0])))
-    return worst
+    J, w = sol.J, sol.values
+    g = _adj(w) @ J @ w - J
+    if abs(sol.z.imag) < 1e-13:
+        return float(np.linalg.norm(g, axis=(1, 2)).max())
+    g = hermitian_part(g if sol.z.imag > 0 else -g)
+    return max(0.0, -float(np.linalg.eigvalsh(g)[:, 0].min()))
 
 
 @dataclass
@@ -577,29 +558,29 @@ def _log1p(w):
     )
 
 
-def _log_weight_product(sys, x, z, rho, side=0):
-    """W(x, z) as an ordered product of exact-log-weight Magnus factors.
+def _magnus_exponents(sys, t, z, side=0):
+    """Fourth-order Magnus exponents Omega_j of the panels [t_j, t_j+1].
 
-    Returns ``(W, panels)``.  On a panel [t0, t1] the exponent is
-    i J int H(t) / (z - t) dt, integrated exactly for the quadratic
-    through H at t0, the midpoint and t1 (exact for constant, beta-grid
-    and h-grid data), plus the two-point Gauss commutator
-    (sqrt(3) h^2 / 12) [A(g2), A(g1)] of fourth-order Magnus, A = i J H /
-    (z - t).  Panels are graded towards Re z with ratio ``rho``.
+    Omega_j is i J int H(t) / (z - t) dt, integrated exactly for the
+    quadratic through H at the panel's ends and midpoint (exact for
+    constant, beta-grid and h-grid data between sample nodes), plus the
+    two-point Gauss commutator (sqrt(3) h^2 / 12) [A(g2), A(g1)] of
+    fourth-order Magnus, A = i J H / (z - t) (Blanes, Casas, Oteo & Ros
+    2009).  exp(Omega_n-1) ... exp(Omega_0) approximates the propagator
+    W(t_n, z) W(t_0, z)^{-1}.
 
-    ``side`` = +1 / -1 with real z = s inside the cut gives the limit
-    W(x, s +/- i0): the two panels that meet at s form one factor whose
-    ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s)) -/+ i pi).
+    ``side`` = +1 / -1 with real z = s on an inner breakpoint gives the
+    limits z = s +/- i0: the two panels that meet at s form one factor
+    whose ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s))
+    -/+ i pi).
     """
     spec, J = sys.hamiltonian, sys.J
-    lo, hi = sorted((sys.xi, float(x)))
     z = complex(z)
     s = z.real
-    t = _graded_breakpoints(spec.x, lo, hi, s, rho, abs(z.imag))
     t0, t1 = t[:-1], t[1:]
     n = t0.size
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    h = spec.hamiltonians(np.concatenate([t, mid]))
+    h = spec.hamiltonian(np.concatenate([t, mid]))
     # H = hm + c1 tau + c2 tau^2 in tau = (t - mid) / half, and
     # int tau^k / (zeta - tau) dtau over [-1, 1] gives, with
     # log = ln((zeta + 1) / (zeta - 1)) = ln((z - t0) / (z - t1)):
@@ -611,7 +592,7 @@ def _log_weight_product(sys, x, z, rho, side=0):
     with np.errstate(divide="ignore", invalid="ignore"):
         log = _log1p((t1 - t0) / (z - t1))[:, None, None]
         weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
-    if side and lo < s < hi:
+    if side and t[0] < s < t[-1]:
         k = int(np.searchsorted(t, s)) - 1  # panels k and k + 1 meet at s
         weighted[k + 1] = (
             h[k + 1] * (np.log((s - t[k]) / (t[k + 2] - s)) - side * 1j * np.pi)
@@ -622,11 +603,20 @@ def _log_weight_product(sys, x, z, rho, side=0):
         n -= 1
         mid, half = 0.5 * (t[:-1] + t[1:]), 0.5 * (t[1:] - t[:-1])
     gauss = np.concatenate([mid - half / np.sqrt(3.0), mid + half / np.sqrt(3.0)])
-    ja = J @ spec.hamiltonians(gauss) / (z - gauss)[:, None, None]
+    ja = J @ spec.hamiltonian(gauss) / (z - gauss)[:, None, None]
     commutator = ja[n:] @ ja[:n] - ja[:n] @ ja[n:]  # -[A(g2), A(g1)]
-    omega = 1j * J @ weighted - (half**2 / np.sqrt(3.0))[:, None, None] * commutator
+    return 1j * J @ weighted - (half**2 / np.sqrt(3.0))[:, None, None] * commutator
+
+
+def _log_weight_product(sys, x, z, rho, side=0):
+    """W(x, z) as the ordered product of the Magnus factors of
+    :func:`_magnus_exponents` over panels graded towards Re z with ratio
+    ``rho``; returns ``(W, panels)``."""
+    lo, hi = sorted((sys.xi, float(x)))
+    t = _graded_breakpoints(sys.hamiltonian.x, lo, hi, z.real, rho, abs(z.imag))
+    omega = _magnus_exponents(sys, t, z, side)
     w = _ordered_product(omega)[-1]
-    return (w if x >= sys.xi else np.linalg.inv(w)), n
+    return (w if x >= sys.xi else np.linalg.inv(w)), len(omega)
 
 
 def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):

@@ -28,7 +28,6 @@ from .linalg import SingularMatrixError, _adj, ascomplex, fro, hermitian_part
 from .system import (
     CanonicalSystem,
     HamiltonianSpec,
-    _interp_stack,
     fundamental_solution,
 )
 
@@ -42,6 +41,7 @@ class TriangularModel:
     x: np.ndarray
     beta: np.ndarray
     beta_fn: object = field(default=None, repr=False)
+    spec: HamiltonianSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         self.J = ascomplex(self.J, "J", square=True)
@@ -49,10 +49,9 @@ class TriangularModel:
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         self.interval = (a, b)
-        self.x = np.asarray(self.x, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=complex)
-        if self.beta.ndim != 3 or self.beta.shape[0] != self.x.size:
-            raise ValueError("beta samples must be (len(x), k, m)")
+        # the spec checks the samples and interpolates beta for every reader
+        self.spec = HamiltonianSpec.from_beta_grid(self.x, self.beta, beta_fn=self.beta_fn)
+        self.x, self.beta = self.spec.x, self.spec.beta
 
     @property
     def k(self):
@@ -64,10 +63,8 @@ class TriangularModel:
 
     @classmethod
     def from_constant_beta(cls, beta, interval, J):
-        beta = ascomplex(beta, "beta")
-        a, b = interval
-        return cls(interval=(a, b), J=J, x=np.array([a, b]),
-                   beta=np.stack([beta, beta]))
+        spec = HamiltonianSpec.from_constant_beta(beta, interval)
+        return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
 
     @classmethod
     def from_callable(cls, beta_fn, interval, J, num=129):
@@ -87,15 +84,13 @@ class TriangularModel:
         return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
 
     def beta_at(self, x):
-        if self.beta_fn is not None:
-            return np.asarray(self.beta_fn(x), dtype=complex)
-        return _interp_stack(self.x, self.beta, x)
+        """beta(x), or a stack of them for an array of points."""
+        return self.spec.beta_at(x)
 
     def canonical_system(self):
         """The canonical system with H = beta* beta and base point a."""
-        spec = HamiltonianSpec.from_beta_grid(self.x, self.beta, beta_fn=self.beta_fn)
         return CanonicalSystem(J=self.J, interval=self.interval,
-                               hamiltonian=spec, xi=self.interval[0])
+                               hamiltonian=self.spec, xi=self.interval[0])
 
 
 @dataclass
@@ -133,7 +128,7 @@ def discretize(model, num_nodes):
     step = (b - a) / num_nodes
     nodes = a + (np.arange(num_nodes) + 0.5) * step
     weights = np.full(num_nodes, step)
-    beta = np.stack([model.beta_at(x) for x in nodes])
+    beta = model.beta_at(nodes)
     k, m = model.k, model.m
 
     corr = np.einsum("jam,mn,lbn->jlab", beta, model.J, beta.conj())
@@ -199,15 +194,12 @@ def resolvent_identity_check(op, model, z, tol=1e-10):
     lhs = np.linalg.solve(op.matrix - z * np.eye(size), op.channel_map)
     sys = model.canonical_system()
     sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol)
-    worst, where = 0.0, op.nodes[0]
-    sw = np.sqrt(op.weights)
-    for j, x in enumerate(op.nodes):
-        expected = model.beta_at(x) @ sol.values[j] / (x - z)
-        got = lhs[j * op.k : (j + 1) * op.k] / sw[j]
-        res = fro(got - expected)
-        if res > worst:
-            worst, where = res, x
-    return ResolventCheck(z=z, max_residual=worst, argmax_node=float(where))
+    x = op.nodes
+    expected = model.beta_at(x) @ sol.values / (x - z)[:, None, None]
+    got = lhs.reshape(x.size, op.k, op.m) / np.sqrt(op.weights)[:, None, None]
+    res = np.linalg.norm(got - expected, axis=(1, 2))
+    j = int(np.argmax(res))
+    return ResolventCheck(z=z, max_residual=float(res[j]), argmax_node=float(x[j]))
 
 
 def transform_model(model, traj):
@@ -277,12 +269,12 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2, psd_tol=1e-10):
         raise ValueError("similarity probe requires J = I")
     if model.k != model.m:
         raise ValueError("similarity probe requires square beta (k = m)")
-    for j, x in enumerate(model.x):
-        bj = model.beta[j]
-        if fro(bj - bj.conj().T) > 1e-10 or float(
-            np.linalg.eigvalsh(hermitian_part(bj))[0]
-        ) < -psd_tol:
-            raise ValueError(f"beta not PSD Hermitian at sample x = {x}")
+    beta = model.beta
+    bad = (np.linalg.norm(beta - _adj(beta), axis=(1, 2)) > 1e-10) | (
+        np.linalg.eigvalsh(hermitian_part(beta))[:, 0] < -psd_tol
+    )
+    if bad.any():
+        raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 
     def probe(mod):
         eigs = np.linalg.eigvals(discretize(mod, num_nodes).matrix)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.integrate import quad
 
 from cansys import rank_one
@@ -183,24 +182,26 @@ def test_product_integral_zero_hamiltonian():
     assert max(fro(w - np.eye(2)) for w in sol.values) < 1e-14
 
 
-def test_product_integral_single_factor(unit_system):
-    # one subinterval: exactly exp(i J H delta / (z - midpoint))
-    z = 2j
-    sol = product_integral(unit_system, z, np.array([0.0, 1.0]))
-    expected = scipy.linalg.expm(1j / (z - 0.5) * (J_OFF @ rank_one.hamiltonian()))
-    assert fro(sol.values[1] - expected) < 1e-14
-
-
-def test_product_integral_midpoint_order_two(unit_system):
+def test_product_integral_exact_for_constant_h(unit_system):
+    # constant H: every Magnus factor is exact, however coarse the partition
     z = 2j
     ref = rank_one.fundamental_matrix(1.0, z)
+    for num in (1, 8, 64):
+        sol = product_integral(unit_system, z, np.linspace(0, 1, num + 1))
+        assert fro(sol.values[-1] - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
+def test_product_integral_order_four(varying_system, z):
+    ref = fundamental_solution(varying_system, z, grid=np.array([1.0]),
+                               tol=1e-13).values[0]
     errors = []
     for num in (8, 16, 32, 64):
-        sol = product_integral(unit_system, z, np.linspace(0, 1, num + 1))
+        sol = product_integral(varying_system, z, np.linspace(0, 1, num + 1))
         errors.append(fro(sol.values[-1] - ref))
-        assert errors[-1] <= sol.error_estimate * 2.0 + 1e-12
+        assert errors[-1] <= sol.error_estimate
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-    assert np.all(orders > 1.6)  # observed order ~ 2 under midpoint rule
+    assert np.all(orders >= 3.5)  # fourth-order Magnus factors
 
 
 def test_product_integral_agrees_with_ode(unit_system):
@@ -217,6 +218,12 @@ def test_product_integral_requires_left_base_point():
     sys = CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec, xi=0.5)
     with pytest.raises(ValueError):
         product_integral(sys, 2j, np.linspace(0, 1, 5))
+
+
+def test_product_integral_rejects_partition_past_b():
+    # H is not defined past b; interpolation would extend it as a constant
+    with pytest.raises(ValueError, match="within"):
+        product_integral(rank_one.make_system(1.0), 2j, np.linspace(0, 2, 9))
 
 
 def test_product_integral_rejects_near_cut_points(unit_system):

@@ -59,6 +59,14 @@ def test_node_identity_defect_decays():
         assert defect <= 100.0 / n
 
 
+def test_model_rejects_non_increasing_samples():
+    # beta would be mis-interpolated between unsorted samples
+    x = np.array([0.0, 0.5, 0.3, 1.0])
+    beta = np.stack([np.array([[1.0, 1j * xx]]) for xx in x])
+    with pytest.raises(ValueError, match="increasing"):
+        TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=beta)
+
+
 # -- characteristic functions ---------------------------------------------------
 
 
