@@ -4,8 +4,12 @@ The model operator x f(x) + i * integral of beta(x) J beta(t)* f(t)
 carries the same data as the canonical system with H = beta* beta: its
 characteristic function W(z) = I - i J K* (A - z)^{-1} K equals the
 fundamental solution W(b, z).  We discretise the operator with a
-midpoint rule (exact discrete node identity), confirm the equality under
-refinement, and dress the operator through the kernel factor.
+midpoint rule (exact discrete node identity).  The discrete operator is
+block lower triangular with a rank-m part below the diagonal, so W_N(z)
+is a forward sweep: an ordered product of N small factors, O(N) in time
+and memory, which reaches N = 32768 here.  We confirm the equality under
+refinement, check the sweep against a dense resolvent solve, and dress
+the operator through the kernel factor.
 """
 
 import numpy as np
@@ -30,13 +34,14 @@ op = discretize(model, 256)
 print("discrete node identity defect:", op.node_identity_defect())
 
 reference = char_fn_via_fundamental(model, z, tol=1e-11)
-for num in (128, 256, 512, 1024):
+for num in (128, 256, 512, 1024, 32768):
     sample = char_fn(discretize(model, num), z)
     print(f"N = {num:5d}: |W_N(z) - W(b, z)| = "
           f"{fro(sample.value - reference.value):.3e}")
 
 # the resolvent acts on the kernel columns exactly like multiplication
-# by (x - z)^{-1} followed by the fundamental solution
+# by (x - z)^{-1} followed by the fundamental solution; this check solves
+# with the dense matrix, independently of the sweep
 check = resolvent_identity_check(discretize(model, 256), model, z)
 print("resolvent identity residual:", check.max_residual)
 

@@ -51,6 +51,9 @@ ODE_TOL = 1e-10
 #: boundary_values stops refining once a cut-limit product has more factors.
 MAX_CUT_PANELS = 4096
 
+#: kernel_bound takes the sample pairs in row chunks of about this many.
+KERNEL_CHUNK_PAIRS = 1 << 16
+
 
 class SpectralPointError(ValueError):
     """Spectral point z is too close to the cut [a, b]."""
@@ -387,14 +390,15 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, _allow_near_cut=False):
     )
 
 
-def _ordered_product(exponents):
-    """Partial products exp(E_j) ... exp(E_0) of a stack of exponents.
+def _ordered_product(factors):
+    """Partial products F_j ... F_0 of a stack of m x m factors.
 
-    Later factors multiply from the left.  All exponentials come from one
-    stacked ``expm`` call and the partial products from a log-depth scan;
-    returns the (n + 1, m, m) stack that starts with the identity.
+    Later factors multiply from the left.  The partial products come from
+    a log-depth scan; returns the (n + 1, m, m) stack that starts with the
+    identity.  This one scan serves the Magnus products (factors
+    exp(Omega_j)) and the triangular model's forward sweep.
     """
-    acc = scipy.linalg.expm(exponents)
+    acc = np.array(factors, dtype=complex)
     shift = 1
     while shift < len(acc):
         acc[shift:] = acc[shift:] @ acc[:-shift]
@@ -426,11 +430,13 @@ def product_integral(sys, z, partition):
     if partition[-1] > b + 1e-12:
         raise ValueError(f"partition must lie within [{a}, {b}]")
 
-    values = _ordered_product(_magnus_exponents(sys, partition, z))
+    values = _ordered_product(scipy.linalg.expm(_magnus_exponents(sys, partition, z)))
     fine_partition = np.sort(
         np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
     )
-    fine_at_coarse = _ordered_product(_magnus_exponents(sys, fine_partition, z))[::2]
+    fine_at_coarse = _ordered_product(
+        scipy.linalg.expm(_magnus_exponents(sys, fine_partition, z))
+    )[::2]
     # halving difference times the order->=1 Richardson safety factor
     err = 2.0 * float(np.max(np.linalg.norm(fine_at_coarse - values, axis=(1, 2))))
     return FundamentalSolution(
@@ -615,7 +621,7 @@ def _log_weight_product(sys, x, z, rho, side=0):
     lo, hi = sorted((sys.xi, float(x)))
     t = _graded_breakpoints(sys.hamiltonian.x, lo, hi, z.real, rho, abs(z.imag))
     omega = _magnus_exponents(sys, t, z, side)
-    w = _ordered_product(omega)[-1]
+    w = _ordered_product(scipy.linalg.expm(omega))[-1]
     return (w if x >= sys.xi else np.linalg.inv(w)), len(omega)
 
 
@@ -700,29 +706,41 @@ def kernel_bound(spec, J, degeneracy_tol=1e-9):
     Adjacent sample pairs supply the divided-difference limit on the
     diagonal t -> x.  A non-degenerate kernel (sup |beta J beta*| above
     ``degeneracy_tol`` times the data scale) makes the supremum diverge
-    like 1/(x - t); it is reported as +inf with a diagnostic.
+    like 1/(x - t); it is reported as +inf with a diagnostic.  The pairs
+    are visited in row chunks of about ``KERNEL_CHUNK_PAIRS``, so memory
+    stays bounded however many samples the factor has.
     """
     if not spec.is_factored:
         raise ValueError("kernel bound needs the factored form beta")
     x = spec.x
     beta = spec.beta if spec.beta is not None else spec.beta_at(x)
-    corr = np.einsum("iam,mn,jbn->ijab", beta, J, beta.conj())
-    norms = np.linalg.svd(corr, compute_uv=False)[..., 0]
+    own = np.einsum("iam,mn,ibn->iab", beta, J, beta.conj())  # beta_i J beta_i*
+    diag = np.linalg.svd(own, compute_uv=False)[:, 0]
     scale = max(1.0, float(np.max(np.linalg.norm(beta, axis=(1, 2)))) ** 2)
-    degeneracy = float(np.max(np.diag(norms)))
+    degeneracy = float(np.max(diag))
     if degeneracy > degeneracy_tol * scale:
         return KernelBoundReport(
             sup_bound=np.inf,
-            argmax_pair=(float(x[int(np.argmax(np.diag(norms)))]),) * 2,
+            argmax_pair=(float(x[int(np.argmax(diag))]),) * 2,
             degeneracy_defect=degeneracy,
             diagnostic="beta J beta* != 0: kernel is not degenerate, "
             "divided differences diverge on the diagonal",
         )
-    ii, jj = np.tril_indices(x.size, k=-1)
-    ratios = norms[ii, jj] / (x[ii] - x[jj])
-    best = int(np.argmax(ratios))
-    return KernelBoundReport(
-        sup_bound=float(ratios[best]),
-        argmax_pair=(float(x[ii[best]]), float(x[jj[best]])),
-        degeneracy_defect=degeneracy,
-    )
+    # rows i0 <= i < i1 against the columns j < i, in tril_indices order;
+    # a later chunk replaces the maximum only when strictly larger
+    best, pair = -np.inf, None
+    rows = max(1, KERNEL_CHUNK_PAIRS // x.size)
+    for i0 in range(1, x.size, rows):
+        i1 = min(i0 + rows, x.size)
+        corr = np.einsum("iam,mn,jbn->ijab", beta[i0:i1], J, beta[:i1 - 1].conj())
+        norms = np.linalg.svd(corr, compute_uv=False)[..., 0]
+        i, j = np.arange(i0, i1)[:, None], np.arange(i1 - 1)[None, :]
+        below = j < i
+        ratios = np.full(norms.shape, -np.inf)
+        ratios[below] = norms[below] / (x[i] - x[j])[below]
+        flat = int(np.argmax(ratios))
+        if ratios.flat[flat] > best:
+            best = float(ratios.flat[flat])
+            r, c = divmod(flat, i1 - 1)
+            pair = (float(x[i0 + r]), float(x[c]))
+    return KernelBoundReport(sup_bound=best, argmax_pair=pair, degeneracy_defect=degeneracy)

@@ -13,9 +13,19 @@ the node identity A - A* = i K J K*, and its characteristic function
 
 coincides with the fundamental solution W(b, z) of the canonical system
 with H = beta* beta.  This module discretises A by a midpoint Nystrom
-rule (symmetrised so the discrete adjoint matches the continuous one),
-evaluates characteristic functions through the discrete resolvent, and
-applies dressing at the operator level.
+rule (symmetrised so the discrete adjoint matches the continuous one)
+and keeps only its blocks.  The discrete operator is block lower
+triangular with a rank-m separable part below the diagonal (Eidelman &
+Gohberg 1999), so both applications work on the blocks in O(N) memory:
+
+* characteristic functions are a forward sweep through (A - z), an
+  ordered product of m x m factors taken by the same scan as the Magnus
+  products of :mod:`cansys.system`;
+* the discrete spectrum is the union of the diagonal blocks' spectra.
+
+The dense matrix is assembled only on demand, for the node-identity and
+resolvent-identity diagnostics, which check the sweep independently.
+Dressing applies at the operator level.
 """
 
 from __future__ import annotations
@@ -28,8 +38,12 @@ from .linalg import SingularMatrixError, _adj, ascomplex, fro, hermitian_part
 from .system import (
     CanonicalSystem,
     HamiltonianSpec,
+    _ordered_product,
     fundamental_solution,
 )
+
+#: Largest dense view, in rows N k, that DiscretizedOperator.matrix assembles.
+MAX_DENSE_ROWS = 4096
 
 
 @dataclass
@@ -95,57 +109,82 @@ class TriangularModel:
 
 @dataclass
 class DiscretizedOperator:
-    """Dense Nystrom discretisation of the model on midpoint nodes.
+    """Block form of the midpoint Nystrom discretisation of the model.
 
     The similarity f_j -> sqrt(w_j) f(x_j) turns the quadrature inner
     product into the Euclidean one, so the plain conjugate transpose is
-    the discrete adjoint.  ``matrix`` is the (N k) x (N k) operator,
-    ``channel_map`` the (N k) x m matrix with block rows
-    sqrt(w_j) beta(x_j).  The lower triangle carries full weights and the
-    diagonal half weights, which makes the node identity
-    A - A* = i K J K* hold exactly.
+    the discrete adjoint.  The (N k) x (N k) operator A has the blocks
+    i sqrt(w_j w_l) beta_j J beta_l* below the diagonal, none above it,
+    and the diagonal blocks D_j = x_j I_k + (i w_j / 2) beta_j J beta_j*;
+    the half weight on the diagonal makes the node identity
+    A - A* = i K J K* hold exactly, where the channel map K has block
+    rows sqrt(w_j) beta_j.  Only the nodes, the weights, the (N, k, m)
+    stack of beta_j and J are stored.  ``matrix`` and ``channel_map``
+    assemble the dense A and K on demand for the diagnostics.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
-    channel_map: np.ndarray
+    beta: np.ndarray
     J: np.ndarray
-    k: int
-    m: int
+
+    @property
+    def k(self):
+        return self.beta.shape[1]
+
+    @property
+    def m(self):
+        return self.beta.shape[2]
+
+    def diagonal_blocks(self):
+        """The (N, k, k) stack of diagonal blocks D_j."""
+        corr = self.beta @ self.J @ _adj(self.beta)
+        return (self.nodes[:, None, None] * np.eye(self.k)
+                + 0.5j * self.weights[:, None, None] * corr)
+
+    @property
+    def channel_map(self):
+        """K as an (N k) x m matrix."""
+        sw = np.sqrt(self.weights)
+        return (sw[:, None, None] * self.beta).reshape(-1, self.m)
+
+    @property
+    def matrix(self):
+        """A as a dense (N k) x (N k) matrix, up to ``MAX_DENSE_ROWS`` rows."""
+        n, k = self.nodes.size, self.k
+        if n * k > MAX_DENSE_ROWS:
+            raise ValueError(
+                f"dense operator of {n * k} rows exceeds MAX_DENSE_ROWS = "
+                f"{MAX_DENSE_ROWS}; char_fn and similarity_probe work on the "
+                "blocks at any size"
+            )
+        sw = np.sqrt(self.weights)
+        volterra = np.tri(n, k=-1) + 0.5 * np.eye(n)
+        # (N, k, N, k) layout: the reshape below is the matrix, not a copy
+        blocks = np.einsum("jam,mn,lbn->jalb", self.beta, self.J, self.beta.conj())
+        blocks *= (sw[:, None] * volterra * sw[None, :])[:, None, :, None]
+        blocks *= 1j
+        matrix = blocks.reshape(n * k, n * k)
+        matrix[np.diag_indices(n * k)] += np.repeat(self.nodes, k)
+        return matrix
 
     def node_identity_defect(self):
-        lhs = self.matrix - self.matrix.conj().T
-        rhs = 1j * self.channel_map @ self.J @ self.channel_map.conj().T
-        return fro(lhs - rhs)
+        a, kmap = self.matrix, self.channel_map
+        return fro(a - a.conj().T - 1j * kmap @ self.J @ kmap.conj().T)
 
 
 def discretize(model, num_nodes):
-    """Midpoint-rule discretisation with num_nodes nodes."""
+    """Midpoint-rule discretisation with num_nodes nodes; O(N k m) storage."""
     if num_nodes < 1:
         raise ValueError("need at least one node")
     a, b = model.interval
     step = (b - a) / num_nodes
     nodes = a + (np.arange(num_nodes) + 0.5) * step
-    weights = np.full(num_nodes, step)
-    beta = model.beta_at(nodes)
-    k, m = model.k, model.m
-
-    corr = np.einsum("jam,mn,lbn->jlab", beta, model.J, beta.conj())
-    volterra = np.tril(np.ones((num_nodes, num_nodes)), -1) + 0.5 * np.eye(num_nodes)
-    sw = np.sqrt(weights)
-    coupling = (sw[:, None] * volterra * sw[None, :])[:, :, None, None] * corr
-    matrix = coupling.transpose(0, 2, 1, 3).reshape(num_nodes * k, num_nodes * k)
-    matrix = 1j * matrix + np.diag(np.repeat(nodes, k)).astype(complex)
-    channel = (sw[:, None, None] * beta).reshape(num_nodes * k, m)
     return DiscretizedOperator(
         nodes=nodes,
-        weights=weights,
-        matrix=matrix,
-        channel_map=channel,
+        weights=np.full(num_nodes, step),
+        beta=model.beta_at(nodes),
         J=model.J,
-        k=k,
-        m=m,
     )
 
 
@@ -159,15 +198,24 @@ class CharFnSample:
 
 
 def char_fn(op, z):
-    """W(z) = I - i J K* (A - z)^{-1} K through the discrete resolvent."""
+    """W(z) = I - i J K* (A - z)^{-1} K by a forward sweep.
+
+    Forward substitution through the block rows of A - z carries the
+    accumulator W_j = I - i J sum_{l<j} sqrt(w_l) beta_l* u_l, so W(z) is
+    the ordered product F_N-1 ... F_0 of the m x m factors
+    F_j = I - i w_j J beta_j* (D_j - z)^{-1} beta_j.  The block solves are
+    one stacked k x k solve; the product is the scan that also serves the
+    Magnus products of :mod:`cansys.system`.
+    """
     z = complex(z)
-    size = op.matrix.shape[0]
     try:
-        resolvent = np.linalg.solve(op.matrix - z * np.eye(size), op.channel_map)
+        solved = np.linalg.solve(op.diagonal_blocks() - z * np.eye(op.k), op.beta)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
-    value = np.eye(op.m) - 1j * op.J @ op.channel_map.conj().T @ resolvent
-    return CharFnSample(z=z, value=value, method="resolvent")
+    factors = np.eye(op.m) - 1j * op.weights[:, None, None] * (
+        op.J @ (_adj(op.beta) @ solved)
+    )
+    return CharFnSample(z=z, value=_ordered_product(factors)[-1], method="resolvent")
 
 
 def char_fn_via_fundamental(model, z, tol=1e-10):
@@ -188,10 +236,14 @@ class ResolventCheck:
 
 def resolvent_identity_check(op, model, z, tol=1e-10):
     """Apply the discrete resolvent to the channel columns and compare with
-    the closed-form action through the fundamental solution."""
+    the closed-form action through the fundamental solution.
+
+    The resolvent comes from a dense solve with ``op.matrix`` on purpose:
+    it shares no code with the sweep of :func:`char_fn`.
+    """
     z = complex(z)
-    size = op.matrix.shape[0]
-    lhs = np.linalg.solve(op.matrix - z * np.eye(size), op.channel_map)
+    a = op.matrix
+    lhs = np.linalg.solve(a - z * np.eye(a.shape[0]), op.channel_map)
     sys = model.canonical_system()
     sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol)
     x = op.nodes
@@ -243,12 +295,18 @@ def conjugate_transform_model(model, traj):
 
 @dataclass
 class SimilarityReport:
-    """Spectral evidence that the discretised model acts like multiplication.
+    """How real and how localised the discrete spectrum is.
 
     Linear similarity itself is an infinite-dimensional statement; the
-    probe only reports how real and how localised the discrete spectrum
-    is: the largest |Im| eigenvalue and the fraction of eigenvalues whose
-    real part falls inside the interval widened by ``band``.
+    probe reports the largest |Im| eigenvalue and the fraction of
+    eigenvalues whose real part falls inside the interval widened by
+    ``band``.  The discretised operator is block lower triangular, so its
+    spectrum is the union of the spectra of the diagonal blocks
+    x_j + (i w_j / 2) beta_j^2: the discretisation alone fixes these
+    numbers (max_imag = max w_j |beta_j|^2 / 2, which falls like 1/N for
+    any bounded beta), and they cannot tell a model similar to
+    multiplication from one that is not.  A probe that can fail, the
+    growth of |Im z| |(A_N - z)^{-1}| as N doubles, is still open.
     """
 
     num_nodes: int
@@ -261,9 +319,11 @@ class SimilarityReport:
 def similarity_probe(model, num_nodes, traj=None, band=1e-2, psd_tol=1e-10):
     """Eigenvalue probe for the multiplication-similarity regime.
 
-    Preconditions: J = I, square beta with beta(x) PSD at the sample
-    points.  When a dressing trajectory is supplied the conjugated model
-    beta~ = w0* beta w0 is probed alongside the original.
+    The eigenvalues are those of the N diagonal blocks D_j, from one
+    stacked ``eigvals`` call; :class:`SimilarityReport` says what they
+    can and cannot show.  Preconditions: J = I, square beta with beta(x)
+    PSD at the sample points.  When a dressing trajectory is supplied the
+    conjugated model beta~ = w0* beta w0 is probed alongside the original.
     """
     if fro(model.J - np.eye(model.m)) > 1e-12:
         raise ValueError("similarity probe requires J = I")
@@ -277,7 +337,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2, psd_tol=1e-10):
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 
     def probe(mod):
-        eigs = np.linalg.eigvals(discretize(mod, num_nodes).matrix)
+        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diagonal_blocks())
         a, b = mod.interval
         inside = np.mean((eigs.real > a - band) & (eigs.real < b + band))
         return float(np.abs(eigs.imag).max()), float(inside)

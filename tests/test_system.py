@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cansys import rank_one
+from cansys import rank_one, system
 from cansys.linalg import fro
 from cansys.system import (
     CanonicalSystem,
@@ -362,6 +362,23 @@ def test_kernel_bound_non_degenerate_reported_infinite():
     report = kernel_bound(HamiltonianSpec.from_beta_grid(x, beta), J_OFF)
     assert not report.finite
     assert "degenerate" in report.diagnostic
+
+
+def test_kernel_bound_chunks_keep_the_first_maximum(monkeypatch, unit_system):
+    # beta(x) = [1, i (1 + x/2)]: every pair's ratio is 1/2 up to rounding,
+    # so the first maximum in tril_indices order must survive chunking
+    x = np.linspace(0.0, 1.0, 201)
+    beta = np.stack([np.array([[1.0, 1j * (1.0 + 0.5 * xx)]]) for xx in x])
+    spec = HamiltonianSpec.from_beta_grid(x, beta)
+    whole = kernel_bound(spec, J_OFF)
+    monkeypatch.setattr(system, "KERNEL_CHUNK_PAIRS", 7)
+    chunked = kernel_bound(spec, J_OFF)
+    assert (chunked.sup_bound, chunked.argmax_pair, chunked.degeneracy_defect) == (
+        whole.sup_bound, whole.argmax_pair, whole.degeneracy_defect)
+    # a constant factor ties every pair at 0: the first one wins
+    flat = kernel_bound(unit_system.hamiltonian, unit_system.J)
+    grid = unit_system.hamiltonian.x
+    assert flat.argmax_pair == (grid[1], grid[0])
 
 
 def test_kernel_bound_requires_factored_form():

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cansys import rank_one
 from cansys.gbdt import evolve, sample_params, transfer, w0_at
-from cansys.linalg import fro
+from cansys.linalg import SingularMatrixError, fro
 from cansys.system import CanonicalSystem, HamiltonianSpec
 from cansys.triangular import (
+    MAX_DENSE_ROWS,
     TriangularModel,
     char_fn,
     char_fn_via_fundamental,
@@ -262,3 +265,116 @@ def test_conjugate_transform_distinct_from_right_transform(rank_one_model, traj_
     right = transform_model(model, traj)
     conj = conjugate_transform_model(model, traj)
     assert fro(right.beta_at(0.5) - conj.beta_at(0.5)) > 1e-6
+
+
+# -- structured layer: sweep, block spectrum, dense diagnostics ------------------
+
+SWEEP_ZS = [0.5 + 1e-3j, 0.5 - 1e-6j, 1e6 + 0.0j, 2j, -3.0 + 0.1j]
+
+
+def _non_degenerate_model():
+    # beta J beta* = 1: the Volterra part is nonzero on the diagonal blocks
+    x = np.linspace(0.0, 1.0, 257)
+    beta = np.stack([np.array([[1.0, 0.5 + 1j * xx]]) for xx in x])
+    return TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=beta)
+
+
+@pytest.fixture(scope="module")
+def structured_models():
+    """A k = 1 non-degenerate model, a PSD k = m = 2 model with J = I, and
+    its conjugated dressing, with the J = I trajectory used for it."""
+    interval = (0.0, 1.0)
+    x = np.linspace(*interval, 65)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) + 0.3 * np.sin(3.0 * xx) * swap
+                     for xx in x]).astype(complex)
+    sys_id = CanonicalSystem(J=np.eye(2), interval=interval,
+                             hamiltonian=HamiltonianSpec.from_beta_grid(x, beta))
+    traj = evolve(sample_params(42, sys_id, n=2, positive=True), sys_id, tol=1e-10)
+    psd = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
+    return {
+        "non_degenerate": _non_degenerate_model(),
+        "psd": psd,
+        "dressed": conjugate_transform_model(psd, traj),
+        "traj": traj,
+    }
+
+
+@pytest.mark.parametrize("z", SWEEP_ZS)
+@pytest.mark.parametrize("name", ["non_degenerate", "psd", "dressed"])
+def test_char_fn_sweep_matches_dense_solve(structured_models, name, z):
+    op = discretize(structured_models[name], 128)
+    a, kmap = op.matrix, op.channel_map
+    dense = np.linalg.solve(a - z * np.eye(a.shape[0]), kmap)
+    expected = np.eye(op.m) - 1j * op.J @ kmap.conj().T @ dense
+    got = char_fn(op, z).value
+    assert fro(got - expected) <= 1e-12 * fro(expected)
+
+
+def test_char_fn_singular_at_a_node_of_zero_beta():
+    model = TriangularModel.from_constant_beta(np.zeros((1, 2)), (0.0, 1.0), J_OFF)
+    op = discretize(model, 8)
+    with pytest.raises(SingularMatrixError, match="resolvent singular"):
+        char_fn(op, op.nodes[3])
+
+
+def test_char_fn_large_n_matches_fundamental_solution():
+    # a dense (N k)^2 operator would take about 17 GB at this size
+    model = _non_degenerate_model()
+    n, z = 2**15, 0.5 + 0.2j
+    got = char_fn(discretize(model, n), z).value
+    ref = char_fn_via_fundamental(model, z, tol=1e-12).value
+    assert fro(got - ref) <= 10.0 / n**2 * fro(ref)
+
+
+def test_similarity_probe_matches_dense_eigenvalues(structured_models):
+    # a negative band shrinks the interval, so the inside fraction is not 1
+    band = -0.25
+    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"],
+                              band=band)
+    for name, max_imag, inside in (
+        ("psd", report.max_imag, report.inside_fraction),
+        ("dressed", report.transformed_max_imag, report.transformed_inside_fraction),
+    ):
+        eigs = np.linalg.eigvals(discretize(structured_models[name], 64).matrix)
+        assert max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
+        assert inside == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
+        assert 0.0 < inside < 1.0
+
+
+def test_dense_view_has_a_size_guard(rank_one_model, structured_models):
+    op = discretize(rank_one_model, MAX_DENSE_ROWS + 1)
+    with pytest.raises(ValueError, match="char_fn and similarity_probe"):
+        op.matrix
+    assert fro(char_fn(op, 1e6 + 0.0j).value - np.eye(2)) <= 1e-4
+    # the guard counts rows N k, not nodes
+    with pytest.raises(ValueError, match="MAX_DENSE_ROWS"):
+        discretize(structured_models["psd"], MAX_DENSE_ROWS // 2 + 1).matrix
+
+
+def test_structured_layer_memory_is_linear_in_n():
+    model = _non_degenerate_model()
+    probe_model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
+    n = 2048
+    tracemalloc.start()
+    try:
+        op = discretize(model, n)
+        char_fn(op, 0.5 + 0.2j)
+        similarity_probe(probe_model, n // 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (N k)^2 operator alone would take 64 MiB
+    assert peak < 8 * 2**20
+
+
+def test_resolvent_identity_refinement_non_degenerate():
+    # unlike the rank-one kernel, beta J beta* = 1 leaves a midpoint-rule
+    # residual well above rounding, which must fall at second order
+    model = _non_degenerate_model()
+    residuals = [
+        resolvent_identity_check(discretize(model, n), model, 2j, tol=1e-11).max_residual
+        for n in (64, 128, 256, 512)
+    ]
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert 3.5 * fine <= coarse
