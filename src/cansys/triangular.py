@@ -159,10 +159,13 @@ class DiscretizedOperator:
                 "blocks at any size"
             )
         sw = np.sqrt(self.weights)
-        volterra = np.tri(n, k=-1) + 0.5 * np.eye(n)
+        weights = np.tri(n, k=-1)  # full weight below the diagonal, half on it
+        weights[np.diag_indices(n)] = 0.5
+        weights *= sw[:, None]
+        weights *= sw[None, :]
         # (N, k, N, k) layout: the reshape below is the matrix, not a copy
         blocks = np.einsum("jam,mn,lbn->jalb", self.beta, self.J, self.beta.conj())
-        blocks *= (sw[:, None] * volterra * sw[None, :])[:, None, :, None]
+        blocks *= weights[:, None, :, None]
         blocks *= 1j
         matrix = blocks.reshape(n * k, n * k)
         matrix[np.diag_indices(n * k)] += np.repeat(self.nodes, k)
