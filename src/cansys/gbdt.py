@@ -48,13 +48,12 @@ from .linalg import (
 )
 from .system import (
     BoundaryValueReport,
+    CanonicalSystem,
     FundamentalSolution,
     HamiltonianSpec,
     boundary_values,
-    extrapolate_eta_sequence,
     fundamental_solution,
     integrate_matrix_ode,
-    limit_samples,
 )
 
 #: Default local error target for trajectory evolution.
@@ -434,26 +433,24 @@ def transformed_hamiltonian(traj):
 
     For factored input the dressed factor beta~ = beta w0 is emitted
     (grid samples plus an exact callable along the trajectory); otherwise
-    an H-grid with an exact callable is returned.
+    an H-grid with an exact callable is returned.  Both callables take a
+    point or an array of points.
     """
     spec = traj.system.hamiltonian
     grid = traj.grid
-    w0 = w0_at(traj, grid)
     if spec.is_factored:
+        def dressed_beta(x):
+            return spec.beta_at(x) @ w0_at(traj, x)
+
         return HamiltonianSpec.from_beta_grid(
-            grid, spec.beta_at(grid) @ w0,
-            beta_fn=lambda x: spec.beta_at(x) @ w0_at(traj, x),
+            grid, dressed_beta(grid), beta_fn=dressed_beta
         )
 
     def dressed_h(x):
         w0 = w0_at(traj, x)
-        return w0.conj().T @ spec.hamiltonian(x) @ w0
+        return _adj(w0) @ spec.hamiltonian(x) @ w0
 
-    out = HamiltonianSpec.from_grid(
-        grid, hermitian_part(_adj(w0) @ spec.hamiltonian(grid) @ w0)
-    )
-    out.h_fn = dressed_h
-    return out
+    return HamiltonianSpec(grid, h=hermitian_part(dressed_h(grid)), h_fn=dressed_h)
 
 
 def transformed_fundamental(traj, z, grid=None, tol=1e-10):
@@ -496,15 +493,15 @@ def w0_lipschitz_bound(traj):
     return float(np.max(np.linalg.norm(gw, ord=2, axis=(1, 2))))
 
 
-def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
-                                margin=None):
+def transformed_boundary_values(traj, x, s, tol=1e-10, margin=None):
     """Cut limits of the dressed solution via the multiplier identity.
 
     Primary route: W~(x, s +/- i0) = v(x, s) W+-(x, s) v(xi, s)^{-1},
     built from the base-system limits of :func:`boundary_values`.  As an
-    independent check, RK45 samples along the ladder eta = eta0 * 2^-j
-    (``levels`` rungs) are dressed and Richardson-extrapolated directly
-    on W~; the discrepancy is reported as ``cross_check_error``.
+    independent check, :func:`boundary_values` also runs on the dressed
+    system itself, with the Hamiltonian of :func:`transformed_hamiltonian`;
+    the larger Frobenius difference of the two routes over the + and -
+    limits is reported as ``cross_check_error``.
     """
     sys = traj.system
     eigs = np.linalg.eigvals(traj.params.B)
@@ -512,22 +509,16 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
     spectrum_margin = SPECTRUM_MARGIN * (b_int - a_int)
     if np.abs(eigs - s).min() < spectrum_margin:
         raise ValueError(f"s = {s} within the spectrum margin of sigma(B)")
-    if not 3 <= levels <= 10:
-        raise ValueError("extrapolation needs 3..10 levels")
     base = boundary_values(sys, x, s, tol=tol, margin=margin)
-    etas = eta0 * 2.0 ** (-np.arange(levels))
-    plus, minus = limit_samples(sys, x, s, etas, tol)
-    # v at x (row 0) and xi (row 1) for z = s, then the ladder above and below
-    zs = np.concatenate([[s], s + 1j * etas, s - 1j * etas])
-    v = transfer(traj, [[x], [sys.xi]], zs).v
-    v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
-    w_plus = v_x[0] @ base.w_plus @ v_xi_inv[0]
-    w_minus = v_x[0] @ base.w_minus @ v_xi_inv[0]
-    ladder = v_x[1:] @ np.concatenate([plus, minus]) @ v_xi_inv[1:]
-    cross = max(
-        fro(w_plus - extrapolate_eta_sequence(etas, ladder[:levels])[0]),
-        fro(w_minus - extrapolate_eta_sequence(etas, ladder[levels:])[0]),
+    dressed = CanonicalSystem(
+        sys.J, sys.interval, transformed_hamiltonian(traj), xi=sys.xi
     )
+    direct = boundary_values(dressed, x, s, tol=tol, margin=margin)
+    v = transfer(traj, [x, sys.xi], s).v
+    v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
+    w_plus = v_x @ base.w_plus @ v_xi_inv
+    w_minus = v_x @ base.w_minus @ v_xi_inv
+    cross = max(fro(w_plus - direct.w_plus), fro(w_minus - direct.w_minus))
 
     return BoundaryValueReport(
         x=float(x),
@@ -538,7 +529,7 @@ def transformed_boundary_values(traj, x, s, eta0=1e-2, levels=6, tol=1e-10,
         jump=np.linalg.solve(w_minus, w_plus),
         panels=base.panels,
         extrapolation_error=base.extrapolation_error
-        * max(spec_norm(v_x[0]) * spec_norm(v_xi_inv[0]), 1.0),
+        * max(spec_norm(v_x) * spec_norm(v_xi_inv), 1.0),
         divergent=base.divergent,
         converged=base.converged,
         cross_check_error=cross,

@@ -23,10 +23,9 @@ This module provides
   matrix relating them, each an ordered product of the same factors taken
   at z = s +/- i0 directly, over panels graded geometrically towards s;
   ``extrapolation_error`` is the change of the limits under the last
-  halving of the grading ratio,
-* :func:`limit_samples` and :func:`extrapolate_eta_sequence` -- the
-  independent RK45 reference for cut limits: samples along an eta ladder
-  and their Richardson limit,
+  halving of the grading ratio; this is the library's only cut-limit
+  algorithm (dressed limits are checked by running it on the dressed
+  system),
 * :func:`kernel_bound` -- the degenerate-kernel supremum
   sup |beta(x) J beta(t)*| / (x - t) controlling cut limits for factored
   Hamiltonians H = beta* beta.
@@ -85,7 +84,9 @@ class HamiltonianSpec:
     H = beta* beta is Hermitian PSD by construction.  Exact callables may
     be attached on top of the samples and then take precedence (used for
     dressed Hamiltonians whose factor is known analytically along a
-    trajectory).
+    trajectory).  A callable takes a point or an array of points and
+    returns the stack of matrices behind that shape; the spec calls it
+    once per evaluation.
     """
 
     def __init__(self, x, h=None, beta=None, h_fn=None, beta_fn=None):
@@ -140,11 +141,8 @@ class HamiltonianSpec:
         raise ValueError("no factored form present")
 
     def beta_at(self, x):
-        """beta(x), or a stack of them for an array of points (a callable
-        is then sampled point by point)."""
+        """beta(x), or a stack of them for an array of points."""
         if self.beta_fn is not None:
-            if np.ndim(x):
-                return np.stack([self.beta_at(xx) for xx in x])
             return np.asarray(self.beta_fn(x), dtype=complex)
         if self.beta is None:
             raise ValueError("no factored form present")
@@ -152,34 +150,13 @@ class HamiltonianSpec:
 
     def hamiltonian(self, x):
         """H(x), or a stack of them for an array of points; Hermitian PSD up
-        to interpolation rounding.  Callables are sampled point by point."""
+        to interpolation rounding."""
         if self.h_fn is not None:
-            h = np.asarray([self.h_fn(xx) for xx in np.ravel(x)], dtype=complex)
-            return hermitian_part(h.reshape(np.shape(x) + h.shape[1:]))
+            return hermitian_part(np.asarray(self.h_fn(x), dtype=complex))
         if self.is_factored:
             b = self.beta_at(x)
             return _adj(b) @ b
         return hermitian_part(_interp_stack(self.x, self.h, x))
-
-    def cumulative(self, x, base):
-        """tau(x) = integral of H from ``base`` to ``x`` (per-panel Simpson).
-
-        Simpson is exact for the piecewise-linear H interpolant and for
-        the piecewise-quadratic H = beta* beta of a linear beta
-        interpolant.
-        """
-        lo, hi = (base, x) if base <= x else (x, base)
-        inner = self.x[(self.x > lo) & (self.x < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
-        total = np.zeros((self.m, self.m), dtype=complex)
-        for left, right in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (left + right)
-            total += (right - left) / 6.0 * (
-                self.hamiltonian(left)
-                + 4.0 * self.hamiltonian(mid)
-                + self.hamiltonian(right)
-            )
-        return total if base <= x else -total
 
     def beta_jump_rate(self):
         """Max sample-to-sample |beta| slope (crude Lipschitz estimate)."""
@@ -343,7 +320,7 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol):
     return out, dense, steps
 
 
-def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, _allow_near_cut=False):
+def fundamental_solution(sys, z, grid=None, tol=ODE_TOL):
     """Fundamental solution W(., z) by adaptive Runge-Kutta integration.
 
     Parameters
@@ -360,7 +337,7 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, _allow_near_cut=False):
     """
     z = complex(z)
     a, b = sys.interval
-    if not _allow_near_cut and _cut_distance(z, sys.interval) < DISTANCE_TOL:
+    if _cut_distance(z, sys.interval) < DISTANCE_TOL:
         raise SpectralPointError(f"z = {z} is within {DISTANCE_TOL} of the cut")
     if grid is None:
         grid = np.linspace(a, b, 201)
@@ -487,53 +464,6 @@ class BoundaryValueReport:
     divergent: bool
     converged: bool
     cross_check_error: float | None = None
-
-
-def _extrapolation_basis(u, count):
-    """Basis {1, u ln u, u, u^2, ...}: one log term over the power ladder."""
-    cols = [np.ones_like(u), u * np.log(u)]
-    p = 1
-    while len(cols) < count:
-        cols.append(u**p)
-        p += 1
-    return np.stack(cols[:count], axis=1)
-
-
-def extrapolate_eta_sequence(etas, values):
-    """Richardson-type limit of matrix samples along a geometric eta ladder.
-
-    Fits F + a u ln u + b u + c u^2 + ... (u = eta/eta[0]) exactly through
-    the samples and returns (limit, error_estimate) where the estimate is
-    the change when the coarsest level is dropped.
-    """
-    etas = np.asarray(etas, dtype=float)
-    values = np.asarray(values)
-    u = etas / etas[0]
-    phi = _extrapolation_basis(u, etas.size)
-    coef = np.linalg.solve(phi, values.reshape(etas.size, -1))
-    limit = coef[0].reshape(values.shape[1:])
-    if etas.size > 2:
-        u2 = etas[1:] / etas[1]
-        phi2 = _extrapolation_basis(u2, etas.size - 1)
-        coef2 = np.linalg.solve(phi2, values[1:].reshape(etas.size - 1, -1))
-        err = fro(limit - coef2[0].reshape(values.shape[1:]))
-    else:
-        err = fro(values[-1] - values[0])
-    return limit, float(err)
-
-
-def limit_samples(sys, x, s, etas, tol):
-    """W(x, s + i eta) and W(x, s - i eta) for every eta in the ladder."""
-    plus = np.empty((len(etas), sys.m, sys.m), dtype=complex)
-    minus = np.empty_like(plus)
-    for j, eta in enumerate(etas):
-        for sign, store in ((1.0, plus), (-1.0, minus)):
-            sol = fundamental_solution(
-                sys, s + 1j * sign * eta, grid=np.array([x]), tol=tol,
-                _allow_near_cut=True,
-            )
-            store[j] = sol.values[0]
-    return plus, minus
 
 
 def _graded_breakpoints(nodes, lo, hi, c, rho, eta):

@@ -81,21 +81,13 @@ class TriangularModel:
         return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
 
     @classmethod
-    def from_callable(cls, beta_fn, interval, J, num=129):
-        a, b = interval
-        x = np.linspace(a, b, num)
-        beta = np.stack([np.asarray(beta_fn(xx), dtype=complex) for xx in x])
-        return cls(interval=(a, b), J=J, x=x, beta=beta, beta_fn=beta_fn)
-
-    @classmethod
     def from_hamiltonian(cls, spec, interval, J):
-        """Adopt the factored form of a Hamiltonian specification."""
-        if not spec.is_factored:
+        """Adopt the factor samples, and callable if any, of a Hamiltonian
+        specification."""
+        if spec.beta is None:
             raise ValueError("model needs a factored Hamiltonian")
-        if spec.beta_fn is not None:
-            return cls.from_callable(spec.beta_fn, interval, J,
-                                     num=max(129, spec.x.size))
-        return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
+        return cls(interval=interval, J=J, x=spec.x, beta=spec.beta,
+                   beta_fn=spec.beta_fn)
 
     def beta_at(self, x):
         """beta(x), or a stack of them for an array of points."""
@@ -265,13 +257,11 @@ def transform_model(model, traj):
     """
     from .gbdt import w0_at
 
-    return TriangularModel(
-        interval=model.interval,
-        J=model.J,
-        x=model.x,
-        beta=model.beta @ w0_at(traj, model.x),
-        beta_fn=lambda x: model.beta_at(x) @ w0_at(traj, x),
-    )
+    def dressed(x):
+        return model.beta_at(x) @ w0_at(traj, x)
+
+    return TriangularModel(interval=model.interval, J=model.J, x=model.x,
+                           beta=dressed(model.x), beta_fn=dressed)
 
 
 def conjugate_transform_model(model, traj):
@@ -284,16 +274,10 @@ def conjugate_transform_model(model, traj):
 
     def dressed(x):
         w0 = w0_at(traj, x)
-        return w0.conj().T @ model.beta_at(x) @ w0
+        return _adj(w0) @ model.beta_at(x) @ w0
 
-    w0 = w0_at(traj, model.x)
-    return TriangularModel(
-        interval=model.interval,
-        J=model.J,
-        x=model.x,
-        beta=_adj(w0) @ model.beta @ w0,
-        beta_fn=dressed,
-    )
+    return TriangularModel(interval=model.interval, J=model.J, x=model.x,
+                           beta=dressed(model.x), beta_fn=dressed)
 
 
 @dataclass

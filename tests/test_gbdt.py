@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cansys import rank_one
+from cansys import gbdt, rank_one
 from cansys.gbdt import (
     GbdtParams,
     evolve,
@@ -16,7 +16,7 @@ from cansys.gbdt import (
     w0_at,
     w0_lipschitz_bound,
 )
-from cansys.linalg import SingularMatrixError, cond2, fro, hermitian_part, spec_norm
+from cansys.linalg import SingularMatrixError, _adj, cond2, fro, hermitian_part, spec_norm
 from cansys.system import (
     CanonicalSystem,
     HamiltonianSpec,
@@ -25,6 +25,7 @@ from cansys.system import (
     j_monotonicity_defect,
     kernel_bound,
 )
+from cansys.triangular import TriangularModel, conjugate_transform_model, transform_model
 
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -290,6 +291,45 @@ def test_transformed_hamiltonian_grid_fallback(unit_system, diag_n1):
         assert fro(dressed.hamiltonian(xx) - diag_n1.h_t_at(xx)) < 1e-7
 
 
+@pytest.fixture(scope="module")
+def dressed_callables(traj_n1, diag_n1):
+    """The exact callables of every dressed producer, by name."""
+    x = np.linspace(0, 1, 33)
+    h = np.stack([rank_one.hamiltonian()] * x.size)
+    sys_grid = CanonicalSystem(
+        J=J_OFF, interval=(0.0, 1.0), hamiltonian=HamiltonianSpec.from_grid(x, h)
+    )
+    traj_grid = evolve(diag_n1.to_gbdt_params(), sys_grid,
+                       grid=np.linspace(0, 1, 51), tol=1e-11)
+    rank_one_model = TriangularModel.from_constant_beta(rank_one.BETA, (0.0, 1.0), J_OFF)
+    # J = I with k = m = 2 for the conjugated dressing; its w0 is not Hermitian
+    beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) + 0.3j * xx * J_OFF for xx in x])
+    sys_id = CanonicalSystem(J=np.eye(2), interval=(0.0, 1.0),
+                             hamiltonian=HamiltonianSpec.from_beta_grid(x, beta))
+    traj_id = evolve(sample_params(7, sys_id, n=2), sys_id, tol=1e-10)
+    w0 = w0_at(traj_id, x)
+    assert np.min(np.linalg.norm(w0 - _adj(w0), axis=(1, 2))) > 1e-3
+    square_model = TriangularModel(interval=(0.0, 1.0), J=np.eye(2), x=x, beta=beta)
+    return {
+        "factored": transformed_hamiltonian(traj_n1).beta_fn,
+        "h-grid": transformed_hamiltonian(traj_grid).h_fn,
+        "transform_model": transform_model(rank_one_model, traj_n1).beta_fn,
+        "conjugate_transform_model":
+            conjugate_transform_model(square_model, traj_id).beta_fn,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["factored", "h-grid", "transform_model", "conjugate_transform_model"]
+)
+def test_dressed_callables_take_arrays(dressed_callables, name):
+    # one call on an array of points gives the stack of the scalar calls
+    fn = dressed_callables[name]
+    x = np.linspace(0.05, 0.95, 7)
+    stacked = np.stack([fn(xx) for xx in x])
+    assert fro(fn(x) - stacked) <= 1e-14
+
+
 # -- transformed fundamental solution ---------------------------------------------
 
 
@@ -391,6 +431,22 @@ def test_transformed_boundary_values_two_routes_agree(traj_n1):
     report = transformed_boundary_values(traj_n1, 1.0, 0.5, tol=1e-11)
     assert report.cross_check_error is not None
     assert report.cross_check_error <= report.extrapolation_error + 1e-6
+
+
+@pytest.mark.parametrize("s", [0.4, 0.5])
+def test_transformed_boundary_values_dressed_system_check(traj_n1, s):
+    # boundary_values on the dressed system reproduces v W+- v(xi)^{-1}
+    report = transformed_boundary_values(traj_n1, 1.0, s, tol=1e-11)
+    assert report.cross_check_error <= 1e-10
+
+
+def test_transformed_boundary_values_cross_check_can_fail(traj_n1, monkeypatch):
+    # run the check on the undressed system: the two routes must disagree
+    monkeypatch.setattr(
+        gbdt, "transformed_hamiltonian", lambda traj: traj.system.hamiltonian
+    )
+    report = transformed_boundary_values(traj_n1, 1.0, 0.5, tol=1e-11)
+    assert report.cross_check_error > 1.0
 
 
 def test_transformed_jump_is_conjugated_base_jump(unit_system, traj_n1):

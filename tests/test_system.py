@@ -10,14 +10,14 @@ from cansys.system import (
     SpectralPointError,
     _log_weight_product,
     boundary_values,
-    extrapolate_eta_sequence,
     fundamental_solution,
     j_monotonicity_defect,
     kernel_bound,
-    limit_samples,
     product_integral,
     validate_system,
 )
+
+from rk45_reference import extrapolate_eta_sequence, limit_samples
 
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -66,24 +66,32 @@ def test_validate_beta_continuity_guard():
     assert any("Lipschitz" in v for v in report.violations)
 
 
-def test_hamiltonian_spec_interpolation_and_cumulative():
+def test_hamiltonian_spec_interpolation():
     x = np.linspace(0.0, 1.0, 5)
     h = np.stack([np.eye(2) * (1.0 + xx) for xx in x]).astype(complex)
     spec = HamiltonianSpec.from_grid(x, h)
     assert fro(spec.hamiltonian(0.125) - np.eye(2) * 1.125) < 1e-14
-    # integral of (1 + x) I over [0, 1] is 1.5 I; Simpson is exact here
-    assert fro(spec.cumulative(1.0, 0.0) - 1.5 * np.eye(2)) < 1e-13
-    assert fro(spec.cumulative(0.0, 1.0) + 1.5 * np.eye(2)) < 1e-13
 
 
-def test_cumulative_exact_for_factored_linear_beta():
-    # beta linear in x makes H = beta* beta quadratic per panel: Simpson exact
-    x = np.linspace(0.0, 1.0, 3)
-    beta = np.stack([np.array([[1.0, 1j * xx]]) for xx in x])
-    spec = HamiltonianSpec.from_beta_grid(x, beta)
-    # H(x) = [[1, ix], [-ix, x^2]]; integral over [0, 1]
-    expected = np.array([[1.0, 0.5j], [-0.5j, 1.0 / 3.0]])
-    assert fro(spec.cumulative(1.0, 0.0) - expected) < 1e-14
+def test_hamiltonian_spec_calls_callables_once_per_evaluation():
+    # a callable takes an array of points and returns the stack behind it
+    x = np.linspace(0.0, 1.0, 5)
+    calls = []
+
+    def beta_fn(t):
+        calls.append(np.shape(t))
+        t = np.asarray(t)[..., None, None]
+        return np.array([[1.0, 0.0]]) + t * np.array([[0.0, 1j]])
+
+    spec = HamiltonianSpec(x, beta=beta_fn(x), beta_fn=beta_fn)
+    spec_h = HamiltonianSpec(x, h=spec.hamiltonian(x), h_fn=spec.hamiltonian)
+    calls.clear()
+    t = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    h = spec_h.hamiltonian(t)
+    assert calls == [t.shape]
+    assert h.shape == (2, 3, 2, 2)
+    assert fro(h[1, 2] - np.array([[1.0, 0.6j], [-0.6j, 0.36]])) < 1e-15
+    assert spec.beta_at(0.5).shape == (1, 2)
 
 
 def test_hamiltonian_spec_rejects_bad_samples():
