@@ -50,7 +50,7 @@ grid = np.linspace(0.0, 1.0, 21)
 via_multiplier = transformed_fundamental(traj, 2j, grid=grid, tol=1e-11)
 direct = fundamental_solution(
     CanonicalSystem(J=system.J, interval=system.interval, hamiltonian=dressed),
-    2j, grid=grid, tol=1e-11,
+    2j, grid=grid, tol=1e-11, method="rk45",
 )
 gap = max(fro(a - b) for a, b in zip(via_multiplier.values, direct.values))
 print("multiplier route vs direct integration:", gap)

@@ -454,22 +454,23 @@ def transformed_hamiltonian(traj):
 
 
 def transformed_fundamental(traj, z, grid=None, tol=1e-10):
-    """Dressed fundamental solution W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1}."""
+    """Dressed fundamental solution W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1},
+    with the base W from RK45 (``fundamental_solution(method="rk45")``)."""
     sys = traj.system
     if grid is None:
         grid = traj.grid
-    base = fundamental_solution(sys, z, grid=grid, tol=tol)
+    base = fundamental_solution(sys, z, grid=grid, tol=tol, method="rk45")
     v = transfer(traj, np.append(sys.xi, base.grid), base.z).v
-    v_xi_inv = np.linalg.inv(v[0])
     return FundamentalSolution(
         z=base.z,
         grid=base.grid,
-        values=v[1:] @ base.values @ v_xi_inv,
+        values=v[1:] @ base.values @ np.linalg.inv(v[0]),
         method=base.method,
         error_estimate=base.error_estimate,
         J=sys.J,
         xi=sys.xi,
-        interpolant=lambda x: transfer(traj, x, base.z).v @ base.at(x) @ v_xi_inv,
+        panels=base.panels,
+        converged=base.converged,
     )
 
 

@@ -214,9 +214,12 @@ def char_fn(op, z):
 
 
 def char_fn_via_fundamental(model, z, tol=1e-10):
-    """The same function through the canonical system route W(b, z)."""
+    """The same function through the canonical system route W(b, z), by
+    RK45: it shares no code with the sweep's scan."""
     sys = model.canonical_system()
-    sol = fundamental_solution(sys, z, grid=np.array([model.interval[1]]), tol=tol)
+    sol = fundamental_solution(
+        sys, z, grid=np.array([model.interval[1]]), tol=tol, method="rk45"
+    )
     return CharFnSample(z=complex(z), value=sol.values[0], method="fundamental_solution")
 
 
@@ -233,14 +236,14 @@ def resolvent_identity_check(op, model, z, tol=1e-10):
     """Apply the discrete resolvent to the channel columns and compare with
     the closed-form action through the fundamental solution.
 
-    The resolvent comes from a dense solve with ``op.matrix`` on purpose:
-    it shares no code with the sweep of :func:`char_fn`.
+    The resolvent comes from a dense solve with ``op.matrix`` and W from
+    RK45 on purpose: neither shares code with the sweep of :func:`char_fn`.
     """
     z = complex(z)
     a = op.matrix
     lhs = np.linalg.solve(a - z * np.eye(a.shape[0]), op.channel_map)
     sys = model.canonical_system()
-    sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol)
+    sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol, method="rk45")
     x = op.nodes
     expected = model.beta_at(x) @ sol.values / (x - z)[:, None, None]
     got = lhs.reshape(x.size, op.k, op.m) / np.sqrt(op.weights)[:, None, None]

@@ -53,7 +53,7 @@ def limit_samples(sys, x, s, etas, tol):
     for j, eta in enumerate(etas):
         for sign, store in ((1.0, plus), (-1.0, minus)):
             sol = fundamental_solution(
-                sys, s + 1j * sign * eta, grid=np.array([x]), tol=tol,
+                sys, s + 1j * sign * eta, grid=np.array([x]), tol=tol, method="rk45",
             )
             store[j] = sol.values[0]
     return plus, minus

@@ -102,7 +102,8 @@ def test_criterion_2_transform_consistency(scenario_system):
                 continue
             picked += 1
             via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-10)
-            direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-10)
+            direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-10,
+                                          method="rk45")
             worst = max(
                 worst,
                 max(fro(a - b) for a, b in

@@ -347,7 +347,8 @@ def test_transformed_fundamental_vs_direct_integration(unit_system, traj_n1):
     grid = np.linspace(0.0, 1.0, 21)
     for z in (2j, -0.8 + 0.6j):
         via_multiplier = transformed_fundamental(traj_n1, z, grid=grid, tol=1e-11)
-        direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11)
+        direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11,
+                                      method="rk45")
         diff = max(
             fro(a - b) for a, b in zip(via_multiplier.values, direct.values)
         )
@@ -505,7 +506,7 @@ def test_dressing_varying_degenerate_base():
     z = 1.1 + 0.9j
     direct = fundamental_solution(
         CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=dressed),
-        z, grid=grid, tol=1e-10,
+        z, grid=grid, tol=1e-10, method="rk45",
     )
     via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-10)
     gap = max(fro(a - b) for a, b in zip(via_multiplier.values, direct.values))
@@ -529,7 +530,7 @@ def test_interior_base_point_end_to_end():
         hamiltonian=transformed_hamiltonian(traj), xi=0.5,
     )
     via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-11)
-    direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11)
+    direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11, method="rk45")
     assert fro(via_multiplier.values[4] - np.eye(2)) < 1e-12  # x = xi
     gap = max(fro(a - b) for a, b in zip(via_multiplier.values, direct.values))
     assert gap <= 1e-6

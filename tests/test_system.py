@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from cansys import rank_one, system
@@ -7,8 +8,13 @@ from cansys.linalg import fro
 from cansys.system import (
     CanonicalSystem,
     HamiltonianSpec,
+    MAX_CUT_PANELS,
     SpectralPointError,
+    _expm_small,
+    _graded_breakpoints,
     _log_weight_product,
+    _magnus_exponents,
+    _ordered_product,
     boundary_values,
     fundamental_solution,
     j_monotonicity_defect,
@@ -182,6 +188,35 @@ def test_conjugate_symmetry(unit_system):
     assert fro(w_conj - expected) < 1e-10
 
 
+def test_grid_at_the_base_point_alone_gives_identity(unit_system):
+    for method in ("magnus", "rk45"):
+        sol = fundamental_solution(unit_system, 2j, grid=np.array([0.0, 0.0]),
+                                   method=method)
+        assert np.array_equal(sol.values, np.stack([np.eye(2)] * 2))
+
+
+def test_unknown_method_is_rejected(unit_system):
+    with pytest.raises(ValueError, match="method"):
+        fundamental_solution(unit_system, 2j, method="euler")
+
+
+@pytest.mark.parametrize("z, tol", [
+    (2j, 1e-10), (-0.5 + 0.1j, 1e-10), (1.5, 1e-10), (0.5 + 1e-2j, 1e-10),
+    (0.3 - 1e-3j, 1e-10), (0.7 + 1e-4j, 1e-10), (0.5037 + 1e-5j, 1e-10),
+    (0.5 + 0.3j, 1e-12), (0.5037 + 1e-5j, 1e-12), (1.0 + 1e-3j, 1e-13),
+])
+def test_rk45_error_estimate_is_calibrated(unit_system, z, tol):
+    # on constant H, tol times the solver's steps bounds the true error
+    # within 100x (on kinked samples it is only a heuristic)
+    grid = np.linspace(0.0, 1.0, 11)
+    sol = fundamental_solution(unit_system, z, grid=grid, tol=tol, method="rk45")
+    exact = np.stack([rank_one.fundamental_matrix(x, z) for x in grid])
+    err = float(np.max(np.linalg.norm(sol.values - exact, axis=(1, 2))))
+    assert err <= sol.error_estimate <= 100 * err
+    assert sol.method == "rk45" and sol.converged
+    assert sol.panels == round(sol.error_estimate / tol)
+
+
 # -- product integrals -------------------------------------------------------
 
 
@@ -202,7 +237,7 @@ def test_product_integral_exact_for_constant_h(unit_system):
 @pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
 def test_product_integral_order_four(varying_system, z):
     ref = fundamental_solution(varying_system, z, grid=np.array([1.0]),
-                               tol=1e-13).values[0]
+                               tol=1e-13, method="rk45").values[0]
     errors = []
     for num in (8, 16, 32, 64):
         sol = product_integral(varying_system, z, np.linspace(0, 1, num + 1))
@@ -214,7 +249,8 @@ def test_product_integral_order_four(varying_system, z):
 
 def test_product_integral_agrees_with_ode(unit_system):
     z = -0.5 + 0.8j
-    ode = fundamental_solution(unit_system, z, grid=np.linspace(0, 1, 5), tol=1e-10)
+    ode = fundamental_solution(unit_system, z, grid=np.linspace(0, 1, 5), tol=1e-10,
+                               method="rk45")
     prod = product_integral(unit_system, z, np.linspace(0, 1, 257))
     ode_at = ode.values[-1]
     assert fro(prod.values[-1] - ode_at) < max(prod.error_estimate,
@@ -242,6 +278,63 @@ def test_product_integral_rejects_near_cut_points(unit_system):
 def test_product_integral_j_unitary_real_z(unit_system):
     sol = product_integral(unit_system, 4.0, np.linspace(0, 1, 65))
     assert j_monotonicity_defect(sol) <= 10 * sol.error_estimate
+
+
+# -- small-matrix kernels ------------------------------------------------------
+
+
+def _rel(got, ref):
+    return float(np.max(np.linalg.norm(got - ref, axis=(-2, -1))
+                        / np.linalg.norm(ref, axis=(-2, -1))))
+
+
+def _traceless(delta):
+    # N = [[0, q], [delta^2 / q, 0]] has N^2 = delta^2 I
+    q = 1.7 + 0.4j
+    return np.array([[0.0, q], [delta * delta / q, 0.0]])
+
+
+@pytest.mark.parametrize("omega", [
+    np.array([[0.7j, 0.7], [0.7, -0.7j]]),                # nilpotent: delta = 0
+    (0.3 - 0.2j) * np.eye(2) + _traceless(0.99e-4),        # series branch
+    (0.3 - 0.2j) * np.eye(2) + _traceless(1.01e-4),        # closed form
+    (0.3 - 0.2j) * np.eye(2) + _traceless(3e-3),           # series would be off
+    (0.3 - 0.2j) * np.eye(2) + _traceless(2.5 - 1.0j),
+    40j * np.eye(2) + np.array([[0.2 + 0.1j, -0.4j], [0.3, 0.5 - 0.2j]]),
+], ids=["nilpotent", "below-1e-4", "above-1e-4", "3e-3", "large-delta", "imag-tau"])
+def test_expm_small_matches_scipy(omega):
+    assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+
+
+def test_expm_small_large_imaginary_tau():
+    # scipy's squaring loses digits at |tau| = 1000; e^tau exp(N) does not
+    n = np.array([[0.0, 0.3 + 0.1j], [-0.2 + 0.4j, 0.0]])
+    omega = 1000j * np.eye(2) + n
+    assert _rel(_expm_small(omega), np.exp(1000j) * scipy.linalg.expm(n)) <= 1e-14
+
+
+def test_expm_small_on_near_cut_magnus_exponents(varying_system):
+    z = 0.5037 + 1e-5j
+    t = _graded_breakpoints(varying_system.hamiltonian.x, 0.0, 1.0, z, 1 / 16)
+    omega = _magnus_exponents(varying_system, t, z)
+    assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+
+
+def test_expm_small_falls_back_to_scipy_for_other_sizes():
+    rng = np.random.default_rng(3)
+    omega = 0.4 * (rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+    assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ordered_product_matches_a_matmul_loop(m):
+    rng = np.random.default_rng(m)
+    factors = np.eye(m) + 0.3 * (rng.standard_normal((37, m, m))
+                                 + 1j * rng.standard_normal((37, m, m)))
+    expected = [np.eye(m, dtype=complex)]
+    for f in factors:
+        expected.append(f @ expected[-1])
+    assert _rel(_ordered_product(factors), np.stack(expected)) <= 1e-13
 
 
 # -- J-monotonicity ----------------------------------------------------------
@@ -420,7 +513,7 @@ def test_varying_system_valid(varying_system):
 def test_varying_system_product_vs_ode(varying_system):
     for z in (2j, 1.4 - 0.8j, -0.6 + 0.0j):
         ode = fundamental_solution(varying_system, z,
-                                   grid=np.linspace(0, 1, 5), tol=1e-10)
+                                   grid=np.linspace(0, 1, 5), tol=1e-10, method="rk45")
         prod = product_integral(varying_system, z, np.linspace(0, 1, 257))
         gap = fro(prod.values[-1] - ode.values[-1])
         assert gap < max(prod.error_estimate, ode.error_estimate)
@@ -468,5 +561,28 @@ def test_varying_system_cut_limits_match_rk45_richardson(varying_system, s):
 def test_varying_system_log_weight_product_near_cut(varying_system, s, eta):
     z = s + 1j * eta
     w, _ = _log_weight_product(varying_system, 1.0, z, rho=1 / 16)
-    ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12)
+    ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12,
+                               method="rk45")
     assert fro(w - ode.values[0]) < 1e-7
+
+
+# -- Magnus route of fundamental_solution ---------------------------------------
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.3j, 0.5037 + 1e-2j, 0.5037 + 1e-4j, 0.2 - 1e-5j])
+def test_magnus_error_estimate_bounds_the_error(varying_system, z):
+    # the RK45 reference is within its own (calibrated) estimate of W, so
+    # the Magnus error is at most the gap plus that estimate
+    grid = np.linspace(0.0, 1.0, 21)
+    sol = fundamental_solution(varying_system, z, grid=grid, tol=1e-8)
+    ref = fundamental_solution(varying_system, z, grid=grid, tol=1e-13, method="rk45")
+    assert sol.method == "magnus" and sol.converged
+    gap = float(np.max(np.linalg.norm(sol.values - ref.values, axis=(1, 2))))
+    assert gap + ref.error_estimate <= sol.error_estimate <= 1e-8
+
+
+def test_magnus_route_reports_the_panel_cap(varying_system):
+    sol = fundamental_solution(varying_system, 0.5037 + 1e-4j, tol=1e-10)
+    assert not sol.converged
+    assert sol.panels > MAX_CUT_PANELS
+    assert sol.error_estimate > 1e-10
