@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from cansys import cli
 from cansys.cli import main
 from cansys.scenarios import scenario_path
 
@@ -50,6 +51,44 @@ def test_bundled_scenario_passes(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "n1_wtilde_residual" in table
     assert "FAIL" not in table
+
+
+def count_evolves(monkeypatch):
+    """Record the tolerance of every evolve the runner makes."""
+    tols, evolve = [], cli.evolve
+
+    def counting(*args, tol, **kwargs):
+        tols.append(tol)
+        return evolve(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", counting)
+    return tols
+
+
+def test_one_trajectory_per_run_at_the_tightest_tolerance(tmp_path, monkeypatch):
+    # the bundled scenario (ode_tol 1e-10) lists example-n1, whose closed-form
+    # comparisons need 1e-12; every task reads that one trajectory
+    tols = count_evolves(monkeypatch)
+    raw = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["run", str(scenario_path()), "--out", str(out)]) == 0
+        raw.append((out / "results.json").read_bytes())
+    assert tols == [1e-12, 1e-12]
+    assert raw[0] == raw[1]
+    checks = json.loads(raw[0])["checks"]
+    n1 = [c for c in checks if c["task"] == "example-n1"]
+    assert len(n1) == 5 and all(c["pass"] for c in n1)
+    evolve_checks = {c["name"]: c["bound"] for c in checks if c["task"] == "evolve"}
+    assert evolve_checks["identity_residual"] == 1e-9  # still 10 ode_tol
+
+
+def test_trajectory_without_example_n1_uses_ode_tol(tmp_path, monkeypatch):
+    tols = count_evolves(monkeypatch)
+    config = minimal_config(tasks=["evolve", "transform"])
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    assert tols == [1e-9]
 
 
 def test_rh_jump_csv_columns(tmp_path):

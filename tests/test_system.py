@@ -79,6 +79,38 @@ def test_hamiltonian_spec_interpolation():
     assert fro(spec.hamiltonian(0.125) - np.eye(2) * 1.125) < 1e-14
 
 
+def _interp_stack_reference(xgrid, values, xq):
+    """The np.clip formula _interp_stack replaced, on a 1-D array of points."""
+    j = np.clip(np.searchsorted(xgrid, xq), 1, xgrid.size - 1)
+    x0, x1 = xgrid[j - 1], xgrid[j]
+    w = np.clip((xq - x0) / (x1 - x0), 0.0, 1.0)
+    return (1.0 - w)[:, None, None] * values[j - 1] + w[:, None, None] * values[j]
+
+
+@pytest.mark.parametrize("kind", ["beta", "h"])
+def test_interpolation_is_bit_identical_to_the_clip_formula(kind):
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]])
+    samples = rng.standard_normal((x.size, 2, 2)) + 1j * rng.standard_normal((x.size, 2, 2))
+    spec = HamiltonianSpec(x, **{kind: samples})
+    stack = samples if kind == "beta" else spec.h
+    evaluate = spec.beta_at if kind == "beta" else (
+        lambda t: system._interp_stack(spec.x, spec.h, t))
+    # outside [x_0, x_N] (where the end values hold), inside, and on nodes
+    points = np.concatenate([[-0.3, 1.25, 0.37], rng.uniform(-0.2, 1.2, 500), x])
+    ref = _interp_stack_reference(x, stack, points)
+    assert np.array_equal(evaluate(points), ref)
+    assert np.array_equal(evaluate(points[:520].reshape(26, 20)),
+                          ref[:520].reshape(26, 20, 2, 2))
+    for i in (0, 1, 2, 503, 519):  # the first three, x_0 and x_N
+        assert np.array_equal(evaluate(float(points[i])), ref[i])
+        assert np.array_equal(evaluate(np.asarray(points[i])), ref[i])
+    # H at one point is the matching entry of the stacked evaluation
+    stacked = spec.hamiltonian(points)
+    assert all(np.array_equal(spec.hamiltonian(float(t)), h)
+               for t, h in zip(points, stacked))
+
+
 def test_hamiltonian_spec_calls_callables_once_per_evaluation():
     # a callable takes an array of points and returns the stack behind it
     x = np.linspace(0.0, 1.0, 5)
@@ -482,6 +514,46 @@ def test_kernel_bound_chunks_keep_the_first_maximum(monkeypatch, unit_system):
     assert flat.argmax_pair == (grid[1], grid[0])
 
 
+def _kernel_bound_by_svd(x, beta, J):
+    """sup over t < x of the largest singular value of beta(x) J beta(t)*
+    over x - t, and the first pair attaining it in tril_indices order."""
+    corr = np.einsum("iam,mn,jbn->ijab", beta, J, beta.conj())
+    norms = np.linalg.svd(corr, compute_uv=False)[..., 0]
+    i, j = np.tril_indices(x.size, -1)
+    ratios = norms[i, j] / (x[i] - x[j])
+    best = int(np.argmax(ratios))
+    return ratios[best], (x[i[best]], x[j[best]])
+
+
+def _random_degenerate_factor(rng, x, k):
+    """beta(x) = U(x) [p(x) I, i q(x) R] with U unitary, p, q real and R real
+    symmetric, so beta(x) J beta(x)* = 0 for J = [[0, I], [I, 0]] while
+    beta(x) J beta(t)* = i (q(x) p(t) - p(x) q(t)) U(x) R U(t)*."""
+    p, q = rng.standard_normal((2, x.size))
+    r = rng.standard_normal((k, k))
+    u, _ = np.linalg.qr(rng.standard_normal((x.size, k, k))
+                        + 1j * rng.standard_normal((x.size, k, k)))
+    blocks = np.concatenate([p[:, None, None] * np.eye(k),
+                             1j * q[:, None, None] * (r + r.T)], axis=2)
+    return u @ blocks, np.kron(J_OFF.real, np.eye(k))
+
+
+@pytest.mark.parametrize("k, chunk", [(1, None), (1, 7), (2, None)])
+def test_kernel_bound_norm_matches_svd(monkeypatch, k, chunk):
+    # k = 1 takes |beta J beta*|; k = 2 must still take the largest
+    # singular value
+    rng = np.random.default_rng(5 + k)
+    x = np.sort(rng.uniform(0.0, 1.0, 120))
+    beta, J = _random_degenerate_factor(rng, x, k)
+    if chunk is not None:
+        monkeypatch.setattr(system, "KERNEL_CHUNK_PAIRS", chunk)
+    report = kernel_bound(HamiltonianSpec.from_beta_grid(x, beta), J)
+    sup, pair = _kernel_bound_by_svd(x, beta, J)
+    assert report.finite
+    assert abs(report.sup_bound - sup) <= 1e-15 * sup
+    assert report.argmax_pair == pair
+
+
 def test_kernel_bound_requires_factored_form():
     x = np.array([0.0, 1.0])
     spec = HamiltonianSpec.from_grid(x, np.stack([np.eye(2)] * 2).astype(complex))
@@ -586,3 +658,36 @@ def test_magnus_route_reports_the_panel_cap(varying_system):
     assert not sol.converged
     assert sol.panels > MAX_CUT_PANELS
     assert sol.error_estimate > 1e-10
+
+
+def profile_fundamental(grid, z):
+    """W(x, z) = I + i J H0 int_0^x c(t)^2 / (z - t) dt on the kinked
+    profile, each linear piece of c integrated in closed form in long
+    double: with A = c(z) and u = z - t, the piece is
+    -A^2 ln(u1 / u0) + 2 A c' (u1 - u0) - c'^2 (u1^2 - u0^2) / 2."""
+    z = np.clongdouble(z)
+    xs, cs = PROFILE_X.astype(np.longdouble), PROFILE_C.astype(np.longdouble)
+    slope = np.diff(cs) / np.diff(xs)
+    out = []
+    for x in grid:
+        ends = np.append(xs[xs < x], np.longdouble(x))
+        q = slope[:ends.size - 1]
+        big_a = cs[:ends.size - 1] + q * (z - ends[:-1])
+        u0, u1 = z - ends[:-1], z - ends[1:]
+        weight = np.sum(-big_a**2 * np.log(u1 / u0) + 2 * big_a * q * (u1 - u0)
+                        - q**2 * (u1**2 - u0**2) / 2)
+        out.append(np.eye(2) + 1j * J_OFF @ rank_one.hamiltonian() * complex(weight))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("s", [PROFILE_X[16], PROFILE_X[16] + 0.03 * PROFILE_X[1],
+                               PROFILE_X[9] - 0.03 * PROFILE_X[1]])
+@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4, -1e-5])
+def test_magnus_error_estimate_bounds_rounding_on_a_commuting_profile(s, eta):
+    # every factor is exact here, so two levels differ by rounding only;
+    # the rounding floor keeps the estimate above the error
+    sol = fundamental_solution(profile_system(), s + 1j * eta)
+    err = np.max(np.linalg.norm(sol.values - profile_fundamental(sol.grid, sol.z),
+                                axis=(1, 2)))
+    assert sol.converged
+    assert err <= sol.error_estimate <= 1e-10
