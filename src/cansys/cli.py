@@ -11,7 +11,7 @@ Config schema (complex scalars are [re, im] pairs everywhere)::
     {
       "schema_version": 1,
       "output": "out",                      # optional, --out overrides
-      "tolerances": {"ode_tol": 1e-9, ...}, # optional knobs
+      "tolerances": {"ode_tol": 1e-9},      # optional; --tol overrides
       "system": {
         "m": 2,
         "J": [[[0,0],[1,0]], [[1,0],[0,0]]],
@@ -27,13 +27,17 @@ Config schema (complex scalars are [re, im] pairs everywhere)::
     }
 
 Unknown keys are rejected with a line-anchored diagnostic; all matrix
-blocks are dimension-checked before any computation starts.
+blocks are dimension-checked before any computation starts.  The one
+tolerance a config sets is ``ode_tol`` (default ``gbdt.ODE_TOL``), the
+accuracy the solvers aim for; every check has a fixed bound, tabled at
+the bound constants below.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +45,7 @@ import numpy as np
 
 from . import rank_one
 from .gbdt import (
+    ODE_TOL,
     GbdtParams,
     evolve,
     transfer,
@@ -48,8 +53,9 @@ from .gbdt import (
     transformed_hamiltonian,
     validate_params,
 )
-from .linalg import SingularMatrixError, _adj, fro, hermitian_part
+from .linalg import PSD_TOL, SingularMatrixError, _adj, fro, hermitian_part
 from .system import (
+    DEGENERACY_TOL,
     CanonicalSystem,
     HamiltonianSpec,
     SpectralPointError,
@@ -68,20 +74,20 @@ from .triangular import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_TOLERANCES = {
-    "ode_tol": 1e-9,
-    "psd_tol": 1e-10,
-    "charfn_tol": 1e-2,
-    "jump_tol": 1e-3,
-    "n1_tol": 1e-8,
-    "transfer_tol": 1e-9,
-    "probe_tol": 5e-2,
-    "v_sup_bound": 1e3,
-}
+#: Fixed check bounds, which no config moves.  Besides these six, the evolve
+#: residuals take 10 ode_tol, params_identity_residual 1e-10,
+#: transformed_psd_defect 100 PSD_TOL, transformed_degeneracy DEGENERACY_TOL
+#: and probe_outside_fraction_N* 1e-2; every other check must read 0.
+CHARFN_TOL = 1e-2  # charfn_max_rel_error
+JUMP_TOL = 1e-3  # jump_max_error
+N1_TOL = 1e-8  # n1_s_residual, n1_beta_residual, n1_wtilde_residual
+TRANSFER_TOL = 1e-9  # n1_wa_residual, n1_v_residual
+PROBE_TOL = 5e-2  # probe_max_imag_N*
+V_SUP_BOUND = 1e3  # v_sup
 
 _TASK_KEYS = {
     "validate": set(),
-    "evolve": {"points"},
+    "evolve": set(),
     "transform": set(),
     "charfn": {"z", "N", "compare"},
     "rh-jump": {"s", "x"},
@@ -113,11 +119,26 @@ def _check_keys(block, allowed, where):
             raise ConfigError(f"unknown key '{key}' in {where}", key=key)
 
 
+def _is_number(value):
+    """A finite int or float; JSON true/false load as bools, not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _number_from(value, key, positive=False):
+    """float(value); ``key`` may be a tuple of keys, as for _locate_key."""
+    if not _is_number(value) or (positive and value <= 0):
+        name = key if isinstance(key, str) else key[-1]
+        kind = "positive number" if positive else "number"
+        raise ConfigError(f"'{name}' must be a finite {kind}", key=key)
+    return float(value)
+
+
 def _complex_from(value, key):
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(p, (int, float)) for p in value)
+        or not all(_is_number(p) for p in value)
     ):
         raise ConfigError(f"'{key}' entries must be [re, im] pairs", key=key)
     return complex(value[0], value[1])
@@ -164,7 +185,7 @@ def _build_system(block):
     if (
         not isinstance(interval, list)
         or len(interval) != 2
-        or not all(isinstance(e, (int, float)) for e in interval)
+        or not all(_is_number(e) for e in interval)
         or not interval[0] < interval[1]
     ):
         raise ConfigError("'interval' must be [a, b] with a < b", key="interval")
@@ -198,7 +219,7 @@ def _build_system(block):
     else:
         raise ConfigError(f"unknown hamiltonian type '{kind}'", key="type")
     xi = block.get("xi", interval[0])
-    if not isinstance(xi, (int, float)) or not interval[0] <= xi <= interval[1]:
+    if not _is_number(xi) or not interval[0] <= xi <= interval[1]:
         raise ConfigError("'xi' must lie inside the interval", key="xi")
     try:
         return CanonicalSystem(J=jmat, interval=tuple(interval),
@@ -212,7 +233,7 @@ def _build_gbdt(block, sys):
     n = block.get("n")
     if not isinstance(n, int) or n < 1:
         raise ConfigError("'n' must be a positive integer", key="n")
-    xi = float(block.get("xi", sys.xi))
+    xi = _number_from(block.get("xi", sys.xi), ("gbdt", "xi"))
     shorthand = "b_diag" in block
     if shorthand:
         for forbidden in ("B", "S0", "Pi0"):
@@ -225,8 +246,11 @@ def _build_gbdt(block, sys):
         g = _cvector_from(block.get("g"), "g", length=n)
         h = _cvector_from(block.get("h"), "h", length=n)
         diag = rank_one.DiagonalParams(b_diag=b_diag, g=g, h=h)
-        diag.validate_poles(b=sys.interval[1])
-        return diag.to_gbdt_params(xi=xi), diag
+        try:
+            return diag.to_gbdt_params(xi=xi), diag
+        except ValueError as exc:
+            # a real pole b_i = conj(b_i) leaves the closed-form S undefined
+            raise ConfigError(f"'b_diag': {exc}", key="b_diag") from exc
     for required in ("B", "S0", "Pi0"):
         if required not in block:
             raise ConfigError(f"'gbdt' is missing '{required}'", key="gbdt")
@@ -316,12 +340,14 @@ class _Runner:
             )
         if "system" not in config or "tasks" not in config:
             raise ConfigError("config needs 'system' and 'tasks'", key="schema_version")
-        self.tol = dict(DEFAULT_TOLERANCES)
         tol_block = config.get("tolerances", {})
-        _check_keys(tol_block, set(DEFAULT_TOLERANCES), "'tolerances'")
-        self.tol.update(tol_block)
+        if not isinstance(tol_block, dict):
+            raise ConfigError("'tolerances' must be an object", key="tolerances")
+        _check_keys(tol_block, {"ode_tol"}, "'tolerances'")
+        self.ode_tol = _number_from(tol_block.get("ode_tol", ODE_TOL), "ode_tol",
+                                    positive=True)
         if tol_override is not None:
-            self.tol["ode_tol"] = tol_override
+            self.ode_tol = _number_from(tol_override, "--tol", positive=True)
         self.system = _build_system(config["system"])
         self.params = None
         self.diag = None
@@ -357,7 +383,7 @@ class _Runner:
             if self.params is None:
                 raise ConfigError("this task needs a 'gbdt' block", key="tasks")
             a, b = self.system.interval
-            tol = self.tol["ode_tol"]
+            tol = self.ode_tol
             if any(entry["task"] == "example-n1" for entry in self.tasks):
                 tol = min(tol, 1e-12)
             try:
@@ -376,7 +402,7 @@ class _Runner:
     # -- tasks ------------------------------------------------------------
 
     def run_validate(self, options):
-        report = validate_system(self.system, psd_tol=self.tol["psd_tol"])
+        report = validate_system(self.system)
         self.check("validate", "system_violations", len(report.violations), 0)
         if self.params is not None:
             preport = validate_params(self.params, self.system)
@@ -388,7 +414,7 @@ class _Runner:
 
     def run_evolve(self, options):
         traj = self.trajectory()
-        tol = self.tol["ode_tol"]
+        tol = self.ode_tol
         self.check("evolve", "identity_residual", traj.identity_residual, 10 * tol)
         s0_pd = float(np.linalg.eigvalsh(hermitian_part(self.params.S0))[0]) > 0
         if s0_pd:
@@ -413,15 +439,14 @@ class _Runner:
             float(np.max(np.linalg.norm(h - _adj(h), axis=(1, 2)))),
             -float(np.min(np.linalg.eigvalsh(hermitian_part(h))[:, 0])),
         )
-        self.check("transform", "transformed_psd_defect", psd_defect,
-                   self.tol["psd_tol"] * 100)
+        self.check("transform", "transformed_psd_defect", psd_defect, PSD_TOL * 100)
         self.emit("transformed_hamiltonian.csv", *_table(["x"], traj.grid, h))
         if dressed.is_factored:
             base = kernel_bound(self.system.hamiltonian, self.system.J)
             out = kernel_bound(dressed, self.system.J)
-            if base.degeneracy_defect <= 1e-9:
+            if base.degeneracy_defect <= DEGENERACY_TOL:
                 self.check("transform", "transformed_degeneracy",
-                           out.degeneracy_defect, 1e-9)
+                           out.degeneracy_defect, DEGENERACY_TOL)
             if base.finite:
                 self.check("transform", "transformed_kernel_bound_finite",
                            0.0 if out.finite else 1.0, 0.0)
@@ -448,13 +473,12 @@ class _Runner:
         for z in z_list:
             values.append(char_fn(op, z).value)
             if options.get("compare", True):
-                ref = char_fn_via_fundamental(model, z, tol=self.tol["ode_tol"])
+                ref = char_fn_via_fundamental(model, z, tol=self.ode_tol)
                 worst = max(worst, fro(values[-1] - ref.value) / fro(ref.value))
         self.emit("charfn.csv", *_table(["re_z", "im_z"],
                                         [(z.real, z.imag) for z in z_list], values))
         if options.get("compare", True):
-            self.check("charfn", "charfn_max_rel_error", worst,
-                       self.tol["charfn_tol"])
+            self.check("charfn", "charfn_max_rel_error", worst, CHARFN_TOL)
 
     def _constant_degenerate_reference(self):
         spec = self.system.hamiltonian
@@ -470,9 +494,9 @@ class _Runner:
 
     def run_rh_jump(self, options):
         a, b = self.system.interval
-        x = float(options.get("x", b))
+        x = _number_from(options.get("x", b), ("tasks", "x"))
         fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
-        s_list = [float(s) for s in options.get(
+        s_list = [_number_from(s, ("tasks", "s")) for s in options.get(
             "s", [a + f * (x - a) for f in fractions]
         )]
         reference = self._constant_degenerate_reference()
@@ -481,7 +505,7 @@ class _Runner:
         for s in s_list:
             try:
                 rep = boundary_values(
-                    self.system, x, s, tol=min(self.tol["ode_tol"], 1e-10)
+                    self.system, x, s, tol=min(self.ode_tol, 1e-10)
                 )
             except (SpectralPointError, ValueError) as exc:
                 raise NumericalFailure("rh-jump", f"s = {s}: {exc}") from exc
@@ -500,9 +524,9 @@ class _Runner:
         if reference is not None:
             header.append("jump_error")
         self.emit("rh_jump.csv", header, rows)
-        self.check("rh-jump", "v_sup", v_sup, self.tol["v_sup_bound"])
+        self.check("rh-jump", "v_sup", v_sup, V_SUP_BOUND)
         if reference is not None:
-            self.check("rh-jump", "jump_max_error", worst_jump, self.tol["jump_tol"])
+            self.check("rh-jump", "jump_max_error", worst_jump, JUMP_TOL)
 
     def run_example_n1(self, options):
         if self.diag is None or self.diag.n != 1:
@@ -540,7 +564,7 @@ class _Runner:
         sweep = []
         for z in sweep_z:
             sweep.append(transformed_fundamental(
-                traj, z, grid=np.array([b]), tol=min(self.tol["ode_tol"], 1e-10)
+                traj, z, grid=np.array([b]), tol=min(self.ode_tol, 1e-10)
             ).values[0])
             explicit = rank_one.transformed_fundamental_matrix(self.diag, b, z, b=b)
             wt_err = max(wt_err, fro(sweep[-1] - explicit))
@@ -548,16 +572,15 @@ class _Runner:
             ["re_z", "im_z"], [(z.real, z.imag) for z in sweep_z], sweep))
         grid_solution = transformed_fundamental(
             traj, zs[0], grid=np.linspace(a, b, 51),
-            tol=min(self.tol["ode_tol"], 1e-10),
+            tol=min(self.ode_tol, 1e-10),
         )
         write_solution_csv(grid_solution, self.out / "transformed_solution.csv")
         self.artifacts.append("transformed_solution.csv")
-        n1 = self.tol["n1_tol"]
-        self.check("example-n1", "n1_s_residual", s_err, n1)
-        self.check("example-n1", "n1_beta_residual", beta_err, n1)
-        self.check("example-n1", "n1_wa_residual", wa_err, self.tol["transfer_tol"])
-        self.check("example-n1", "n1_v_residual", v_err, self.tol["transfer_tol"])
-        self.check("example-n1", "n1_wtilde_residual", wt_err, n1)
+        self.check("example-n1", "n1_s_residual", s_err, N1_TOL)
+        self.check("example-n1", "n1_beta_residual", beta_err, N1_TOL)
+        self.check("example-n1", "n1_wa_residual", wa_err, TRANSFER_TOL)
+        self.check("example-n1", "n1_v_residual", v_err, TRANSFER_TOL)
+        self.check("example-n1", "n1_wtilde_residual", wt_err, N1_TOL)
 
     def run_probe(self, options):
         sizes = options.get("N", [64, 128])
@@ -565,7 +588,7 @@ class _Runner:
             sizes = [sizes]
         if not all(isinstance(n, int) and n > 0 for n in sizes):
             raise ConfigError("probe 'N' must be positive integers", key="N")
-        band = float(options.get("band", 1e-2))
+        band = _number_from(options.get("band", 1e-2), "band")
         m = self.system.m
         model = TriangularModel.from_constant_beta(
             np.eye(m), self.system.interval, np.eye(m)
@@ -574,8 +597,7 @@ class _Runner:
         for num in sizes:
             rep = similarity_probe(model, int(num), band=band)
             imags.append(rep.max_imag)
-            self.check("probe", f"probe_max_imag_N{num}", rep.max_imag,
-                       self.tol["probe_tol"])
+            self.check("probe", f"probe_max_imag_N{num}", rep.max_imag, PROBE_TOL)
             self.check("probe", f"probe_outside_fraction_N{num}",
                        1.0 - rep.inside_fraction, 0.01)
         if len(imags) > 1:
@@ -603,11 +625,17 @@ class _Runner:
 
 
 def _locate_key(text, key):
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+    """Line of the first '"key"' in the text; a tuple of keys finds each
+    one at or after the line of the one before it."""
+    lines = text.splitlines()
+    lineno = 1
+    for part in key if isinstance(key, tuple) else (key,):
+        needle = f'"{part}"'
+        lineno = next((i for i in range(lineno, len(lines) + 1)
+                       if needle in lines[i - 1]), None)
+        if lineno is None:
+            return None
+    return lineno
 
 
 def run(config_path, out_dir=None, tol=None):
@@ -629,23 +657,16 @@ def run(config_path, out_dir=None, tol=None):
 
     out = Path(out_dir) if out_dir else Path(config.get("output", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        runner = _Runner(config, out, tol)
-    except ConfigError as exc:
-        lineno = _locate_key(text, exc.key) if exc.key else None
-        anchor = f"{path}:{lineno}" if lineno else str(path)
-        print(f"{anchor}: {exc}", file=sys.stderr)
-        return 2
-
     failure = None
     try:
+        runner = _Runner(config, out, tol)
         runner.run()
     except ConfigError as exc:
         lineno = _locate_key(text, exc.key) if exc.key else None
         anchor = f"{path}:{lineno}" if lineno else str(path)
         print(f"{anchor}: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, SingularMatrixError) as exc:
+    except NumericalFailure as exc:
         failure = str(exc)
         print(f"numerical failure: {failure}", file=sys.stderr)
 
@@ -653,7 +674,7 @@ def run(config_path, out_dir=None, tol=None):
     results = {
         "schema_version": SCHEMA_VERSION,
         "scenario": path.name,
-        "tolerances": {k: float(v) for k, v in runner.tol.items()},
+        "tolerances": {"ode_tol": runner.ode_tol},
         "checks": runner.checks,
         "artifacts": sorted(runner.artifacts),
         "failure": failure,
@@ -678,19 +699,24 @@ def report_summary(results_path):
     except json.JSONDecodeError as exc:
         print(f"{path}:{exc.lineno}: corrupt results file: {exc.msg}", file=sys.stderr)
         return 2
-    checks = results.get("checks", [])
-    width = max([len(c["name"]) for c in checks], default=10)
+    try:
+        checks = [(str(c["task"]), str(c["name"]), float(c["value"]),
+                   float(c["bound"]), bool(c["pass"]))
+                  for c in results.get("checks", [])]
+        failure = results.get("failure")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"{path}: corrupt results file: {exc!r}", file=sys.stderr)
+        return 2
+    width = max([len(name) for _, name, *_ in checks], default=10)
     print(f"{'task':<12} {'check':<{width}} {'value':>13} {'bound':>13} status")
-    for c in checks:
-        status = "pass" if c["pass"] else "FAIL"
+    for task, name, value, bound, passed in checks:
         print(
-            f"{c['task']:<12} {c['name']:<{width}} "
-            f"{c['value']:>13.4e} {c['bound']:>13.4e} {status}"
+            f"{task:<12} {name:<{width}} "
+            f"{value:>13.4e} {bound:>13.4e} {'pass' if passed else 'FAIL'}"
         )
-    failure = results.get("failure")
     if failure:
         print(f"numerical failure: {failure}")
-    ok = failure is None and all(c["pass"] for c in checks)
+    ok = failure is None and all(passed for *_, passed in checks)
     return 0 if ok else 1
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import system
 from .linalg import (
     SINGULAR_COND,
     SingularMatrixError,
@@ -61,6 +62,11 @@ ODE_TOL = 1e-9
 
 #: Spectrum of B must keep this fraction of the interval length away from it.
 SPECTRUM_MARGIN = 1e-3
+
+#: sample_params redraws until the poles keep this fraction of the interval
+#: length away from it, at most SAMPLE_TRIES times.
+SAMPLE_MARGIN = 0.1
+SAMPLE_TRIES = 200
 
 
 def _segment_distance(z, interval):
@@ -118,11 +124,10 @@ class ParamsReport:
         return not self.violations
 
 
-def validate_params(params, sys, margin=None):
+def validate_params(params, sys):
     """Check the displacement identity, Hermitian S0 and pole separation."""
     a, b = sys.interval
-    if margin is None:
-        margin = SPECTRUM_MARGIN * (b - a)
+    margin = SPECTRUM_MARGIN * (b - a)
     violations = []
     s0_defect = fro(params.S0 - params.S0.conj().T)
     if s0_defect > 1e-12:
@@ -313,11 +318,9 @@ class PositivityReport:
         )
 
 
-def positivity_report(traj, tol=None):
+def positivity_report(traj):
     """Verify positivity transport: S stays positive, Q monotone, and the
-    inverse bound S^{-1} <= K* S0^{-1} K holds within 10 * tol."""
-    if tol is None:
-        tol = traj.ode_tol
+    inverse bound S^{-1} <= K* S0^{-1} K holds within 10 * traj.ode_tol."""
     s0 = hermitian_part(traj.params.S0)
     if float(np.linalg.eigvalsh(s0)[0]) <= 0:
         raise ValueError("positivity report requires S(xi) > 0")
@@ -331,7 +334,7 @@ def positivity_report(traj, tol=None):
         inverse_bound_defect=float(
             np.max(-np.linalg.eigvalsh(gap)[:, 0] / scale, initial=0.0)
         ),
-        tol=tol,
+        tol=traj.ode_tol,
     )
 
 
@@ -453,7 +456,7 @@ def transformed_hamiltonian(traj):
     return HamiltonianSpec(grid, h=hermitian_part(dressed_h(grid)), h_fn=dressed_h)
 
 
-def transformed_fundamental(traj, z, grid=None, tol=1e-10):
+def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
     """Dressed fundamental solution W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1},
     with the base W from RK45 (``fundamental_solution(method="rk45")``)."""
     sys = traj.system
@@ -494,7 +497,7 @@ def w0_lipschitz_bound(traj):
     return float(np.max(np.linalg.norm(gw, ord=2, axis=(1, 2))))
 
 
-def transformed_boundary_values(traj, x, s, tol=1e-10, margin=None):
+def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
     """Cut limits of the dressed solution via the multiplier identity.
 
     Primary route: W~(x, s +/- i0) = v(x, s) W+-(x, s) v(xi, s)^{-1},
@@ -510,11 +513,11 @@ def transformed_boundary_values(traj, x, s, tol=1e-10, margin=None):
     spectrum_margin = SPECTRUM_MARGIN * (b_int - a_int)
     if np.abs(eigs - s).min() < spectrum_margin:
         raise ValueError(f"s = {s} within the spectrum margin of sigma(B)")
-    base = boundary_values(sys, x, s, tol=tol, margin=margin)
+    base = boundary_values(sys, x, s, tol=tol)
     dressed = CanonicalSystem(
         sys.J, sys.interval, transformed_hamiltonian(traj), xi=sys.xi
     )
-    direct = boundary_values(dressed, x, s, tol=tol, margin=margin)
+    direct = boundary_values(dressed, x, s, tol=tol)
     v = transfer(traj, [x, sys.xi], s).v
     v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
     w_plus = v_x @ base.w_plus @ v_xi_inv
@@ -537,25 +540,25 @@ def transformed_boundary_values(traj, x, s, tol=1e-10, margin=None):
     )
 
 
-def sample_params(seed, sys, n, positive=True, target_margin=None, max_tries=200):
+def sample_params(seed, sys, n, positive=True):
     """Draw a random valid parameter triple for the system.
 
     The identity is satisfied by construction: pick Hermitian S0 (positive
     definite when ``positive``), a random Pi0, set M = i Pi0 J Pi0* and
     A(xi) = (M/2 + tau H) S0^{-1} with a small Hermitian tilt H, then read
     off B = xi I + A(xi)^{-1}.  Draws whose pole spectrum comes closer to
-    the interval than ``target_margin`` are rejected and retried.
+    the interval than ``SAMPLE_MARGIN`` of its length are rejected and
+    retried, at most ``SAMPLE_TRIES`` times.
     """
     rng = np.random.default_rng(seed)
     a, b = sys.interval
     m = sys.m
-    if target_margin is None:
-        target_margin = 0.1 * (b - a)
+    target_margin = SAMPLE_MARGIN * (b - a)
 
     def crandn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         pi0 = crandn(n, m)
         if positive:
             g = crandn(n, n) / np.sqrt(n)
@@ -586,4 +589,4 @@ def sample_params(seed, sys, n, positive=True, target_margin=None, max_tries=200
         params = GbdtParams(B=bmat, S0=s0, Pi0=pi0, xi=sys.xi)
         if params.identity_residual(sys.J) < 1e-10:
             return params
-    raise RuntimeError(f"no valid parameter draw after {max_tries} tries")
+    raise RuntimeError(f"no valid parameter draw after {SAMPLE_TRIES} tries")

@@ -9,14 +9,12 @@ quantities (kernel suprema, condition numbers) in the spectral 2-norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Condition estimate above which a linear system is treated as singular.
 SINGULAR_COND = 1e12
 
-#: Default slack for "positive semidefinite" checks on eigenvalues.
+#: Slack for "positive semidefinite" checks on eigenvalues.
 PSD_TOL = 1e-10
 
 
@@ -87,25 +85,3 @@ def solve(a, b):
     if not np.isfinite(cond) or cond > SINGULAR_COND:
         raise SingularMatrixError("matrix singular to tolerance", cond_estimate=cond)
     return np.linalg.solve(a, b), cond
-
-
-@dataclass
-class HermitianReport:
-    """Hermiticity / positivity diagnostics of a square matrix.
-
-    ``defect`` is the Frobenius norm of M - M*; ``min_eig`` is the smallest
-    eigenvalue of the Hermitian part (M + M*)/2; ``is_psd`` holds iff
-    ``min_eig >= -psd_tol``.  The PSD flag is only meaningful when the
-    defect is negligible.
-    """
-
-    defect: float
-    min_eig: float
-    is_psd: bool
-
-
-def hermitian_report(matrix, psd_tol=PSD_TOL):
-    m = ascomplex(matrix, square=True)
-    defect = fro(m - m.conj().T)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(m))[0])
-    return HermitianReport(defect=defect, min_eig=min_eig, is_psd=min_eig >= -psd_tol)

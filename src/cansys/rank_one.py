@@ -147,12 +147,6 @@ class DiagonalParams:
         h = 0.5 * pi0 @ np.array([1.0, -1j]) - 1j * g * np.log(b_diag)
         return cls(b_diag=b_diag, g=g, h=h)
 
-    def validate_poles(self, b=1.0):
-        """Poles must avoid [0, b]; the closed-form S needs b_i != conj(b_j)."""
-        for bi in self.b_diag:
-            if abs(bi.imag) < 1e-12 and -1e-12 <= bi.real <= b + 1e-12:
-                raise ValueError(f"pole {bi} meets the interval [0, {b}]")
-
     def to_gbdt_params(self, xi=0.0):
         """Engine-ready parameter triple with S(xi) from the closed form."""
         from .gbdt import GbdtParams

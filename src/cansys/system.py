@@ -48,13 +48,19 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .linalg import _adj, ascomplex, fro, hermitian_part
+from .linalg import PSD_TOL, _adj, ascomplex, fro, hermitian_part
 
 #: Points closer than this to the cut are rejected outside boundary_values.
 DISTANCE_TOL = 1e-6
 
 #: Default error target of fundamental_solution and boundary_values.
 ODE_TOL = 1e-10
+
+#: boundary_values: s inside the cut keeps this times (b - a) from its ends.
+CUT_MARGIN = 1e-2
+
+#: kernel_bound: beta J beta* = 0 once its sup is at most this times the scale.
+DEGENERACY_TOL = 1e-9
 
 #: Magnus refinements stop once a product has more factors than this.
 MAX_CUT_PANELS = 4096
@@ -229,7 +235,7 @@ def _signature_defect(J):
     return max(fro(J - J.conj().T), fro(J @ J - np.eye(J.shape[0])))
 
 
-def validate_system(sys, psd_tol=1e-10, beta_lipschitz=None):
+def validate_system(sys, beta_lipschitz=None):
     """Check J = J* = J^{-1}, H(x_j) PSD Hermitian, xi inside the interval.
 
     ``beta_lipschitz``, when given, bounds the sample-to-sample slope of a
@@ -249,7 +255,7 @@ def validate_system(sys, psd_tol=1e-10, beta_lipschitz=None):
     herm = np.linalg.norm(h - _adj(h), axis=(1, 2))
     eig = np.linalg.eigvalsh(hermitian_part(h))[:, 0]
     min_eig = float(eig.min())
-    for j in np.flatnonzero((herm > 1e-10) | (eig < -psd_tol)):
+    for j in np.flatnonzero((herm > 1e-10) | (eig < -PSD_TOL)):
         violations.append(f"H not PSD Hermitian at x_{j} = {spec.x[j]}")
     if beta_lipschitz is not None and spec.beta is not None:
         rate = spec.beta_jump_rate()
@@ -691,7 +697,7 @@ def _refine(product, tol):
         level += 1
 
 
-def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):
+def boundary_values(sys, x, s, tol=ODE_TOL):
     """Cut limits W(x, s +/- i0) from exact-log-weight Magnus products.
 
     Each limit is one ordered product of exp(Omega_j) over panels graded
@@ -704,8 +710,8 @@ def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):
     factor straddling s falls only like its square; halving every panel
     instead, as :func:`fundamental_solution` does off the cut, gains
     only 2-3x per halving there.
-    ``s`` strictly inside the cut (a, x) must keep a configurable margin
-    from both endpoints where the limits degenerate; s outside [a, x] is
+    ``s`` strictly inside the cut (a, x) must keep ``CUT_MARGIN (b - a)``
+    from both endpoints, where the limits degenerate; s outside [a, x] is
     allowed and reproduces the off-cut analyticity (jump = I).  Successive
     differences that grow above ``100 tol`` flag the report divergent
     instead of raising.
@@ -713,8 +719,7 @@ def boundary_values(sys, x, s, tol=ODE_TOL, margin=None):
     a, b = sys.interval
     if not a < x <= b:
         raise ValueError(f"x = {x} outside ({a}, {b}]")
-    if margin is None:
-        margin = 1e-2 * (b - a)
+    margin = CUT_MARGIN * (b - a)
     inside = a < s < x
     if inside and (s - a < margin or x - s < margin):
         raise ValueError(
@@ -776,12 +781,12 @@ def _block_norms(blocks):
     return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
-def kernel_bound(spec, J, degeneracy_tol=1e-9):
+def kernel_bound(spec, J):
     """Grid supremum of the divided-difference kernel norm.
 
     Adjacent sample pairs supply the divided-difference limit on the
     diagonal t -> x.  A non-degenerate kernel (sup |beta J beta*| above
-    ``degeneracy_tol`` times the data scale) makes the supremum diverge
+    ``DEGENERACY_TOL`` times the data scale) makes the supremum diverge
     like 1/(x - t); it is reported as +inf with a diagnostic.  The pairs
     are visited in row chunks of about ``KERNEL_CHUNK_PAIRS``, so memory
     stays bounded however many samples the factor has.
@@ -794,7 +799,7 @@ def kernel_bound(spec, J, degeneracy_tol=1e-9):
     diag = _block_norms(own)
     scale = max(1.0, float(np.max(np.linalg.norm(beta, axis=(1, 2)))) ** 2)
     degeneracy = float(np.max(diag))
-    if degeneracy > degeneracy_tol * scale:
+    if degeneracy > DEGENERACY_TOL * scale:
         return KernelBoundReport(
             sup_bound=np.inf,
             argmax_pair=(float(x[int(np.argmax(diag))]),) * 2,

@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, _adj, ascomplex, fro, hermitian_part
+from .linalg import PSD_TOL, SingularMatrixError, _adj, ascomplex, fro, hermitian_part
 from .system import (
+    ODE_TOL,
     CanonicalSystem,
     HamiltonianSpec,
     _ordered_product,
@@ -213,7 +214,7 @@ def char_fn(op, z):
     return CharFnSample(z=z, value=_ordered_product(factors)[-1], method="resolvent")
 
 
-def char_fn_via_fundamental(model, z, tol=1e-10):
+def char_fn_via_fundamental(model, z, tol=ODE_TOL):
     """The same function through the canonical system route W(b, z), by
     RK45: it shares no code with the sweep's scan."""
     sys = model.canonical_system()
@@ -232,7 +233,7 @@ class ResolventCheck:
     argmax_node: float
 
 
-def resolvent_identity_check(op, model, z, tol=1e-10):
+def resolvent_identity_check(op, model, z, tol=ODE_TOL):
     """Apply the discrete resolvent to the channel columns and compare with
     the closed-form action through the fundamental solution.
 
@@ -306,7 +307,7 @@ class SimilarityReport:
     transformed_inside_fraction: float | None = None
 
 
-def similarity_probe(model, num_nodes, traj=None, band=1e-2, psd_tol=1e-10):
+def similarity_probe(model, num_nodes, traj=None, band=1e-2):
     """Eigenvalue probe for the multiplication-similarity regime.
 
     The eigenvalues are those of the N diagonal blocks D_j, from one
@@ -321,7 +322,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2, psd_tol=1e-10):
         raise ValueError("similarity probe requires square beta (k = m)")
     beta = model.beta
     bad = (np.linalg.norm(beta - _adj(beta), axis=(1, 2)) > 1e-10) | (
-        np.linalg.eigvalsh(hermitian_part(beta))[:, 0] < -psd_tol
+        np.linalg.eigvalsh(hermitian_part(beta))[:, 0] < -PSD_TOL
     )
     if bad.any():
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")

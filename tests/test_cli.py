@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cansys import cli
 from cansys.cli import main
@@ -252,3 +253,104 @@ def test_rh_jump_rejects_eta_ladder_keys(tmp_path, capsys):
     tol = minimal_config(tasks=["validate"], tolerances={"levels": 8})
     assert main(["run", str(write_config(tmp_path, tol)), "--out", out]) == 2
     assert "levels" in capsys.readouterr().err
+
+
+def line_of(path, *keys):
+    """1-based line of the first '"key"' in a written config, each key
+    looked for at or after the line of the one before it."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = 1
+    for key in keys:
+        lineno = next(i for i in range(lineno, len(lines) + 1)
+                      if f'"{key}"' in lines[i - 1])
+    return lineno
+
+
+CHARFN_N1 = [{"task": "charfn", "N": 1}]
+
+
+def test_charfn_at_one_node_fails(tmp_path):
+    # one Nystrom node is too coarse: the relative error is about 5e-2
+    out = tmp_path / "out"
+    config = minimal_config(tasks=CHARFN_N1)
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    results = json.loads((out / "results.json").read_text())
+    check = results["checks"][0]
+    assert check["name"] == "charfn_max_rel_error"
+    assert check["bound"] == 1e-2 and check["value"] > 1e-2
+    assert results["tolerances"] == {"ode_tol": 1e-9}
+
+
+@pytest.mark.parametrize("key", ["psd_tol", "charfn_tol", "jump_tol", "n1_tol",
+                                 "transfer_tol", "probe_tol", "v_sup_bound"])
+def test_check_bounds_are_not_config_keys(tmp_path, capsys, key):
+    # no config can loosen a check: the N = 1 charfn run above stays failing
+    config = minimal_config(tasks=CHARFN_N1, tolerances={"ode_tol": 1e-9, key: 1.0})
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config.json:{line_of(path, key)}: unknown key '{key}'" in err
+
+
+def test_evolve_rejects_points(tmp_path, capsys):
+    config = minimal_config(tasks=[{"task": "evolve", "points": 7}])
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config.json:{line_of(path, 'points')}: unknown key 'points'" in err
+
+
+def bad_pole(b_diag, interval):
+    config = minimal_config()
+    config["system"]["interval"] = interval
+    config["system"]["xi"] = interval[0]
+    config["gbdt"]["b_diag"] = [[b_diag, 0]]
+    return config
+
+
+BAD_VALUES = {
+    "gbdt_xi_string": (
+        minimal_config(gbdt={"n": 1, "b_diag": [[0, 1]], "g": [[1, 0]],
+                             "h": [[0, 0]], "xi": "abc"}),
+        ("gbdt", "xi"),
+    ),
+    "ode_tol_string": (minimal_config(tolerances={"ode_tol": "1e-9"}), ("ode_tol",)),
+    "ode_tol_negative": (minimal_config(tolerances={"ode_tol": -1}), ("ode_tol",)),
+    "ode_tol_zero": (minimal_config(tolerances={"ode_tol": 0}), ("ode_tol",)),
+    "real_pole_right_of_interval": (bad_pole(0.2, [0.5, 1.5]), ("b_diag",)),
+    "real_pole_inside_interval": (bad_pole(-0.5, [-1.0, 1.0]), ("b_diag",)),
+    "rh_jump_x_string": (
+        minimal_config(tasks=[{"task": "rh-jump", "s": [0.5], "x": "1"}]),
+        ("tasks", "x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_config_values_exit_2(tmp_path, capsys, case):
+    config, keys = BAD_VALUES[case]
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{line_of(path, *keys)}: ")
+    assert f"'{keys[-1]}'" in err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
+def test_tol_option_must_be_finite_and_positive(tmp_path, capsys, tol):
+    path = write_config(tmp_path, minimal_config(tasks=["evolve"]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), f"--tol={tol}"]) == 2
+    assert "'--tol' must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"checks": [{"task": "t", "value": 0.0, "bound": 1.0, "pass": true}]}',
+    '{"checks": 3}',
+], ids=["not_an_object", "check_without_name", "checks_not_a_list"])
+def test_report_rejects_corrupt_results(tmp_path, capsys, content):
+    path = tmp_path / "results.json"
+    path.write_text(content, encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    assert "corrupt results file" in capsys.readouterr().err
