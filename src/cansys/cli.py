@@ -134,6 +134,14 @@ def _number_from(value, key, positive=False):
     return float(value)
 
 
+def _list_option(options, name, default):
+    """A task option that must be a list, or ``default`` when absent."""
+    value = options.get(name, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{name}' must be a list", key=("tasks", name))
+    return value
+
+
 def _complex_from(value, key):
     if (
         not isinstance(value, (list, tuple))
@@ -203,8 +211,11 @@ def _build_system(block):
         field = "beta" if kind == "beta-grid" else "h"
         _check_keys(ham, {"type", "x", field}, "'hamiltonian'")
         x = ham.get("x")
-        if not isinstance(x, list) or len(x) < 2:
-            raise ConfigError("'x' must list at least two sample points", key="x")
+        if (not isinstance(x, list) or len(x) < 2 or not all(map(_is_number, x))
+                or not all(x0 < x1 for x0, x1 in zip(x, x[1:]))):
+            raise ConfigError(
+                "'x' must list at least two strictly increasing numbers", key="x"
+            )
         samples = ham.get(field)
         if not isinstance(samples, list) or len(samples) != len(x):
             raise ConfigError(f"'{field}' must match the length of 'x'", key=field)
@@ -354,7 +365,10 @@ class _Runner:
         if "gbdt" in config:
             self.params, self.diag = _build_gbdt(config["gbdt"], self.system)
         self.tasks = _normalise_tasks(config["tasks"])
-        self.out = Path(out_dir)
+        output = config.get("output", "out")
+        if not isinstance(output, str):
+            raise ConfigError("'output' must be a path string", key="output")
+        self.out = Path(out_dir if out_dir else output)
         self.checks = []
         self.artifacts = []
         self._traj = None
@@ -460,8 +474,9 @@ class _Runner:
             raise ConfigError("charfn 'N' must be a positive integer", key="N")
         a, b = self.system.interval
         z_list = [
-            _complex_from(z, "z") for z in options.get(
-                "z", [[0.0, 2.0 * (b - a)], [b + a, 1.0 * (b - a)], [a - b, b - a]]
+            _complex_from(z, "z") for z in _list_option(
+                options, "z",
+                [[0.0, 2.0 * (b - a)], [b + a, 1.0 * (b - a)], [a - b, b - a]],
             )
         ]
         model = TriangularModel.from_hamiltonian(
@@ -496,8 +511,8 @@ class _Runner:
         a, b = self.system.interval
         x = _number_from(options.get("x", b), ("tasks", "x"))
         fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
-        s_list = [_number_from(s, ("tasks", "s")) for s in options.get(
-            "s", [a + f * (x - a) for f in fractions]
+        s_list = [_number_from(s, ("tasks", "s")) for s in _list_option(
+            options, "s", [a + f * (x - a) for f in fractions]
         )]
         reference = self._constant_degenerate_reference()
         rows = []
@@ -554,8 +569,8 @@ class _Runner:
                 wa_err = max(wa_err, fro(te.w_a[i, j] - forms_z.w_a))
                 v_err = max(v_err, fro(te.v[i, j] - forms_z.v))
         sweep_z = [
-            _complex_from(z, "z") for z in options.get(
-                "z",
+            _complex_from(z, "z") for z in _list_option(
+                options, "z",
                 [[a + f * (b - a), 1.5 * (b - a)] for f in
                  (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)],
             )
@@ -655,11 +670,11 @@ def run(config_path, out_dir=None, tol=None):
         print(f"{path}:1: config must be a JSON object", file=sys.stderr)
         return 2
 
-    out = Path(out_dir) if out_dir else Path(config.get("output", "out"))
-    out.mkdir(parents=True, exist_ok=True)
     failure = None
     try:
-        runner = _Runner(config, out, tol)
+        runner = _Runner(config, out_dir, tol)
+        # made only once the config is accepted
+        runner.out.mkdir(parents=True, exist_ok=True)
         runner.run()
     except ConfigError as exc:
         lineno = _locate_key(text, exc.key) if exc.key else None
@@ -680,7 +695,7 @@ def run(config_path, out_dir=None, tol=None):
         "failure": failure,
         "all_pass": bool(all_pass),
     }
-    (out / "results.json").write_text(
+    (runner.out / "results.json").write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if failure is not None:

@@ -20,6 +20,10 @@ This module provides
   exactly) over panels graded towards Re z, every panel halved until two
   successive products agree to the tolerance; ``method="rk45"`` keeps
   adaptive Runge-Kutta as the route independent of that kernel,
+* :func:`integrate_matrix_ode` -- the adaptive solves behind that route
+  and the dressing trajectory: piecewise between the kinks that
+  :attr:`HamiltonianSpec.kinks` reports (the sample nodes of
+  interpolated data), on the tableau each caller names,
 * :func:`product_integral` -- the multiplicative-integral route: the
   ordered product of the same factors over a user partition, exact for
   commuting H,
@@ -67,6 +71,17 @@ MAX_CUT_PANELS = 4096
 
 #: kernel_bound takes the sample pairs in row chunks of about this many.
 KERNEL_CHUNK_PAIRS = 1 << 16
+
+#: RHS evaluations of scipy's tableaus per attempted step and per accepted
+#: step with dense output: RK45 reuses its last stage (FSAL) and
+#: interpolates from its stages, DOP853 adds three stages for its
+#: seventh-order interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+RHS_EVALS_PER_STEP = {"RK45": (6, 0), "DOP853": (12, 3)}
+
+#: HamiltonianSpec.kinks: a node is a kink when its sample leaves the chord
+#: of its neighbours by more than this many unit roundoffs of the largest
+#: sample entry.
+KINK_ROUNDING = 64.0
 
 #: c of the rounding floor c u P max |W| in the Magnus error estimate of
 #: fundamental_solution (u the unit roundoff, P the panels).  On commuting
@@ -184,6 +199,27 @@ class HamiltonianSpec:
             return _adj(b) @ b
         return hermitian_part(_interp_stack(self.x, self.h, x))
 
+    @property
+    def kinks(self):
+        """Interior sample nodes where the slope of the interpolated samples
+        (beta for factored data, H otherwise) changes by more than rounding.
+
+        A node is a kink when its sample leaves the chord of its two
+        neighbours by more than ``KINK_ROUNDING`` unit roundoffs of the
+        largest sample entry; the departure is the slope change times a
+        panel width.  Constant and exactly linear samples have none, and
+        neither does a callable-backed spec, whose callable takes
+        precedence over the samples.
+        """
+        if self.h_fn is not None or self.beta_fn is not None:
+            return self.x[:0]
+        v = self.beta if self.beta is not None else self.h
+        x = self.x
+        w = ((x[1:-1] - x[:-2]) / (x[2:] - x[:-2]))[:, None, None]
+        off = np.abs(v[1:-1] - ((1.0 - w) * v[:-2] + w * v[2:])).max(axis=(1, 2))
+        rounding = KINK_ROUNDING * 0.5 * np.finfo(float).eps * np.max(np.abs(v))
+        return x[1:-1][off > rounding]
+
     def beta_jump_rate(self):
         """Max sample-to-sample |beta| slope (crude Lipschitz estimate)."""
         if self.beta is None:
@@ -272,9 +308,9 @@ class FundamentalSolution:
     """W(x, z) sampled on a grid, normalised to I at the base point.
 
     ``panels`` counts the factors of the last product (for ``method``
-    "rk45", the solver's steps); ``converged`` says whether the last
-    refinement met the tolerance (False when a Magnus refinement stopped
-    at the panel cap).
+    "rk45", the solver's attempted steps over all pieces); ``converged``
+    says whether the last refinement met the tolerance (False when a
+    Magnus refinement stopped at the panel cap).
     """
 
     z: complex
@@ -288,66 +324,67 @@ class FundamentalSolution:
     converged: bool
 
 
-def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol):
+def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol, method, kinks):
     """Integrate a flat complex ODE both directions from xi over a grid.
 
-    Returns (values_at_grid, dense_evaluator, total_steps), the steps
-    counting every attempted RK45 step; the dense evaluator takes a point
-    or an array of points.
+    ``method`` names scipy's explicit tableau, "RK45" or "DOP853".  A
+    right-hand side built on interpolated samples is smooth only between
+    its ``kinks``: each direction restarts at every kink between xi and
+    its outermost grid point, so no step straddles one, and the solver
+    pays no rejected steps there.  Returns (values_at_grid,
+    dense_evaluator, total_steps), the steps counting every attempted step
+    of every piece; the dense evaluator takes a point or an array of
+    points.
     """
     grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, y0.size), dtype=complex)
-    out[np.abs(grid - xi) <= 1e-15] = y0
-    spans = []  # (lo, hi, dense output) of each direction
+    kinks = np.asarray(kinks, dtype=float)
+    per_step, per_dense_step = RHS_EVALS_PER_STEP[method]
+    pieces = []  # (hi, dense output) of each piece, both directions
     steps = 0
-    for leftward in (True, False):
-        sel = grid < xi - 1e-15 if leftward else grid > xi + 1e-15
-        if not np.any(sel):
+    for sign in (-1.0, 1.0):
+        ahead = sign * (grid - xi) > 1e-15
+        if not np.any(ahead):
             continue
-        targets = grid[sel]
-        order = np.argsort(targets)
-        t_eval = targets[order][::-1] if leftward else targets[order]
-        t_end = t_eval[-1]
-        sol = solve_ivp(
-            rhs,
-            (xi, t_end),
-            y0,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integrator failed: {sol.message}")
-        y = sol.y.T
-        if leftward:
-            y = y[::-1]
-        res = np.empty_like(y)
-        res[order] = y
-        out[sel] = res
-        spans.append((sol.sol.t_min - 1e-12, sol.sol.t_max + 1e-12, sol.sol))
-        # RK45 spends one evaluation at xi, one choosing the first step and
-        # six per attempted step (sol.t holds the output points instead)
-        steps += (sol.nfev - 2) // 6
+        end = grid[ahead].max() if sign > 0 else grid[ahead].min()
+        inner = kinks[(sign * (kinks - xi) > 1e-15) & (sign * (end - kinks) > 1e-15)]
+        ends = np.concatenate([[xi], sign * np.sort(sign * inner), [end]])
+        y = y0
+        for t0, t1 in zip(ends[:-1], ends[1:]):
+            sol = solve_ivp(rhs, (t0, t1), y, method=method, rtol=rtol, atol=atol,
+                            dense_output=True)
+            if not sol.success:
+                raise RuntimeError(f"integrator failed: {sol.message}")
+            y = sol.y[:, -1]
+            pieces.append((max(t0, t1), sol.sol))
+            # one evaluation at t0, one choosing the first step, per_step per
+            # attempted step and per_dense_step per accepted (dense) step
+            accepted = len(sol.sol.ts) - 1
+            steps += (sol.nfev - 2 - per_dense_step * accepted) // per_step
+    pieces.sort(key=lambda piece: piece[0])
+    his = np.array([hi for hi, _ in pieces])
+    # the integrated range; with no piece, only xi itself
+    lo, hi = (min(xi, grid.min()), his[-1]) if pieces else (np.inf, -np.inf)
 
     def dense(x):
-        # a point or an array of x; one vectorised call per piece
+        # a point or an array of x; one vectorised call per piece it meets
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         out = np.empty((flat.size, y0.size), dtype=complex)
-        todo = np.abs(flat - xi) > 1e-15
-        out[~todo] = y0
-        for lo, hi, piece in spans:
-            sel = todo & (flat >= lo) & (flat <= hi)
-            if sel.any():
-                out[sel] = piece(flat[sel]).T
-                todo &= ~sel
-        if todo.any():
-            raise ValueError(f"x = {flat[todo][0]} outside the integrated range")
+        at_xi = np.abs(flat - xi) <= 1e-15
+        out[at_xi] = y0
+        todo = np.flatnonzero(~at_xi)
+        if todo.size:
+            t = flat[todo]
+            outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+            if outside.any():
+                raise ValueError(f"x = {t[outside][0]} outside the integrated range")
+            which = np.minimum(his.searchsorted(t), his.size - 1)
+            for j in np.unique(which):
+                sel = which == j
+                out[todo[sel]] = pieces[j][1](t[sel]).T
         return out.reshape(x.shape + y0.shape)
 
-    return out, dense, steps
+    return dense(grid), dense, steps
 
 
 def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
@@ -377,13 +414,17 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         are exact up to rounding.  Halving only the grading ratio, as
         :func:`boundary_values` does, would never refine the panels
         between grid and sample nodes, and the difference would miss
-        their error.  "rk45" is adaptive Runge-Kutta with local error
-        target ``tol``, the route independent of the Magnus kernel.  Its
-        ``error_estimate``, ``tol`` times the solver's steps, is a
-        heuristic: it bounded the largest grid error by factors of 1.4
-        to 56 against the rank-one closed form (|Im z| from 1e-5 to 3,
-        tol from 1e-8 to 1e-13), but read up to 13x low near the cut on
-        beta samples with a kink at every node.
+        their error.  "rk45" is adaptive Runge-Kutta (scipy's RK45) with
+        local error target ``tol``, the route independent of the Magnus
+        kernel; it restarts at every kink of the data (see
+        :func:`integrate_matrix_ode`), and ``panels`` counts its attempted
+        steps over all pieces.  Its ``error_estimate``, ``tol`` times
+        those steps, is a heuristic: it bounded the largest grid error by
+        factors of 1.4 to 56 against the rank-one closed form (|Im z| from
+        1e-5 to 3, tol from 1e-8 to 1e-13), and by 2.9 to 14 on beta
+        samples with a kink at every node (48 solves near and off the cut
+        at tol 1e-10, errors 6e-10 to 1.3e-8).  One solve across the kinks
+        had read up to 6.5x low there.
     """
     z = complex(z)
     a, b = sys.interval
@@ -414,7 +455,9 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
             return (1j / (z - x) * (J @ spec.hamiltonian(x) @ w)).ravel()
 
         y0 = np.eye(m, dtype=complex).ravel()
-        flat, _, panels = integrate_matrix_ode(rhs, sys.xi, y0, grid, tol, tol * 1e-2)
+        flat, _, panels = integrate_matrix_ode(
+            rhs, sys.xi, y0, grid, tol, tol * 1e-2, "RK45", spec.kinks
+        )
         values = flat.reshape(grid.size, m, m)
         error = tol * max(1, panels)
         converged = True  # the solver raises when it cannot meet tol

@@ -308,6 +308,14 @@ def bad_pole(b_diag, interval):
     return config
 
 
+def grid_config(x):
+    config = minimal_config()
+    config["system"]["hamiltonian"] = {
+        "type": "beta-grid", "x": x, "beta": [[[[1, 0], [0, 1]]]] * len(x),
+    }
+    return config
+
+
 BAD_VALUES = {
     "gbdt_xi_string": (
         minimal_config(gbdt={"n": 1, "b_diag": [[0, 1]], "g": [[1, 0]],
@@ -323,6 +331,15 @@ BAD_VALUES = {
         minimal_config(tasks=[{"task": "rh-jump", "s": [0.5], "x": "1"}]),
         ("tasks", "x"),
     ),
+    "grid_x_not_increasing": (grid_config([0.0, 1.0, 0.5]), ("x",)),
+    "grid_x_not_a_number": (grid_config([0.0, "0.5", 1.0]), ("x",)),
+    "rh_jump_s_not_a_list": (
+        minimal_config(tasks=[{"task": "rh-jump", "s": 0.5}]), ("tasks", "s"),
+    ),
+    "charfn_z_not_a_list": (
+        minimal_config(tasks=[{"task": "charfn", "N": 8, "z": 2.0}]), ("tasks", "z"),
+    ),
+    "output_not_a_string": (minimal_config(output=5), ("output",)),
 }
 
 
@@ -335,6 +352,20 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     assert err.startswith(f"{path}:{line_of(path, *keys)}: ")
     assert f"'{keys[-1]}'" in err
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"schema_version": 2}, {"output": 5}],
+                         ids=["bad_schema_version", "bad_output"])
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_rejected_config_leaves_no_output_directory(tmp_path, overrides, where):
+    out = tmp_path / "out"
+    config = minimal_config(**overrides)
+    args = ["--out", str(out)]
+    if where == "config":
+        config.setdefault("output", str(out))
+        args = []
+    assert main(["run", str(write_config(tmp_path, config)), *args]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cansys import gbdt, rank_one
+from cansys import gbdt, rank_one, system
 from cansys.gbdt import (
     GbdtParams,
     evolve,
@@ -28,6 +28,21 @@ from cansys.system import (
 from cansys.triangular import TriangularModel, conjugate_transform_model, transform_model
 
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def count_evaluations(monkeypatch):
+    """Wrap the solver cansys.system calls; returns the list of the RHS
+    evaluations of every solve made after the call."""
+    counts = []
+    solve_ivp = system.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        counts.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(system, "solve_ivp", counting)
+    return counts
 
 
 def trivial_params(n=2, xi=0.0):
@@ -85,6 +100,52 @@ def test_evolved_matches_closed_forms_order_one(unit_system, traj_n1, diag_n1):
     for j, x in enumerate(traj_n1.grid):
         assert fro(traj_n1.pi[j] - diag_n1.pi_at(x)) < 1e-8
         assert fro(traj_n1.s[j] - diag_n1.s_at(x)) < 1e-8
+
+
+def test_bundled_trajectory_meets_the_closed_forms_to_rounding(
+        unit_system, diag_n1, monkeypatch):
+    # the bundled scenario's trajectory (example-n1 evolves at 1e-12): one
+    # eighth-order span on constant H; RK45 took 746 evaluations and left
+    # the v residual at 7.6e-13
+    counts = count_evaluations(monkeypatch)
+    traj = evolve(diag_n1.to_gbdt_params(), unit_system,
+                  grid=np.linspace(0.0, 1.0, 201), tol=1e-12)
+    assert sum(counts) <= 400
+    xs = np.linspace(0.1, 1.0, 7)
+    zs = [2j, 1.0 + 1.5j, -0.7 + 0.5j]
+    te = transfer(traj, xs[:, None], zs)
+    s = traj.s_at(xs)
+    beta = unit_system.hamiltonian.beta_at(xs) @ te.w0[:, 0]
+    worst = np.zeros(4)
+    for i, x in enumerate(xs):
+        for j, z in enumerate(zs):
+            forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x, z)
+            worst = np.maximum(worst, [
+                abs(s[i, 0, 0] - forms.s), fro(beta[i] - forms.beta_t),
+                fro(te.w_a[i, j] - forms.w_a), fro(te.v[i, j] - forms.v),
+            ])
+    assert np.all(worst <= 1e-13)
+
+
+def test_evolve_restarts_at_the_kinks_of_a_zigzag_profile(monkeypatch):
+    # beta = c(x) [1, i] with a kink at every one of 33 nodes, xi between two
+    x = np.linspace(0.0, 1.0, 33)
+    c = 1.0 + 0.4 * np.sin(2 * np.pi * (x + 0.3)) + 0.02 * (-1.0) ** np.arange(33)
+    zigzag = CanonicalSystem(
+        J=J_OFF, interval=(0.0, 1.0), xi=0.4,
+        hamiltonian=HamiltonianSpec.from_beta_grid(x, c[:, None, None] * rank_one.BETA),
+    )
+    params = sample_params(1, zigzag, n=2)
+    counts = count_evaluations(monkeypatch)
+    traj = evolve(params, zigzag, tol=1e-12)
+    assert len(counts) == 33  # one solve per piece between xi and the kinks
+    assert sum(counts) < 5392 / 4  # one RK45 span per direction took 5392
+    assert traj.identity_residual <= 1e-11
+    # the dense evaluator finds each grid point's piece on both sides of xi
+    pi, s, k = traj.state_at(traj.grid)
+    assert np.array_equal(pi, traj.pi) and np.array_equal(s, traj.s)
+    assert np.array_equal(k, traj.k)
+    assert fro(traj.k_at(0.4) - np.eye(2)) == 0.0
 
 
 def test_evolved_matches_closed_forms_order_two(unit_system):

@@ -457,6 +457,33 @@ def cauchy_oracle(s, side):
     return np.eye(2) + 1j * J_OFF @ rank_one.hamiltonian() * weight
 
 
+@pytest.mark.parametrize("wiggle", [0.0, 0.02])  # a sampled sine, and the zigzag
+@pytest.mark.parametrize("kind", ["beta", "h"])
+def test_kinks_of_a_sampled_profile_are_its_interior_nodes(wiggle, kind):
+    sine = 1.0 + 0.4 * np.sin(2 * np.pi * (PROFILE_X + 0.3))
+    c = sine + wiggle * (-1.0) ** np.arange(PROFILE_X.size)
+    beta = c[:, None, None] * rank_one.BETA
+    samples = beta if kind == "beta" else np.conj(np.swapaxes(beta, 1, 2)) @ beta
+    spec = HamiltonianSpec(PROFILE_X, **{kind: samples})
+    assert np.array_equal(spec.kinks, PROFILE_X[1:-1])
+
+
+def test_constant_linear_and_callable_specs_have_no_kinks(unit_system, varying_system):
+    x = np.linspace(0.0, 1.0, 201)
+    kinked = PROFILE_C[:, None, None] * rank_one.BETA
+    specs = [
+        unit_system.hamiltonian,
+        HamiltonianSpec.from_grid(x[::40], np.stack([rank_one.hamiltonian()] * 6)),
+        varying_system.hamiltonian,  # beta linear in x on 201 nodes
+        HamiltonianSpec.from_grid(x, (1.0 + 3.0 * x[:, None, None]) * np.eye(2)
+                                  + x[:, None, None] * np.array([[0, 1j], [-1j, 0]])),
+        # the callable takes precedence over kinked samples
+        HamiltonianSpec.from_beta_grid(PROFILE_X, kinked, beta_fn=lambda t: (
+            np.asarray(t)[..., None, None] + 1.0) * rank_one.BETA),
+    ]
+    assert [spec.kinks.size for spec in specs] == [0] * len(specs)
+
+
 @pytest.mark.parametrize("s", [
     PROFILE_X[16],                                       # on a kink
     PROFILE_X[16] + 0.03 * PROFILE_X[1],                 # 0.03 panels right of one
@@ -691,3 +718,15 @@ def test_magnus_error_estimate_bounds_rounding_on_a_commuting_profile(s, eta):
                                 axis=(1, 2)))
     assert sol.converged
     assert err <= sol.error_estimate <= 1e-10
+
+
+@pytest.mark.parametrize("s", [PROFILE_X[16], PROFILE_X[16] + 0.03 * PROFILE_X[1],
+                               PROFILE_X[9] - 0.03 * PROFILE_X[1]])
+@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4, -1e-5])
+def test_rk45_error_estimate_bounds_the_error_on_a_kinked_profile(s, eta):
+    # restarted at every kink, RK45 meets no kink inside a step, and tol
+    # times its steps bounds the error within 100x, as on constant H
+    sol = fundamental_solution(profile_system(), s + 1j * eta, method="rk45")
+    err = np.max(np.linalg.norm(sol.values - profile_fundamental(sol.grid, sol.z),
+                                axis=(1, 2)))
+    assert err <= sol.error_estimate <= 100 * err
