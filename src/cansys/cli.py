@@ -4,7 +4,8 @@
 task list and writes ``results.json`` (one value/bound/pass record per
 check) plus per-task CSV files; the exit code is 0 iff every check
 passed, 1 on a failing check or a numerical failure, 2 on a malformed
-config.  ``cansys report results.json`` renders the table.
+config or an output directory that cannot be made.  ``cansys report
+results.json`` renders the table.
 
 Config schema (complex scalars are [re, im] pairs everywhere)::
 
@@ -26,8 +27,12 @@ Config schema (complex scalars are [re, im] pairs everywhere)::
       "tasks": ["validate", "evolve", {"task": "charfn", "N": 256, ...}]
     }
 
-Unknown keys are rejected with a line-anchored diagnostic; all matrix
-blocks are dimension-checked before any computation starts.  The one
+The task table ``_TASKS`` names the tasks; per task it gives the
+``_Runner`` method that runs it, each option's parser and default, and
+what the config must hold for it.  The whole config, every task entry
+included, is checked before the output directory is made, so a rejected
+config writes nothing; each diagnostic is anchored at the config line
+of the offending key, a task option inside its own task entry.  The one
 tolerance a config sets is ``ode_tol`` (default ``gbdt.ODE_TOL``), the
 accuracy the solvers aim for; every check has a fixed bound, tabled at
 the bound constants below.
@@ -40,6 +45,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,12 +54,13 @@ from .gbdt import (
     ODE_TOL,
     GbdtParams,
     evolve,
+    positivity_report,
     transfer,
     transformed_fundamental,
     transformed_hamiltonian,
     validate_params,
 )
-from .linalg import PSD_TOL, SingularMatrixError, _adj, fro, hermitian_part
+from .linalg import PSD_TOL, SingularMatrixError, _adj, fro, hermitian_part, psd_defect
 from .system import (
     DEGENERACY_TOL,
     CanonicalSystem,
@@ -85,16 +92,6 @@ TRANSFER_TOL = 1e-9  # n1_wa_residual, n1_v_residual
 PROBE_TOL = 5e-2  # probe_max_imag_N*
 V_SUP_BOUND = 1e3  # v_sup
 
-_TASK_KEYS = {
-    "validate": set(),
-    "evolve": set(),
-    "transform": set(),
-    "charfn": {"z", "N", "compare"},
-    "rh-jump": {"s", "x"},
-    "example-n1": {"z"},
-    "probe": {"N", "band"},
-}
-
 
 class ConfigError(Exception):
     """Config rejected; ``key`` anchors the diagnostic to a config line."""
@@ -107,16 +104,20 @@ class ConfigError(Exception):
 class NumericalFailure(Exception):
     def __init__(self, task, message):
         super().__init__(f"task '{task}': {message}")
-        self.task = task
 
 
 # -- config parsing ---------------------------------------------------------
 
 
-def _check_keys(block, allowed, where):
+def _check_keys(block, allowed, where, anchor=()):
     for key in block:
         if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}", key=key)
+            raise ConfigError(f"unknown key '{key}' in {where}", key=(*anchor, key))
+
+
+def _key_name(key):
+    """The key a diagnostic names: the last one of a _locate_key tuple."""
+    return key if isinstance(key, str) else key[-1]
 
 
 def _is_number(value):
@@ -128,18 +129,26 @@ def _is_number(value):
 def _number_from(value, key, positive=False):
     """float(value); ``key`` may be a tuple of keys, as for _locate_key."""
     if not _is_number(value) or (positive and value <= 0):
-        name = key if isinstance(key, str) else key[-1]
         kind = "positive number" if positive else "number"
-        raise ConfigError(f"'{name}' must be a finite {kind}", key=key)
+        raise ConfigError(f"'{_key_name(key)}' must be a finite {kind}", key=key)
     return float(value)
 
 
-def _list_option(options, name, default):
-    """A task option that must be a list, or ``default`` when absent."""
-    value = options.get(name, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"'{name}' must be a list", key=("tasks", name))
+def _positive_int(value, key):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"'{_key_name(key)}' must be a positive integer", key=key)
     return value
+
+
+def _list_of(parse):
+    """Parser of a non-empty list whose every entry ``parse`` accepts."""
+
+    def parse_list(value, key):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{_key_name(key)}' must be a non-empty list", key=key)
+        return [parse(entry, key) for entry in value]
+
+    return parse_list
 
 
 def _complex_from(value, key):
@@ -148,7 +157,8 @@ def _complex_from(value, key):
         or len(value) != 2
         or not all(_is_number(p) for p in value)
     ):
-        raise ConfigError(f"'{key}' entries must be [re, im] pairs", key=key)
+        raise ConfigError(f"'{_key_name(key)}' entries must be [re, im] pairs",
+                          key=key)
     return complex(value[0], value[1])
 
 
@@ -179,9 +189,7 @@ def _build_system(block):
     for required in ("m", "J", "interval", "hamiltonian"):
         if required not in block:
             raise ConfigError(f"'system' is missing '{required}'", key="system")
-    m = block["m"]
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError("'m' must be a positive integer", key="m")
+    m = _positive_int(block["m"], "m")
     jmat = _cmatrix_from(block["J"], "J", shape=(m, m))
     j_defect = _signature_defect(jmat)
     if j_defect > 1e-12:
@@ -241,9 +249,7 @@ def _build_system(block):
 
 def _build_gbdt(block, sys):
     _check_keys(block, {"n", "B", "S0", "Pi0", "b_diag", "g", "h", "xi"}, "'gbdt'")
-    n = block.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("'n' must be a positive integer", key="n")
+    n = _positive_int(block.get("n"), "n")
     xi = _number_from(block.get("xi", sys.xi), ("gbdt", "xi"))
     shorthand = "b_diag" in block
     if shorthand:
@@ -272,25 +278,6 @@ def _build_gbdt(block, sys):
         xi=xi,
     )
     return params, None
-
-
-def _normalise_tasks(raw):
-    if not isinstance(raw, list):
-        raise ConfigError("'tasks' must be a list", key="tasks")
-    tasks = []
-    for entry in raw:
-        if isinstance(entry, str):
-            entry = {"task": entry}
-        if not isinstance(entry, dict) or "task" not in entry:
-            raise ConfigError("each task must be a name or a {'task': ...} object",
-                              key="tasks")
-        name = entry["task"]
-        if name not in _TASK_KEYS:
-            raise ConfigError(f"unknown task '{name}'", key="tasks")
-        _check_keys({k: v for k, v in entry.items() if k != "task"},
-                    _TASK_KEYS[name], f"task '{name}'")
-        tasks.append(entry)
-    return tasks
 
 
 # -- output helpers ---------------------------------------------------------
@@ -330,11 +317,6 @@ def _write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_solution_csv(solution, path):
-    """Write a fundamental-solution grid: columns x, then re/im per entry."""
-    _write_csv(Path(path), *_table(["x"], solution.grid, solution.values))
-
-
 # -- task runner ------------------------------------------------------------
 
 
@@ -364,7 +346,7 @@ class _Runner:
         self.diag = None
         if "gbdt" in config:
             self.params, self.diag = _build_gbdt(config["gbdt"], self.system)
-        self.tasks = _normalise_tasks(config["tasks"])
+        self.tasks = self._parse_tasks(config["tasks"])
         output = config.get("output", "out")
         if not isinstance(output, str):
             raise ConfigError("'output' must be a path string", key="output")
@@ -373,19 +355,46 @@ class _Runner:
         self.artifacts = []
         self._traj = None
 
-    # one uniform record shape: pass iff value <= bound
+    def _parse_tasks(self, raw):
+        """(name, typed options) per task entry, against ``_TASKS``.
+
+        A diagnostic is anchored at the entry's name, or at the offending
+        option inside the entry: the anchor steps through the names of the
+        entries before it, so a key that an earlier entry also has is not
+        mistaken for it.
+        """
+        if not isinstance(raw, list):
+            raise ConfigError("'tasks' must be a list", key="tasks")
+        a, b = self.system.interval
+        tasks, anchor = [], ("tasks",)
+        for entry in raw:
+            if isinstance(entry, str):
+                entry = {"task": entry}
+            if not isinstance(entry, dict) or not isinstance(entry.get("task"), str):
+                raise ConfigError("each task must be a name or a {'task': name} object",
+                                  key=anchor)
+            name = entry["task"]
+            anchor += (name,)
+            if name not in _TASKS:
+                raise ConfigError(f"unknown task '{name}'", key=anchor)
+            task = _TASKS[name]
+            _check_keys(entry, {"task", *task.options}, f"task '{name}'", anchor)
+            if task.needs is not None:
+                what, met = _NEEDS[task.needs]
+                if not met(self):
+                    raise ConfigError(f"task '{name}' needs {what}", key=anchor)
+            options = {}
+            for key, (parse, default) in task.options.items():
+                value = entry[key] if key in entry else default(a, b, options)
+                options[key] = parse(value, anchor + (key,))
+            tasks.append((name, options))
+        return tasks
+
     def check(self, task, name, value, bound):
-        value = float(value)
-        bound = float(bound)
-        self.checks.append(
-            {
-                "task": task,
-                "name": name,
-                "value": value,
-                "bound": bound,
-                "pass": bool(value <= bound),
-            }
-        )
+        """One uniform record shape: pass iff value <= bound."""
+        value, bound = float(value), float(bound)
+        self.checks.append({"task": task, "name": name, "value": value,
+                            "bound": bound, "pass": bool(value <= bound)})
 
     def trajectory(self):
         """The one (Pi, S, K) trajectory every task of the run reads.
@@ -394,11 +403,9 @@ class _Runner:
         example-n1 compares with closed forms at 1e-9 and needs 1e-12.
         """
         if self._traj is None:
-            if self.params is None:
-                raise ConfigError("this task needs a 'gbdt' block", key="tasks")
             a, b = self.system.interval
             tol = self.ode_tol
-            if any(entry["task"] == "example-n1" for entry in self.tasks):
+            if any(name == "example-n1" for name, _ in self.tasks):
                 tol = min(tol, 1e-12)
             try:
                 self._traj = evolve(
@@ -409,13 +416,12 @@ class _Runner:
         return self._traj
 
     def emit(self, name, header, rows):
-        path = self.out / name
-        _write_csv(path, header, rows)
+        _write_csv(self.out / name, header, rows)
         self.artifacts.append(name)
 
     # -- tasks ------------------------------------------------------------
 
-    def run_validate(self, options):
+    def run_validate(self):
         report = validate_system(self.system)
         self.check("validate", "system_violations", len(report.violations), 0)
         if self.params is not None:
@@ -426,14 +432,12 @@ class _Runner:
                 preport.identity_residual, 1e-10,
             )
 
-    def run_evolve(self, options):
+    def run_evolve(self):
         traj = self.trajectory()
         tol = self.ode_tol
         self.check("evolve", "identity_residual", traj.identity_residual, 10 * tol)
         s0_pd = float(np.linalg.eigvalsh(hermitian_part(self.params.S0))[0]) > 0
         if s0_pd:
-            from .gbdt import positivity_report
-
             rep = positivity_report(traj)
             self.check("evolve", "s_negativity", max(0.0, -rep.min_eig_s), 0.0)
             self.check("evolve", "q_monotonicity_defect", rep.q_step_defect, 10 * tol)
@@ -443,17 +447,13 @@ class _Runner:
                             ("k", traj.k), ("q", traj.q)):
             self.emit(f"evolve_{name}.csv", *_table(["x"], traj.grid, stack))
 
-    def run_transform(self, options):
+    def run_transform(self):
         traj = self.trajectory()
         # dressed H on the trajectory grid, from the samples it stores
         dressed = transformed_hamiltonian(traj)
         h = dressed.h if dressed.beta is None else _adj(dressed.beta) @ dressed.beta
-        psd_defect = max(
-            0.0,
-            float(np.max(np.linalg.norm(h - _adj(h), axis=(1, 2)))),
-            -float(np.min(np.linalg.eigvalsh(hermitian_part(h))[:, 0])),
-        )
-        self.check("transform", "transformed_psd_defect", psd_defect, PSD_TOL * 100)
+        self.check("transform", "transformed_psd_defect", np.max(psd_defect(h)),
+                   PSD_TOL * 100)
         self.emit("transformed_hamiltonian.csv", *_table(["x"], traj.grid, h))
         if dressed.is_factored:
             base = kernel_bound(self.system.hamiltonian, self.system.J)
@@ -466,34 +466,20 @@ class _Runner:
                            0.0 if out.finite else 1.0, 0.0)
             self.emit("transformed_beta.csv", *_table(["x"], traj.grid, dressed.beta))
 
-    def run_charfn(self, options):
-        if not self.system.hamiltonian.is_factored:
-            raise ConfigError("charfn needs a factored Hamiltonian", key="tasks")
-        num = options.get("N", 512)
-        if not isinstance(num, int) or num < 1:
-            raise ConfigError("charfn 'N' must be a positive integer", key="N")
-        a, b = self.system.interval
-        z_list = [
-            _complex_from(z, "z") for z in _list_option(
-                options, "z",
-                [[0.0, 2.0 * (b - a)], [b + a, 1.0 * (b - a)], [a - b, b - a]],
-            )
-        ]
+    def run_charfn(self, N, z):
         model = TriangularModel.from_hamiltonian(
             self.system.hamiltonian, self.system.interval, self.system.J
         )
-        op = discretize(model, num)
+        op = discretize(model, N)
         worst = 0.0
         values = []
-        for z in z_list:
-            values.append(char_fn(op, z).value)
-            if options.get("compare", True):
-                ref = char_fn_via_fundamental(model, z, tol=self.ode_tol)
-                worst = max(worst, fro(values[-1] - ref.value) / fro(ref.value))
+        for point in z:
+            values.append(char_fn(op, point).value)
+            ref = char_fn_via_fundamental(model, point, tol=self.ode_tol)
+            worst = max(worst, fro(values[-1] - ref.value) / fro(ref.value))
         self.emit("charfn.csv", *_table(["re_z", "im_z"],
-                                        [(z.real, z.imag) for z in z_list], values))
-        if options.get("compare", True):
-            self.check("charfn", "charfn_max_rel_error", worst, CHARFN_TOL)
+                                        [(p.real, p.imag) for p in z], values))
+        self.check("charfn", "charfn_max_rel_error", worst, CHARFN_TOL)
 
     def _constant_degenerate_reference(self):
         spec = self.system.hamiltonian
@@ -507,29 +493,20 @@ class _Runner:
         return np.eye(self.system.m) + 2.0 * np.pi * self.system.J \
             @ beta.conj().T @ beta
 
-    def run_rh_jump(self, options):
-        a, b = self.system.interval
-        x = _number_from(options.get("x", b), ("tasks", "x"))
-        fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
-        s_list = [_number_from(s, ("tasks", "s")) for s in _list_option(
-            options, "s", [a + f * (x - a) for f in fractions]
-        )]
+    def run_rh_jump(self, x, s):
         reference = self._constant_degenerate_reference()
         rows = []
         worst_jump, v_sup = 0.0, 0.0
-        for s in s_list:
+        for point in s:
             try:
-                rep = boundary_values(
-                    self.system, x, s, tol=min(self.ode_tol, 1e-10)
-                )
+                rep = boundary_values(self.system, x, point,
+                                      tol=min(self.ode_tol, 1e-10))
             except (SpectralPointError, ValueError) as exc:
-                raise NumericalFailure("rh-jump", f"s = {s}: {exc}") from exc
+                raise NumericalFailure("rh-jump", f"s = {point}: {exc}") from exc
             if rep.divergent:
-                raise NumericalFailure(
-                    "rh-jump", f"cut limits divergent at s = {s}"
-                )
+                raise NumericalFailure("rh-jump", f"cut limits divergent at s = {point}")
             v_sup = max(v_sup, fro(rep.v))
-            cells = [repr(s)] + _matrix_cells(rep.jump) + [repr(fro(rep.v))]
+            cells = [repr(point)] + _matrix_cells(rep.jump) + [repr(fro(rep.v))]
             if reference is not None:
                 err = fro(rep.jump - reference)
                 worst_jump = max(worst_jump, err)
@@ -543,11 +520,7 @@ class _Runner:
         if reference is not None:
             self.check("rh-jump", "jump_max_error", worst_jump, JUMP_TOL)
 
-    def run_example_n1(self, options):
-        if self.diag is None or self.diag.n != 1:
-            raise ConfigError(
-                "example-n1 needs the order-one b_diag/g/h shorthand", key="tasks"
-            )
+    def run_example_n1(self, z):
         a, b = self.system.interval
         traj = self.trajectory()
         B = complex(self.diag.b_diag[0])
@@ -564,53 +537,40 @@ class _Runner:
             forms = rank_one.order_one_closed_forms(B, g, h, x, zs[0], b=b)
             s_err = max(s_err, abs(s[i, 0, 0] - forms.s))
             beta_err = max(beta_err, fro(beta[i] - forms.beta_t))
-            for j, z in enumerate(zs):
-                forms_z = rank_one.order_one_closed_forms(B, g, h, x, z, b=b)
+            for j, point in enumerate(zs):
+                forms_z = rank_one.order_one_closed_forms(B, g, h, x, point, b=b)
                 wa_err = max(wa_err, fro(te.w_a[i, j] - forms_z.w_a))
                 v_err = max(v_err, fro(te.v[i, j] - forms_z.v))
-        sweep_z = [
-            _complex_from(z, "z") for z in _list_option(
-                options, "z",
-                [[a + f * (b - a), 1.5 * (b - a)] for f in
-                 (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)],
-            )
-        ]
         # one RK45 solve per z: the base solution W(b, z) has no shared route
         sweep = []
-        for z in sweep_z:
+        for point in z:
             sweep.append(transformed_fundamental(
-                traj, z, grid=np.array([b]), tol=min(self.ode_tol, 1e-10)
+                traj, point, grid=np.array([b]), tol=min(self.ode_tol, 1e-10)
             ).values[0])
-            explicit = rank_one.transformed_fundamental_matrix(self.diag, b, z, b=b)
+            explicit = rank_one.transformed_fundamental_matrix(self.diag, b, point, b=b)
             wt_err = max(wt_err, fro(sweep[-1] - explicit))
         self.emit("transformed_sweep.csv", *_table(
-            ["re_z", "im_z"], [(z.real, z.imag) for z in sweep_z], sweep))
+            ["re_z", "im_z"], [(p.real, p.imag) for p in z], sweep))
         grid_solution = transformed_fundamental(
             traj, zs[0], grid=np.linspace(a, b, 51),
             tol=min(self.ode_tol, 1e-10),
         )
-        write_solution_csv(grid_solution, self.out / "transformed_solution.csv")
-        self.artifacts.append("transformed_solution.csv")
+        self.emit("transformed_solution.csv", *_table(
+            ["x"], grid_solution.grid, grid_solution.values))
         self.check("example-n1", "n1_s_residual", s_err, N1_TOL)
         self.check("example-n1", "n1_beta_residual", beta_err, N1_TOL)
         self.check("example-n1", "n1_wa_residual", wa_err, TRANSFER_TOL)
         self.check("example-n1", "n1_v_residual", v_err, TRANSFER_TOL)
         self.check("example-n1", "n1_wtilde_residual", wt_err, N1_TOL)
 
-    def run_probe(self, options):
-        sizes = options.get("N", [64, 128])
-        if isinstance(sizes, int):
-            sizes = [sizes]
-        if not all(isinstance(n, int) and n > 0 for n in sizes):
-            raise ConfigError("probe 'N' must be positive integers", key="N")
-        band = _number_from(options.get("band", 1e-2), "band")
+    def run_probe(self, N):
         m = self.system.m
         model = TriangularModel.from_constant_beta(
             np.eye(m), self.system.interval, np.eye(m)
         )
         imags = []
-        for num in sizes:
-            rep = similarity_probe(model, int(num), band=band)
+        for num in N:
+            rep = similarity_probe(model, num)
             imags.append(rep.max_imag)
             self.check("probe", f"probe_max_imag_N{num}", rep.max_imag, PROBE_TOL)
             self.check("probe", f"probe_outside_fraction_N{num}",
@@ -620,37 +580,68 @@ class _Runner:
                        max(np.diff(imags)), 0.0)
 
     def run(self):
-        dispatch = {
-            "validate": self.run_validate,
-            "evolve": self.run_evolve,
-            "transform": self.run_transform,
-            "charfn": self.run_charfn,
-            "rh-jump": self.run_rh_jump,
-            "example-n1": self.run_example_n1,
-            "probe": self.run_probe,
-        }
-        for entry in self.tasks:
-            options = {k: v for k, v in entry.items() if k != "task"}
+        for name, options in self.tasks:
             try:
-                dispatch[entry["task"]](options)
-            except (ConfigError, NumericalFailure):
-                raise
+                _TASKS[name].run(self, **options)
             except (SingularMatrixError, SpectralPointError, ValueError) as exc:
-                raise NumericalFailure(entry["task"], str(exc)) from exc
+                raise NumericalFailure(name, str(exc)) from exc
+
+
+class _Task(NamedTuple):
+    run: Callable
+    #: option name -> (parser, default); parsed in this order, and the
+    #: default is a function of the interval (a, b) and the options before it
+    options: dict = {}
+    needs: str | None = None  # a key of _NEEDS
+
+
+#: What a task can need: the diagnostic's words, and the test on the runner.
+_NEEDS = {
+    "gbdt": ("a 'gbdt' block", lambda run: run.params is not None),
+    "factored": ("a factored Hamiltonian",
+                 lambda run: run.system.hamiltonian.is_factored),
+    "order-one": ("the order-one b_diag/g/h shorthand",
+                  lambda run: run.diag is not None and run.diag.n == 1),
+}
+
+_COMPLEXES = _list_of(_complex_from)
+
+#: The tasks a config may list, each with its method, options and need.
+_TASKS = {
+    "validate": _Task(_Runner.run_validate),
+    "evolve": _Task(_Runner.run_evolve, needs="gbdt"),
+    "transform": _Task(_Runner.run_transform, needs="gbdt"),
+    "charfn": _Task(_Runner.run_charfn, {
+        "N": (_positive_int, lambda a, b, o: 512),
+        "z": (_COMPLEXES, lambda a, b, o: [[0.0, 2.0 * (b - a)], [b + a, b - a],
+                                           [a - b, b - a]]),
+    }, needs="factored"),
+    "rh-jump": _Task(_Runner.run_rh_jump, {
+        "x": (_number_from, lambda a, b, o: b),
+        "s": (_list_of(_number_from), lambda a, b, o: [
+            a + f * (o["x"] - a) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]),
+    }),
+    "example-n1": _Task(_Runner.run_example_n1, {
+        "z": (_COMPLEXES, lambda a, b, o: [
+            [a + f * (b - a), 1.5 * (b - a)]
+            for f in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)]),
+    }, needs="order-one"),
+    "probe": _Task(_Runner.run_probe, {
+        "N": (_list_of(_positive_int), lambda a, b, o: [64, 128]),
+    }),
+}
 
 
 def _locate_key(text, key):
     """Line of the first '"key"' in the text; a tuple of keys finds each
-    one at or after the line of the one before it."""
-    lines = text.splitlines()
-    lineno = 1
-    for part in key if isinstance(key, tuple) else (key,):
-        needle = f'"{part}"'
-        lineno = next((i for i in range(lineno, len(lines) + 1)
-                       if needle in lines[i - 1]), None)
-        if lineno is None:
+    one after the end of the one before it."""
+    pos = 0
+    for part in (key,) if isinstance(key, str) else key:
+        pos = text.find(f'"{part}"', pos)
+        if pos < 0:
             return None
-    return lineno
+        pos += len(part) + 2
+    return text.count("\n", 0, pos) + 1
 
 
 def run(config_path, out_dir=None, tol=None):
@@ -670,17 +661,23 @@ def run(config_path, out_dir=None, tol=None):
         print(f"{path}:1: config must be a JSON object", file=sys.stderr)
         return 2
 
-    failure = None
     try:
         runner = _Runner(config, out_dir, tol)
-        # made only once the config is accepted
-        runner.out.mkdir(parents=True, exist_ok=True)
-        runner.run()
     except ConfigError as exc:
         lineno = _locate_key(text, exc.key) if exc.key else None
         anchor = f"{path}:{lineno}" if lineno else str(path)
         print(f"{anchor}: {exc}", file=sys.stderr)
         return 2
+    try:
+        # made only once the whole config is accepted
+        runner.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"{runner.out}: cannot make the output directory: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    failure = None
+    try:
+        runner.run()
     except NumericalFailure as exc:
         failure = str(exc)
         print(f"numerical failure: {failure}", file=sys.stderr)
@@ -698,8 +695,6 @@ def run(config_path, out_dir=None, tol=None):
     (runner.out / "results.json").write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if failure is not None:
-        return 1
     return 0 if all_pass else 1
 
 

@@ -497,12 +497,6 @@ def g0_eval(traj, x):
     return -J @ (1j * core - h @ J @ core + core @ J @ h)
 
 
-def w0_lipschitz_bound(traj):
-    """Grid supremum of |G0(x) w0(x)|, a Lipschitz constant for w0."""
-    gw = g0_eval(traj, traj.grid) @ w0_at(traj, traj.grid)
-    return float(np.max(np.linalg.norm(gw, ord=2, axis=(1, 2))))
-
-
 def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
     """Cut limits of the dressed solution via the multiplier identity.
 

@@ -67,6 +67,16 @@ def hermitian_part(matrix):
     return 0.5 * (matrix + _adj(matrix))
 
 
+def psd_defect(matrix):
+    """Distance from Hermitian PSD of a matrix or of every matrix in a stack:
+    the larger of |M - M*| (Frobenius) and minus the least eigenvalue of
+    (M + M*)/2, and 0 for a Hermitian PSD matrix.  With the one threshold
+    ``PSD_TOL`` it is the Hermitian-PSD test of every caller."""
+    asymmetry = np.linalg.norm(matrix - _adj(matrix), axis=(-2, -1))
+    negativity = -np.linalg.eigvalsh(hermitian_part(matrix))[..., 0]
+    return np.maximum(np.maximum(asymmetry, negativity), 0.0)
+
+
 def cond2(matrix):
     """2-norm condition number; ``inf`` for exactly singular input."""
     return float(np.linalg.cond(matrix))

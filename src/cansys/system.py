@@ -52,7 +52,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .linalg import PSD_TOL, _adj, ascomplex, fro, hermitian_part
+from .linalg import PSD_TOL, _adj, ascomplex, fro, hermitian_part, psd_defect
 
 #: Points closer than this to the cut are rejected outside boundary_values.
 DISTANCE_TOL = 1e-6
@@ -220,14 +220,6 @@ class HamiltonianSpec:
         rounding = KINK_ROUNDING * 0.5 * np.finfo(float).eps * np.max(np.abs(v))
         return x[1:-1][off > rounding]
 
-    def beta_jump_rate(self):
-        """Max sample-to-sample |beta| slope (crude Lipschitz estimate)."""
-        if self.beta is None:
-            raise ValueError("no factored samples present")
-        dx = np.diff(self.x)
-        db = np.linalg.norm(np.diff(self.beta, axis=0), axis=(1, 2))
-        return float(np.max(db / dx))
-
 
 @dataclass
 class CanonicalSystem:
@@ -271,12 +263,8 @@ def _signature_defect(J):
     return max(fro(J - J.conj().T), fro(J @ J - np.eye(J.shape[0])))
 
 
-def validate_system(sys, beta_lipschitz=None):
-    """Check J = J* = J^{-1}, H(x_j) PSD Hermitian, xi inside the interval.
-
-    ``beta_lipschitz``, when given, bounds the sample-to-sample slope of a
-    factored Hamiltonian's beta grid (continuity guard).
-    """
+def validate_system(sys):
+    """Check J = J* = J^{-1}, H(x_j) PSD Hermitian, xi inside the interval."""
     violations = []
     j_defect = _signature_defect(sys.J)
     if j_defect > 1e-12:
@@ -288,18 +276,9 @@ def validate_system(sys, beta_lipschitz=None):
     if spec.m != sys.m:
         violations.append(f"Hamiltonian size {spec.m} != system size {sys.m}")
     h = spec.hamiltonian(spec.x)
-    herm = np.linalg.norm(h - _adj(h), axis=(1, 2))
-    eig = np.linalg.eigvalsh(hermitian_part(h))[:, 0]
-    min_eig = float(eig.min())
-    for j in np.flatnonzero((herm > 1e-10) | (eig < -PSD_TOL)):
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[:, 0].min())
+    for j in np.flatnonzero(psd_defect(h) > PSD_TOL):
         violations.append(f"H not PSD Hermitian at x_{j} = {spec.x[j]}")
-    if beta_lipschitz is not None and spec.beta is not None:
-        rate = spec.beta_jump_rate()
-        if rate > beta_lipschitz:
-            violations.append(
-                f"beta grid jump rate {rate:.2e} exceeds the Lipschitz "
-                f"estimate {beta_lipschitz:.2e}"
-            )
     return SystemReport(violations=violations, j_defect=j_defect, min_h_eig=min_eig)
 
 

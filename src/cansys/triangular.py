@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_TOL, SingularMatrixError, _adj, ascomplex, fro, hermitian_part
+from .linalg import PSD_TOL, SingularMatrixError, _adj, ascomplex, fro, psd_defect
 from .system import (
     ODE_TOL,
     CanonicalSystem,
@@ -320,10 +320,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
         raise ValueError("similarity probe requires J = I")
     if model.k != model.m:
         raise ValueError("similarity probe requires square beta (k = m)")
-    beta = model.beta
-    bad = (np.linalg.norm(beta - _adj(beta), axis=(1, 2)) > 1e-10) | (
-        np.linalg.eigvalsh(hermitian_part(beta))[:, 0] < -PSD_TOL
-    )
+    bad = psd_defect(model.beta) > PSD_TOL
     if bad.any():
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 

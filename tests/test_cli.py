@@ -385,3 +385,71 @@ def test_report_rejects_corrupt_results(tmp_path, capsys, content):
     path.write_text(content, encoding="utf-8")
     assert main(["report", str(path)]) == 2
     assert "corrupt results file" in capsys.readouterr().err
+
+
+def bundled_config(tasks=None):
+    config = json.loads(scenario_path().read_text(encoding="utf-8"))
+    if tasks is not None:
+        config["tasks"] = tasks
+    return config
+
+
+def probe_sizes_in_bundled(sizes):
+    config = bundled_config()
+    config["tasks"][-1]["N"] = sizes
+    return config
+
+
+def without_gbdt(**overrides):
+    config = minimal_config(**overrides)
+    del config["gbdt"]
+    return config
+
+
+# config, and the keys leading to the offending one: the task's name, then
+# the option, if the option is at fault
+BAD_TASKS = {
+    "charfn_N_negative_after_evolve": (
+        bundled_config(["validate", "evolve", {"task": "charfn", "N": -1}]),
+        ("charfn", "N"),
+    ),
+    "charfn_z_empty": (minimal_config(tasks=[{"task": "charfn", "z": []}]),
+                       ("charfn", "z")),
+    "rh_jump_s_empty": (minimal_config(tasks=[{"task": "rh-jump", "s": []}]),
+                        ("rh-jump", "s")),
+    "probe_N_empty": (minimal_config(tasks=[{"task": "probe", "N": []}]),
+                      ("probe", "N")),
+    "probe_N_zero_after_charfn_N": (probe_sizes_in_bundled([0]), ("probe", "N")),
+    "probe_N_bare_int": (probe_sizes_in_bundled(64), ("probe", "N")),
+    "probe_band": (minimal_config(tasks=[{"task": "probe", "band": 1.0}]),
+                   ("probe", "band")),
+    "charfn_compare": (minimal_config(tasks=[{"task": "charfn", "compare": "no"}]),
+                       ("charfn", "compare")),
+    "evolve_without_gbdt_after_rh_jump": (
+        without_gbdt(tasks=["validate", {"task": "rh-jump", "s": [0.5]}, "evolve"]),
+        ("rh-jump", "evolve"),
+    ),
+    "unknown_task_after_validate": (minimal_config(tasks=["validate", "evolv"]),
+                                    ("validate", "evolv")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TASKS))
+def test_bad_task_entries_exit_2_before_anything_is_written(tmp_path, capsys, case):
+    config, keys = BAD_TASKS[case]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{line_of(path, 'tasks', *keys)}: ")
+    assert f"'{keys[-1]}'" in err
+    assert not out.exists()
+
+
+def test_out_naming_a_plain_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n", encoding="utf-8")
+    path = write_config(tmp_path, minimal_config())
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"{out}: cannot make the output directory" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"

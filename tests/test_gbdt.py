@@ -14,7 +14,6 @@ from cansys.gbdt import (
     transformed_hamiltonian,
     validate_params,
     w0_at,
-    w0_lipschitz_bound,
 )
 from cansys.linalg import SingularMatrixError, _adj, cond2, fro, hermitian_part, spec_norm
 from cansys.system import (
@@ -466,16 +465,6 @@ def test_g0_matches_finite_differences(traj_n1):
             errs.append(fro(fd - g0_eval(traj_n1, x) @ w0_at(traj_n1, x)))
         assert errs[0] < 1e-4  # O(h^2) + integration noise
         assert errs[1] < max(1e-2 * errs[0], 1e-7)
-
-
-def test_w0_lipschitz_bound_finite(traj_n1):
-    bound = w0_lipschitz_bound(traj_n1)
-    assert np.isfinite(bound)
-    # a Lipschitz constant must dominate observed increments
-    xs = np.linspace(0.05, 0.95, 10)
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        inc = spec_norm(w0_at(traj_n1, x1) - w0_at(traj_n1, x0))
-        assert inc <= bound * (x1 - x0) * 1.2 + 1e-9
 
 
 # -- transformed boundary values ----------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cansys.linalg import SingularMatrixError, ascomplex, fro, solve
+from cansys.linalg import SingularMatrixError, ascomplex, fro, psd_defect, solve
 
 
 def test_ascomplex_rejects_bad_shapes():
@@ -39,3 +39,14 @@ def test_solve_singular_raises_with_estimate():
         solve(a, np.eye(2))
     assert excinfo.value.cond_estimate > 1e12
 
+
+
+def test_psd_defect_of_a_stack():
+    stack = np.array([
+        [[2.0, 1j], [-1j, 1.0]],  # Hermitian positive definite
+        [[1.0, 0.0], [0.0, -0.25]],  # Hermitian, least eigenvalue -0.25
+        [[1.0, 0.5], [0.0, 1.0]],  # PSD Hermitian part, asymmetry 0.5 sqrt(2)
+    ])
+    assert np.allclose(psd_defect(stack), [0.0, 0.25, 0.5 * np.sqrt(2.0)],
+                       rtol=0, atol=1e-15)
+    assert psd_defect(stack[1]) == pytest.approx(0.25, abs=1e-15)

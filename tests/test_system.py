@@ -58,20 +58,6 @@ def test_validate_rejects_indefinite_hamiltonian():
     assert report.min_h_eig == pytest.approx(-0.1, abs=1e-12)
 
 
-def test_validate_beta_continuity_guard():
-    x = np.array([0.0, 0.5, 1.0])
-    beta = np.stack(
-        [np.zeros((1, 2)), np.array([[5.0, 0.0]]), np.zeros((1, 2))]
-    ).astype(complex)
-    sys = CanonicalSystem(
-        J=J_OFF, interval=(0.0, 1.0),
-        hamiltonian=HamiltonianSpec.from_beta_grid(x, beta),
-    )
-    assert validate_system(sys, beta_lipschitz=100.0).ok
-    report = validate_system(sys, beta_lipschitz=1.0)
-    assert any("Lipschitz" in v for v in report.violations)
-
-
 def test_hamiltonian_spec_interpolation():
     x = np.linspace(0.0, 1.0, 5)
     h = np.stack([np.eye(2) * (1.0 + xx) for xx in x]).astype(complex)
@@ -604,7 +590,7 @@ def varying_system():
 
 
 def test_varying_system_valid(varying_system):
-    assert validate_system(varying_system, beta_lipschitz=1.0).ok
+    assert validate_system(varying_system).ok
     report = kernel_bound(varying_system.hamiltonian, varying_system.J)
     assert report.sup_bound == pytest.approx(0.5, abs=1e-10)
 
