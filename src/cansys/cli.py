@@ -163,39 +163,45 @@ def _complex_from(value, key):
 
 
 def _cmatrix_from(value, key, shape=None):
+    name = _key_name(key)
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise ConfigError(f"'{key}' must be a matrix of [re, im] pairs", key=key)
+        raise ConfigError(f"'{name}' must be a matrix of [re, im] pairs", key=key)
     rows = [[_complex_from(e, key) for e in row] for row in value]
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ConfigError(f"'{key}' has ragged rows", key=key)
+        raise ConfigError(f"'{name}' has ragged rows", key=key)
     m = np.array(rows, dtype=complex)
     if shape is not None and m.shape != shape:
-        raise ConfigError(f"'{key}' must have shape {shape}, got {m.shape}", key=key)
+        raise ConfigError(f"'{name}' must have shape {shape}, got {m.shape}", key=key)
     return m
 
 
 def _cvector_from(value, key, length=None):
+    name = _key_name(key)
     if not isinstance(value, list):
-        raise ConfigError(f"'{key}' must be a list of [re, im] pairs", key=key)
+        raise ConfigError(f"'{name}' must be a list of [re, im] pairs", key=key)
     v = np.array([_complex_from(e, key) for e in value], dtype=complex)
     if length is not None and v.size != length:
-        raise ConfigError(f"'{key}' must have length {length}", key=key)
+        raise ConfigError(f"'{name}' must have length {length}", key=key)
     return v
 
 
 def _build_system(block):
-    _check_keys(block, {"m", "J", "interval", "xi", "hamiltonian"}, "'system'")
+    """The CanonicalSystem of the 'system' block; a diagnostic is anchored
+    inside the block, so a key another block also has is not mistaken
+    for it."""
+    at = ("system",)
+    _check_keys(block, {"m", "J", "interval", "xi", "hamiltonian"}, "'system'", at)
     for required in ("m", "J", "interval", "hamiltonian"):
         if required not in block:
-            raise ConfigError(f"'system' is missing '{required}'", key="system")
-    m = _positive_int(block["m"], "m")
-    jmat = _cmatrix_from(block["J"], "J", shape=(m, m))
+            raise ConfigError(f"'system' is missing '{required}'", key=at)
+    m = _positive_int(block["m"], (*at, "m"))
+    jmat = _cmatrix_from(block["J"], (*at, "J"), shape=(m, m))
     j_defect = _signature_defect(jmat)
     if j_defect > 1e-12:
         raise ConfigError(
             f"'J' is not a signature matrix (J = J* = J^-1 defect {j_defect:.2e})",
-            key="J",
+            key=(*at, "J"),
         )
     interval = block["interval"]
     if (
@@ -204,77 +210,82 @@ def _build_system(block):
         or not all(_is_number(e) for e in interval)
         or not interval[0] < interval[1]
     ):
-        raise ConfigError("'interval' must be [a, b] with a < b", key="interval")
-    ham = block["hamiltonian"]
+        raise ConfigError("'interval' must be [a, b] with a < b", key=(*at, "interval"))
+    ham, at_ham = block["hamiltonian"], (*at, "hamiltonian")
     if not isinstance(ham, dict) or "type" not in ham:
-        raise ConfigError("'hamiltonian' must carry a 'type'", key="hamiltonian")
+        raise ConfigError("'hamiltonian' must carry a 'type'", key=at_ham)
     kind = ham["type"]
     if kind == "constant-beta":
-        _check_keys(ham, {"type", "beta"}, "'hamiltonian'")
-        beta = _cmatrix_from(ham.get("beta"), "beta")
+        _check_keys(ham, {"type", "beta"}, "'hamiltonian'", at_ham)
+        beta = _cmatrix_from(ham.get("beta"), (*at_ham, "beta"))
         if beta.shape[1] != m:
-            raise ConfigError(f"'beta' must have {m} columns", key="beta")
+            raise ConfigError(f"'beta' must have {m} columns", key=(*at_ham, "beta"))
         spec = HamiltonianSpec.from_constant_beta(beta, tuple(interval))
     elif kind in ("beta-grid", "h-grid"):
         field = "beta" if kind == "beta-grid" else "h"
-        _check_keys(ham, {"type", "x", field}, "'hamiltonian'")
+        at_field = (*at_ham, field)
+        _check_keys(ham, {"type", "x", field}, "'hamiltonian'", at_ham)
         x = ham.get("x")
         if (not isinstance(x, list) or len(x) < 2 or not all(map(_is_number, x))
                 or not all(x0 < x1 for x0, x1 in zip(x, x[1:]))):
             raise ConfigError(
-                "'x' must list at least two strictly increasing numbers", key="x"
+                "'x' must list at least two strictly increasing numbers",
+                key=(*at_ham, "x"),
             )
         samples = ham.get(field)
         if not isinstance(samples, list) or len(samples) != len(x):
-            raise ConfigError(f"'{field}' must match the length of 'x'", key=field)
-        stack = np.stack([_cmatrix_from(s, field) for s in samples])
+            raise ConfigError(f"'{field}' must match the length of 'x'", key=at_field)
+        stack = np.stack([_cmatrix_from(s, at_field) for s in samples])
         if stack.shape[2] != m or (kind == "h-grid" and stack.shape[1] != m):
             raise ConfigError(f"'{field}' samples must be compatible with m={m}",
-                              key=field)
+                              key=at_field)
         if kind == "beta-grid":
             spec = HamiltonianSpec.from_beta_grid(np.array(x, dtype=float), stack)
         else:
             spec = HamiltonianSpec.from_grid(np.array(x, dtype=float), stack)
     else:
-        raise ConfigError(f"unknown hamiltonian type '{kind}'", key="type")
+        raise ConfigError(f"unknown hamiltonian type '{kind}'", key=(*at_ham, "type"))
     xi = block.get("xi", interval[0])
     if not _is_number(xi) or not interval[0] <= xi <= interval[1]:
-        raise ConfigError("'xi' must lie inside the interval", key="xi")
+        raise ConfigError("'xi' must lie inside the interval", key=(*at, "xi"))
     try:
         return CanonicalSystem(J=jmat, interval=tuple(interval),
                                hamiltonian=spec, xi=float(xi))
     except ValueError as exc:
-        raise ConfigError(str(exc), key="system") from exc
+        raise ConfigError(str(exc), key=at) from exc
 
 
 def _build_gbdt(block, sys):
-    _check_keys(block, {"n", "B", "S0", "Pi0", "b_diag", "g", "h", "xi"}, "'gbdt'")
-    n = _positive_int(block.get("n"), "n")
-    xi = _number_from(block.get("xi", sys.xi), ("gbdt", "xi"))
+    """(GbdtParams, DiagonalParams or None) of the 'gbdt' block, anchored
+    inside the block as :func:`_build_system` is."""
+    at = ("gbdt",)
+    _check_keys(block, {"n", "B", "S0", "Pi0", "b_diag", "g", "h", "xi"}, "'gbdt'", at)
+    n = _positive_int(block.get("n"), (*at, "n"))
+    xi = _number_from(block.get("xi", sys.xi), (*at, "xi"))
     shorthand = "b_diag" in block
     if shorthand:
         for forbidden in ("B", "S0", "Pi0"):
             if forbidden in block:
                 raise ConfigError(
                     "give either the b_diag/g/h shorthand or explicit B/S0/Pi0",
-                    key=forbidden,
+                    key=(*at, forbidden),
                 )
-        b_diag = _cvector_from(block.get("b_diag"), "b_diag", length=n)
-        g = _cvector_from(block.get("g"), "g", length=n)
-        h = _cvector_from(block.get("h"), "h", length=n)
+        b_diag = _cvector_from(block.get("b_diag"), (*at, "b_diag"), length=n)
+        g = _cvector_from(block.get("g"), (*at, "g"), length=n)
+        h = _cvector_from(block.get("h"), (*at, "h"), length=n)
         diag = rank_one.DiagonalParams(b_diag=b_diag, g=g, h=h)
         try:
             return diag.to_gbdt_params(xi=xi), diag
         except ValueError as exc:
             # a real pole b_i = conj(b_i) leaves the closed-form S undefined
-            raise ConfigError(f"'b_diag': {exc}", key="b_diag") from exc
+            raise ConfigError(f"'b_diag': {exc}", key=(*at, "b_diag")) from exc
     for required in ("B", "S0", "Pi0"):
         if required not in block:
-            raise ConfigError(f"'gbdt' is missing '{required}'", key="gbdt")
+            raise ConfigError(f"'gbdt' is missing '{required}'", key=at)
     params = GbdtParams(
-        B=_cmatrix_from(block["B"], "B", shape=(n, n)),
-        S0=_cmatrix_from(block["S0"], "S0", shape=(n, n)),
-        Pi0=_cmatrix_from(block["Pi0"], "Pi0", shape=(n, sys.m)),
+        B=_cmatrix_from(block["B"], (*at, "B"), shape=(n, n)),
+        S0=_cmatrix_from(block["S0"], (*at, "S0"), shape=(n, n)),
+        Pi0=_cmatrix_from(block["Pi0"], (*at, "Pi0"), shape=(n, sys.m)),
         xi=xi,
     )
     return params, None
@@ -292,22 +303,21 @@ def _entry_columns(rows, cols):
 
 
 def _matrix_cells(mat):
-    cells = []
-    for value in np.asarray(mat).ravel():
-        cells += [repr(float(value.real)), repr(float(value.imag))]
-    return cells
+    """repr of the re and im parts of every entry, row-major: one tolist()
+    of the re/im-interleaved float view, as one repr(float) per cell would
+    give."""
+    return list(map(repr, np.ascontiguousarray(mat, dtype=complex).view(float)
+                    .ravel().tolist()))
 
 
 def _table(key_names, keys, mats):
     """CSV header and rows: the key columns, then re/im of every entry of
     the row's matrix (``keys`` holds one value or one tuple per row)."""
-    mats = np.asarray(mats)
-    keys = np.reshape(keys, (len(mats), len(key_names)))
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    keys = np.reshape(np.asarray(keys, dtype=float), (len(mats), len(key_names)))
     header = list(key_names) + _entry_columns(*mats.shape[1:])
-    rows = [
-        [repr(float(k)) for k in key] + _matrix_cells(mat)
-        for key, mat in zip(keys, mats)
-    ]
+    cells = mats.reshape(len(mats), -1).view(float).tolist()
+    rows = [list(map(repr, key + row)) for key, row in zip(keys.tolist(), cells)]
     return header, rows
 
 
@@ -471,12 +481,10 @@ class _Runner:
             self.system.hamiltonian, self.system.interval, self.system.J
         )
         op = discretize(model, N)
-        worst = 0.0
-        values = []
-        for point in z:
-            values.append(char_fn(op, point).value)
-            ref = char_fn_via_fundamental(model, point, tol=self.ode_tol)
-            worst = max(worst, fro(values[-1] - ref.value) / fro(ref.value))
+        values = [char_fn(op, point).value for point in z]
+        # one stacked RK45 solve for every z: the reference shares no route
+        refs = char_fn_via_fundamental(model, np.array(z), tol=self.ode_tol).value
+        worst = max(fro(got - ref) / fro(ref) for got, ref in zip(values, refs))
         self.emit("charfn.csv", *_table(["re_z", "im_z"],
                                         [(p.real, p.imag) for p in z], values))
         self.check("charfn", "charfn_max_rel_error", worst, CHARFN_TOL)
@@ -541,22 +549,20 @@ class _Runner:
                 forms_z = rank_one.order_one_closed_forms(B, g, h, x, point, b=b)
                 wa_err = max(wa_err, fro(te.w_a[i, j] - forms_z.w_a))
                 v_err = max(v_err, fro(te.v[i, j] - forms_z.v))
-        # one RK45 solve per z: the base solution W(b, z) has no shared route
-        sweep = []
-        for point in z:
-            sweep.append(transformed_fundamental(
-                traj, point, grid=np.array([b]), tol=min(self.ode_tol, 1e-10)
-            ).values[0])
-            explicit = rank_one.transformed_fundamental_matrix(self.diag, b, point, b=b)
-            wt_err = max(wt_err, fro(sweep[-1] - explicit))
-        self.emit("transformed_sweep.csv", *_table(
-            ["re_z", "im_z"], [(p.real, p.imag) for p in z], sweep))
-        grid_solution = transformed_fundamental(
-            traj, zs[0], grid=np.linspace(a, b, 51),
+        # one stacked RK45 solve for the sweep z and the grid's zs[0]: the base
+        # solution has no shared route; the sweep is read at x = b
+        solved = transformed_fundamental(
+            traj, np.array([*z, zs[0]]), grid=np.linspace(a, b, 51),
             tol=min(self.ode_tol, 1e-10),
         )
+        sweep = solved.values[:-1, -1]
+        for point, got in zip(z, sweep):
+            explicit = rank_one.transformed_fundamental_matrix(self.diag, b, point, b=b)
+            wt_err = max(wt_err, fro(got - explicit))
+        self.emit("transformed_sweep.csv", *_table(
+            ["re_z", "im_z"], [(p.real, p.imag) for p in z], sweep))
         self.emit("transformed_solution.csv", *_table(
-            ["x"], grid_solution.grid, grid_solution.values))
+            ["x"], solved.grid, solved.values[-1]))
         self.check("example-n1", "n1_s_residual", s_err, N1_TOL)
         self.check("example-n1", "n1_beta_residual", beta_err, N1_TOL)
         self.check("example-n1", "n1_wa_residual", wa_err, TRANSFER_TOL)

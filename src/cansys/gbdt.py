@@ -464,16 +464,24 @@ def transformed_hamiltonian(traj):
 
 def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
     """Dressed fundamental solution W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1},
-    with the base W from RK45 (``fundamental_solution(method="rk45")``)."""
+    with the base W from RK45 (``fundamental_solution(method="rk45")``).
+
+    ``z`` may be a 1-D array of points: the base W is then one stacked RK45
+    solve (each point held at least as tightly as alone; ``panels`` counts
+    the joint solve's steps), v one :func:`transfer` call over (x, z), and
+    ``values`` stacks (len(z), len(grid), m, m).
+    """
     sys = traj.system
     if grid is None:
         grid = traj.grid
     base = fundamental_solution(sys, z, grid=grid, tol=tol, method="rk45")
-    v = transfer(traj, np.append(sys.xi, base.grid), base.z).v
+    x = np.append(sys.xi, base.grid)
+    v = transfer(traj, x[:, None] if np.ndim(base.z) else x, base.z).v
+    v = np.moveaxis(v, 0, -3)  # a batch's (x, z) stack to (z, x)
     return FundamentalSolution(
         z=base.z,
         grid=base.grid,
-        values=v[1:] @ base.values @ np.linalg.inv(v[0]),
+        values=v[..., 1:, :, :] @ base.values @ np.linalg.inv(v[..., :1, :, :]),
         method=base.method,
         error_estimate=base.error_estimate,
         J=sys.J,

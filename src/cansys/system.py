@@ -19,7 +19,8 @@ This module provides
   Blanes, Casas, Oteo & Ros 2009, with the weight 1/(z - t) integrated
   exactly) over panels graded towards Re z, every panel halved until two
   successive products agree to the tolerance; ``method="rk45"`` keeps
-  adaptive Runge-Kutta as the route independent of that kernel,
+  adaptive Runge-Kutta as the route independent of that kernel, and
+  solves a batch of z as one stacked system,
 * :func:`integrate_matrix_ode` -- the adaptive solves behind that route
   and the dressing trajectory: piecewise between the kinks that
   :attr:`HamiltonianSpec.kinks` reports (the sample nodes of
@@ -287,12 +288,14 @@ class FundamentalSolution:
     """W(x, z) sampled on a grid, normalised to I at the base point.
 
     ``panels`` counts the factors of the last product (for ``method``
-    "rk45", the solver's attempted steps over all pieces); ``converged``
-    says whether the last refinement met the tolerance (False when a
-    Magnus refinement stopped at the panel cap).
+    "rk45", the solver's attempted steps over all pieces, of the joint
+    solve for a batch of z); ``converged`` says whether the last
+    refinement met the tolerance (False when a Magnus refinement stopped
+    at the panel cap).  For a batch, ``z`` is the array of points and
+    ``values`` stacks (len(z), len(grid), m, m).
     """
 
-    z: complex
+    z: complex | np.ndarray
     grid: np.ndarray
     values: np.ndarray
     method: str
@@ -372,10 +375,11 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     Parameters
     ----------
     sys : CanonicalSystem
-    z : complex
-        Hidden spectral point; must stay at least ``DISTANCE_TOL`` away
-        from the cut [a, b] (boundary_values manages closer approaches
-        itself).
+    z : complex or 1-D array of complex
+        Hidden spectral point, or (``method="rk45"`` only) a batch of them;
+        each must stay at least ``DISTANCE_TOL`` away from the cut [a, b]
+        (boundary_values manages closer approaches itself).  A batch gives
+        ``z`` as that array and ``values`` stacked (len(z), len(grid), m, m).
     grid : array, optional
         Output sample points (default: 201 points spanning [a, b]).
     tol : float
@@ -393,22 +397,35 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         are exact up to rounding.  Halving only the grading ratio, as
         :func:`boundary_values` does, would never refine the panels
         between grid and sample nodes, and the difference would miss
-        their error.  "rk45" is adaptive Runge-Kutta (scipy's RK45) with
-        local error target ``tol``, the route independent of the Magnus
-        kernel; it restarts at every kink of the data (see
+        their error.  The panels are graded towards one Re z, so there is
+        no product to share across a batch: an array z raises ValueError.
+        "rk45" is adaptive Runge-Kutta (scipy's RK45) with local error
+        target ``tol``, the route independent of the Magnus kernel; it
+        restarts at every kink of the data (see
         :func:`integrate_matrix_ode`), and ``panels`` counts its attempted
-        steps over all pieces.  Its ``error_estimate``, ``tol`` times
-        those steps, is a heuristic: it bounded the largest grid error by
+        steps over all pieces.  A batch of K points is one stacked solve,
+        H(x) evaluated once per step for all of them, with rtol and atol
+        divided by sqrt(K): scipy accepts a step when the RMS norm of its
+        scaled error over all K m^2 components is at most 1, so each
+        point's own RMS norm is then at most 1 at its solo tolerances, and
+        every point is controlled at least as tightly as when it is solved
+        alone; ``panels`` counts the joint solve's steps.  Its
+        ``error_estimate``, ``tol`` times those steps (one figure for the
+        whole batch), is a heuristic: it bounded the largest grid error by
         factors of 1.4 to 56 against the rank-one closed form (|Im z| from
         1e-5 to 3, tol from 1e-8 to 1e-13), and by 2.9 to 14 on beta
         samples with a kink at every node (48 solves near and off the cut
         at tol 1e-10, errors 6e-10 to 1.3e-8).  One solve across the kinks
         had read up to 6.5x low there.
     """
-    z = complex(z)
+    batch = np.ndim(z) > 0
+    points = [complex(p) for p in np.ravel(z)] if batch else [complex(z)]
+    if np.ndim(z) > 1 or not points:
+        raise ValueError("z must be a point or a non-empty 1-D array of points")
     a, b = sys.interval
-    if _cut_distance(z, sys.interval) < DISTANCE_TOL:
-        raise SpectralPointError(f"z = {z} is within {DISTANCE_TOL} of the cut")
+    for point in points:
+        if _cut_distance(point, sys.interval) < DISTANCE_TOL:
+            raise SpectralPointError(f"z = {point} is within {DISTANCE_TOL} of the cut")
     if grid is None:
         grid = np.linspace(a, b, 201)
     grid = np.asarray(grid, dtype=float)
@@ -417,6 +434,10 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     m = sys.m
     J = sys.J
     if method == "magnus":
+        if batch:
+            raise ValueError("method 'magnus' takes one z: its panels are graded "
+                             "towards Re z; batch z with method 'rk45'")
+        z = points[0]
         values, panels, diffs = _refine(
             lambda level: _log_weight_product(sys, grid, z, 0.5, split=2**level), tol
         )
@@ -428,22 +449,29 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         )
     elif method == "rk45":
         spec = sys.hamiltonian
+        k = len(points)
 
         def rhs(x, y):
-            w = y.reshape(m, m)
-            return (1j / (z - x) * (J @ spec.hamiltonian(x) @ w)).ravel()
+            # Python complex divisions: an array division differs in the last
+            # bit, and a scalar z must round as 1j / (z - x) does
+            weights = np.array([1j / (point - x) for point in points])
+            w = y.reshape(k, m, m)
+            return (weights[:, None, None] * (J @ spec.hamiltonian(x) @ w)).ravel()
 
-        y0 = np.eye(m, dtype=complex).ravel()
+        y0 = np.tile(np.eye(m, dtype=complex).ravel(), k)
+        split = np.sqrt(k)
         flat, _, panels = integrate_matrix_ode(
-            rhs, sys.xi, y0, grid, tol, tol * 1e-2, "RK45", spec.kinks
+            rhs, sys.xi, y0, grid, tol / split, tol * 1e-2 / split, "RK45", spec.kinks
         )
-        values = flat.reshape(grid.size, m, m)
+        values = flat.reshape(grid.size, k, m, m).swapaxes(0, 1)
+        if not batch:
+            values = values[0]
         error = tol * max(1, panels)
         converged = True  # the solver raises when it cannot meet tol
     else:
         raise ValueError(f"method must be 'magnus' or 'rk45', not {method!r}")
     return FundamentalSolution(
-        z=z,
+        z=np.array(points) if batch else points[0],
         grid=grid,
         values=values,
         method=method,

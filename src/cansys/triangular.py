@@ -216,12 +216,18 @@ def char_fn(op, z):
 
 def char_fn_via_fundamental(model, z, tol=ODE_TOL):
     """The same function through the canonical system route W(b, z), by
-    RK45: it shares no code with the sweep's scan."""
+    RK45: it shares no code with the sweep's scan.
+
+    ``z`` may be a 1-D array of points, solved as one stacked RK45 solve
+    (each point held at least as tightly as alone); ``value`` then stacks
+    (len(z), m, m).
+    """
     sys = model.canonical_system()
     sol = fundamental_solution(
         sys, z, grid=np.array([model.interval[1]]), tol=tol, method="rk45"
     )
-    return CharFnSample(z=complex(z), value=sol.values[0], method="fundamental_solution")
+    return CharFnSample(z=sol.z, value=sol.values[..., 0, :, :],
+                        method="fundamental_solution")
 
 
 @dataclass

@@ -453,3 +453,64 @@ def test_out_naming_a_plain_file_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert f"{out}: cannot make the output directory" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def gbdt_first(h):
+    """minimal_config with the 'gbdt' block, whose shorthand has an 'h', written
+    before 'system', whose Hamiltonian is the h-grid ``h`` on x = [0, 1]."""
+    config = minimal_config()
+    system = config.pop("system")
+    system["hamiltonian"] = {"type": "h-grid", "x": [0.0, 1.0], "h": h}
+    config = {"gbdt": config.pop("gbdt"), **config, "system": system}
+    return config
+
+
+EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("h", [[EYE], [EYE, [[[1, 0], [0, 0]], [[0, 0]]]]],
+                         ids=["one_sample_for_two_x", "ragged_sample_rows"])
+def test_system_diagnostic_is_anchored_inside_the_system_block(tmp_path, capsys, h):
+    # the gbdt block's "h" comes first in the file; the diagnostic must name
+    # the line of the h-grid's own "h"
+    path = write_config(tmp_path, gbdt_first(h))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert line_of(path, "h") < line_of(path, "system", "hamiltonian", "h")
+    assert err.startswith(f"{path}:{line_of(path, 'system', 'hamiltonian', 'h')}: ")
+    assert "'h'" in err
+
+
+def per_cell_table(key_names, keys, mats):
+    """The table as one repr(float(.)) per cell, the formatting cli._table
+    must reproduce byte for byte."""
+    mats = np.asarray(mats)
+    keys = np.reshape(keys, (len(mats), len(key_names)))
+    rows = []
+    for key, mat in zip(keys, mats):
+        cells = [repr(float(k)) for k in key]
+        for value in mat.ravel():
+            cells += [repr(float(value.real)), repr(float(value.imag))]
+        rows.append(cells)
+    return rows
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1,
+           1.0 / 3.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_table_cells_match_per_cell_repr(real):
+    rng = np.random.default_rng(5)
+    values = np.array(SPECIAL)
+    mats = rng.choice(values, size=(40, 2, 3))
+    if not real:  # set the parts directly: 1j * inf would put a nan in re
+        mats = mats.astype(complex)
+        mats.imag = rng.choice(values, size=mats.shape)
+    keys = [(float(a), float(b)) for a, b in rng.choice(values, size=(40, 2))]
+    header, rows = cli._table(["re_z", "im_z"], keys, mats)
+    assert rows == per_cell_table(["re_z", "im_z"], keys, mats)
+    assert header[:4] == ["re_z", "im_z", "re_00", "im_00"] and len(header) == 14
+    int_keys = np.arange(40)  # integer keys print as floats
+    assert cli._table(["x"], int_keys, mats)[1] == per_cell_table(["x"], int_keys, mats)
+    assert cli._matrix_cells(mats[3]) == per_cell_table(["x"], [0.0], mats[3:4])[0][1:]

@@ -716,3 +716,102 @@ def test_rk45_error_estimate_bounds_the_error_on_a_kinked_profile(s, eta):
     err = np.max(np.linalg.norm(sol.values - profile_fundamental(sol.grid, sol.z),
                                 axis=(1, 2)))
     assert err <= sol.error_estimate <= 100 * err
+
+
+# -- many z in one RK45 solve -------------------------------------------------
+
+
+def solo_rk45(sys, z, grid, tol):
+    """W by one-point RK45, the right-hand side written out for one z."""
+    J, spec, m = sys.J, sys.hamiltonian, sys.m
+
+    def rhs(x, y):
+        return (1j / (z - x) * (J @ spec.hamiltonian(x) @ y.reshape(m, m))).ravel()
+
+    flat, _, steps = system.integrate_matrix_ode(
+        rhs, sys.xi, np.eye(m, dtype=complex).ravel(), grid, tol, tol * 1e-2,
+        "RK45", spec.kinks,
+    )
+    return flat.reshape(grid.size, m, m), steps
+
+
+BATCH_Z = np.array([2j, -0.5 + 0.1j, 1.5, 0.5 + 1e-2j, 0.3 - 1e-3j, 0.7 + 0.3j,
+                    1.2 - 0.5j, -0.2 + 1j])
+
+
+@pytest.mark.parametrize("which", ["unit", "kinked"])
+def test_scalar_z_rounds_as_the_one_point_solve(unit_system, which):
+    sys = unit_system if which == "unit" else profile_system()
+    grid = np.linspace(0.0, 1.0, 11)
+    for z in (2j, 0.5 + 1e-2j, 1.5):
+        sol = fundamental_solution(sys, z, grid=grid, tol=1e-10, method="rk45")
+        values, steps = solo_rk45(sys, z, grid, 1e-10)
+        assert np.array_equal(sol.values, values) and sol.panels == steps
+        assert sol.z == z and sol.values.shape == (11, 2, 2)
+        one = fundamental_solution(sys, [z], grid=grid, tol=1e-10, method="rk45")
+        assert one.values.shape == (1, 11, 2, 2) and np.array_equal(one.values[0], values)
+
+
+def test_each_z_of_a_batch_is_within_the_estimate(unit_system):
+    grid = np.linspace(0.0, 1.0, 11)
+    sol = fundamental_solution(unit_system, BATCH_Z, grid=grid, tol=1e-10,
+                               method="rk45")
+    assert sol.values.shape == (8, 11, 2, 2) and np.array_equal(sol.z, BATCH_Z)
+    assert sol.error_estimate == 1e-10 * sol.panels
+    for z, values in zip(BATCH_Z, sol.values):
+        exact = np.stack([rank_one.fundamental_matrix(x, z) for x in grid])
+        assert np.max(np.linalg.norm(values - exact, axis=(1, 2))) <= sol.error_estimate
+
+
+def test_a_batch_is_no_less_accurate_than_solo_solves(unit_system):
+    # each point's local error is held at least as tightly as alone, and
+    # the joint solve takes fewer steps than the solo solves together
+    grid = np.linspace(0.0, 1.0, 11)
+    exact = np.array([[rank_one.fundamental_matrix(x, z) for x in grid] for z in BATCH_Z])
+    batch = fundamental_solution(unit_system, BATCH_Z, grid=grid, tol=1e-10,
+                                 method="rk45")
+    solos = [fundamental_solution(unit_system, z, grid=grid, tol=1e-10, method="rk45")
+             for z in BATCH_Z]
+    solo_err = max(np.max(np.linalg.norm(s.values - e, axis=(1, 2)))
+                   for s, e in zip(solos, exact))
+    assert np.max(np.linalg.norm(batch.values - exact, axis=(-2, -1))) <= solo_err
+    assert batch.panels < sum(s.panels for s in solos)
+
+
+def test_batch_z_needs_rk45(unit_system):
+    with pytest.raises(ValueError, match="magnus"):
+        fundamental_solution(unit_system, [2j, 1.5])
+
+
+def test_a_batch_point_near_the_cut_is_named(unit_system):
+    with pytest.raises(SpectralPointError, match=r"z = \(0\.4\+1e-09j\)"):
+        fundamental_solution(unit_system, [2j, 0.4 + 1e-9j, 1.5], method="rk45")
+
+
+@pytest.mark.parametrize("z", [np.array([], dtype=complex), np.ones((2, 2)) * 2j],
+                         ids=["empty", "2d"])
+def test_batch_z_must_be_a_non_empty_1d_array(unit_system, z):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        fundamental_solution(unit_system, z, method="rk45")
+
+
+def test_batched_callers_agree_with_their_solo_calls(traj_n1):
+    from cansys.gbdt import transformed_fundamental
+    from cansys.triangular import TriangularModel, char_fn_via_fundamental
+
+    # each side is within its own error estimate, so the two differ by at
+    # most the sum of their estimates
+    tol, grid = 1e-10, np.linspace(0.0, 1.0, 11)
+    zs = np.array([f + 1.5j for f in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)] + [2j])
+    batch = transformed_fundamental(traj_n1, zs, grid=grid, tol=tol)
+    assert batch.values.shape == (8, 11, 2, 2)
+    for z, values in zip(zs, batch.values):
+        solo = transformed_fundamental(traj_n1, z, grid=grid, tol=tol)
+        gap = np.max(np.linalg.norm(values - solo.values, axis=(1, 2)))
+        assert gap <= batch.error_estimate + solo.error_estimate
+    model = TriangularModel.from_constant_beta(rank_one.BETA, (0.0, 1.0), J_OFF)
+    points = [0.5 + 0.2j, 0.5 - 0.15j, 1.3 + 0.4j, -0.2 + 0.5j, 0.8 + 2.0j]
+    refs = char_fn_via_fundamental(model, points, tol=tol)
+    assert refs.value.shape == (5, 2, 2)
+    for z, value in zip(points, refs.value):
+        assert fro(value - char_fn_via_fundamental(model, z, tol=tol).value) <= 10 * tol
