@@ -18,9 +18,10 @@ and keeps only its blocks.  The discrete operator is block lower
 triangular with a rank-m separable part below the diagonal (Eidelman &
 Gohberg 1999), so both applications work on the blocks in O(N) memory:
 
-* characteristic functions are a forward sweep through (A - z), an
-  ordered product of m x m factors taken by the same scan as the Magnus
-  products of :mod:`cansys.system`;
+* characteristic functions are a forward sweep through (A - z), the
+  total of an ordered product of m x m factors, taken by pairwise
+  halving with the small-matrix product of the Magnus products of
+  :mod:`cansys.system`;
 * the discrete spectrum is the union of the diagonal blocks' spectra.
 
 The dense matrix is assembled only on demand, for the node-identity and
@@ -39,7 +40,8 @@ from .system import (
     ODE_TOL,
     CanonicalSystem,
     HamiltonianSpec,
-    _ordered_product,
+    _mul,
+    _total_product,
     fundamental_solution,
 )
 
@@ -131,7 +133,7 @@ class DiscretizedOperator:
 
     def diagonal_blocks(self):
         """The (N, k, k) stack of diagonal blocks D_j."""
-        corr = self.beta @ self.J @ _adj(self.beta)
+        corr = _mul(_mul(self.beta, self.J), _adj(self.beta))
         return (self.nodes[:, None, None] * np.eye(self.k)
                 + 0.5j * self.weights[:, None, None] * corr)
 
@@ -200,18 +202,20 @@ def char_fn(op, z):
     accumulator W_j = I - i J sum_{l<j} sqrt(w_l) beta_l* u_l, so W(z) is
     the ordered product F_N-1 ... F_0 of the m x m factors
     F_j = I - i w_j J beta_j* (D_j - z)^{-1} beta_j.  The block solves are
-    one stacked k x k solve; the product is the scan that also serves the
-    Magnus products of :mod:`cansys.system`.
+    one stacked k x k solve.  Only the total is needed, so the factors are
+    multiplied in pairs, level by level (N - 1 products and no partial
+    products), with :func:`cansys.system._mul`, the product of the Magnus
+    products.
     """
     z = complex(z)
     try:
         solved = np.linalg.solve(op.diagonal_blocks() - z * np.eye(op.k), op.beta)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
-    factors = np.eye(op.m) - 1j * op.weights[:, None, None] * (
-        op.J @ (_adj(op.beta) @ solved)
+    factors = np.eye(op.m) - 1j * op.weights[:, None, None] * _mul(
+        op.J, _mul(_adj(op.beta), solved)
     )
-    return CharFnSample(z=z, value=_ordered_product(factors)[-1], method="resolvent")
+    return CharFnSample(z=z, value=_total_product(factors), method="resolvent")
 
 
 def char_fn_via_fundamental(model, z, tol=ODE_TOL):

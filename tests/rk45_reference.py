@@ -47,13 +47,10 @@ def extrapolate_eta_sequence(etas, values):
 
 
 def limit_samples(sys, x, s, etas, tol):
-    """W(x, s + i eta) and W(x, s - i eta) for every eta in the ladder."""
-    plus = np.empty((len(etas), sys.m, sys.m), dtype=complex)
-    minus = np.empty_like(plus)
-    for j, eta in enumerate(etas):
-        for sign, store in ((1.0, plus), (-1.0, minus)):
-            sol = fundamental_solution(
-                sys, s + 1j * sign * eta, grid=np.array([x]), tol=tol, method="rk45",
-            )
-            store[j] = sol.values[0]
+    """W(x, s + i eta) and W(x, s - i eta) for every eta in the ladder, from
+    one batched RK45 solve over all 2 len(etas) points."""
+    etas = np.asarray(etas, dtype=float)
+    z = s + 1j * np.concatenate([etas, -etas])
+    sol = fundamental_solution(sys, z, grid=np.array([x]), tol=tol, method="rk45")
+    plus, minus = np.split(sol.values[:, 0], 2)
     return plus, minus

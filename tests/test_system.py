@@ -14,7 +14,9 @@ from cansys.system import (
     _graded_breakpoints,
     _log_weight_product,
     _magnus_exponents,
+    _mul,
     _ordered_product,
+    _total_product,
     boundary_values,
     fundamental_solution,
     j_monotonicity_defect,
@@ -344,15 +346,48 @@ def test_expm_small_falls_back_to_scipy_for_other_sizes():
     assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_ordered_product_matches_a_matmul_loop(m):
-    rng = np.random.default_rng(m)
-    factors = np.eye(m) + 0.3 * (rng.standard_normal((37, m, m))
-                                 + 1j * rng.standard_normal((37, m, m)))
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3])
+@pytest.mark.parametrize("shapes", [((7, 2, None), (7, None, 2)),
+                                    ((2, None), (7, None, 2)),
+                                    ((7, 2, None), (None, 2))],
+                         ids=["stack-stack", "matrix-stack", "stack-matrix"])
+def test_mul_matches_matmul(shapes, inner):
+    rng = np.random.default_rng(inner)
+    a, b = (_complex_stack(rng, tuple(inner if d is None else d for d in shape))
+            for shape in shapes)
+    got = _mul(a, b)
+    assert got.shape == np.matmul(a, b).shape
+    assert _rel(got, np.matmul(a, b)) <= 1e-14
+
+
+def _factors_and_loop(n, m):
+    rng = np.random.default_rng(n * 10 + m)
+    factors = np.eye(m) + 0.3 * _complex_stack(rng, (n, m, m)) / np.sqrt(m)
     expected = [np.eye(m, dtype=complex)]
     for f in factors:
         expected.append(f @ expected[-1])
-    assert _rel(_ordered_product(factors), np.stack(expected)) <= 1e-13
+    return factors, np.stack(expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 64, 65, 1000])
+def test_ordered_product_matches_a_matmul_loop(n, m):
+    # lengths around powers of two meet every edge of the up- and down-sweep
+    factors, expected = _factors_and_loop(n, m)
+    got = _ordered_product(factors)
+    assert got.shape == (n + 1, m, m)
+    assert _rel(got, expected) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 65, 1000])
+def test_total_product_is_the_loops_last_product(n, m):
+    factors, expected = _factors_and_loop(n, m)
+    assert _rel(_total_product(factors), expected[-1]) <= 1e-13
 
 
 # -- J-monotonicity ----------------------------------------------------------
