@@ -21,7 +21,9 @@ Gohberg 1999), so both applications work on the blocks in O(N) memory:
 * characteristic functions are a forward sweep through (A - z), the
   total of an ordered product of m x m factors, taken by pairwise
   halving with the small-matrix product of the Magnus products of
-  :mod:`cansys.system`;
+  :mod:`cansys.system`.  The diagonal blocks and the left factors of the
+  sweep are built once per discretised operator; per z only the block
+  solves (closed form for k <= 2) and the product remain;
 * the discrete spectrum is the union of the diagonal blocks' spectra.
 
 The dense matrix is assembled only on demand, for the node-identity and
@@ -114,14 +116,29 @@ class DiscretizedOperator:
     the half weight on the diagonal makes the node identity
     A - A* = i K J K* hold exactly, where the channel map K has block
     rows sqrt(w_j) beta_j.  Only the nodes, the weights, the (N, k, m)
-    stack of beta_j and J are stored.  ``matrix`` and ``channel_map``
-    assemble the dense A and K on demand for the diagnostics.
+    stack of beta_j and J are given; the z-independent data of
+    :func:`char_fn` and :func:`similarity_probe` are built from them once,
+    as read-only stacks: ``diag_blocks`` of the D_j, (N, k, k), and
+    ``left_factor`` of -i w_j J beta_j*, (N, m, k).  ``matrix`` and
+    ``channel_map`` assemble the dense A and K on demand for the
+    diagnostics.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     beta: np.ndarray
     J: np.ndarray
+    diag_blocks: np.ndarray = field(init=False, repr=False)
+    left_factor: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = self.weights[:, None, None]
+        beta_adj = _adj(self.beta)
+        self.diag_blocks = (self.nodes[:, None, None] * np.eye(self.k)
+                            + 0.5j * w * _mul(_mul(self.beta, self.J), beta_adj))
+        self.left_factor = -1j * w * _mul(self.J, beta_adj)
+        self.diag_blocks.flags.writeable = False
+        self.left_factor.flags.writeable = False
 
     @property
     def k(self):
@@ -130,12 +147,6 @@ class DiscretizedOperator:
     @property
     def m(self):
         return self.beta.shape[2]
-
-    def diagonal_blocks(self):
-        """The (N, k, k) stack of diagonal blocks D_j."""
-        corr = _mul(_mul(self.beta, self.J), _adj(self.beta))
-        return (self.nodes[:, None, None] * np.eye(self.k)
-                + 0.5j * self.weights[:, None, None] * corr)
 
     @property
     def channel_map(self):
@@ -195,26 +206,58 @@ class CharFnSample:
     method: str
 
 
+def _shifted_solve(blocks, z, rhs):
+    """(D - z I)^{-1} R for a k x k matrix D and a k x m right-hand side R,
+    or stacks of both.
+
+    For k <= 2 in closed form, the adjugate over the determinant (a
+    division when k = 1); larger k go to LAPACK ``np.linalg.solve``.  A
+    zero determinant, or a result that is not finite, raises
+    :class:`SingularMatrixError` before any value is returned.
+    """
+    k = blocks.shape[-1]
+    if k > 2:
+        try:
+            out = np.linalg.solve(blocks - z * np.eye(k), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
+    else:
+        # an overflow shows as a non-finite entry, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = blocks[..., 0, 0, None] - z
+            if k == 1:
+                det, adj_rhs = p, rhs
+            else:
+                q, r = blocks[..., 0, 1, None], blocks[..., 1, 0, None]
+                s = blocks[..., 1, 1, None] - z
+                det = p * s - q * r
+                r0, r1 = rhs[..., 0, :], rhs[..., 1, :]
+                adj_rhs = np.stack([s * r0 - q * r1, p * r1 - r * r0], axis=-2)
+            if not det.all():
+                raise SingularMatrixError(f"resolvent singular at z = {z}")
+            out = adj_rhs / det[..., None]
+    if not np.isfinite(out).all():
+        raise SingularMatrixError(f"resolvent singular at z = {z}")
+    return out
+
+
 def char_fn(op, z):
     """W(z) = I - i J K* (A - z)^{-1} K by a forward sweep.
 
     Forward substitution through the block rows of A - z carries the
     accumulator W_j = I - i J sum_{l<j} sqrt(w_l) beta_l* u_l, so W(z) is
     the ordered product F_N-1 ... F_0 of the m x m factors
-    F_j = I - i w_j J beta_j* (D_j - z)^{-1} beta_j.  The block solves are
-    one stacked k x k solve.  Only the total is needed, so the factors are
+    F_j = I - i w_j J beta_j* (D_j - z)^{-1} beta_j.  The operator holds
+    the D_j and the left factors -i w_j J beta_j*; per z there remain the
+    block solves (:func:`_shifted_solve`, closed form for k <= 2), one
+    stacked product with the left factors, and the total of the factors,
     multiplied in pairs, level by level (N - 1 products and no partial
     products), with :func:`cansys.system._mul`, the product of the Magnus
     products.
     """
     z = complex(z)
-    try:
-        solved = np.linalg.solve(op.diagonal_blocks() - z * np.eye(op.k), op.beta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
-    factors = np.eye(op.m) - 1j * op.weights[:, None, None] * _mul(
-        op.J, _mul(_adj(op.beta), solved)
-    )
+    factors = _mul(op.left_factor, _shifted_solve(op.diag_blocks, z, op.beta))
+    factors += np.eye(op.m)
     return CharFnSample(z=z, value=_total_product(factors), method="resolvent")
 
 
@@ -335,7 +378,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 
     def probe(mod):
-        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diagonal_blocks())
+        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diag_blocks)
         a, b = mod.interval
         inside = np.mean((eigs.real > a - band) & (eigs.real < b + band))
         return float(np.abs(eigs.imag).max()), float(inside)

@@ -10,6 +10,7 @@ from cansys.system import CanonicalSystem, HamiltonianSpec
 from cansys.triangular import (
     MAX_DENSE_ROWS,
     TriangularModel,
+    _shifted_solve,
     char_fn,
     char_fn_via_fundamental,
     conjugate_transform_model,
@@ -281,8 +282,9 @@ def _non_degenerate_model():
 
 @pytest.fixture(scope="module")
 def structured_models():
-    """A k = 1 non-degenerate model, a PSD k = m = 2 model with J = I, and
-    its conjugated dressing, with the J = I trajectory used for it."""
+    """A k = 1 non-degenerate model, a PSD k = m = 2 model with J = I, its
+    conjugated dressing, with the J = I trajectory used for it, and a
+    k = 3, m = 2 model, whose block solves take the LAPACK route."""
     interval = (0.0, 1.0)
     x = np.linspace(*interval, 65)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -292,16 +294,19 @@ def structured_models():
                              hamiltonian=HamiltonianSpec.from_beta_grid(x, beta))
     traj = evolve(sample_params(42, sys_id, n=2, positive=True), sys_id, tol=1e-10)
     psd = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
+    tall = np.stack([[[1.0, 0.5 + 1j * xx], [0.3 * xx, 1.0 - 0.2j],
+                      [np.sin(3.0 * xx), 0.2j]] for xx in x])
     return {
         "non_degenerate": _non_degenerate_model(),
         "psd": psd,
         "dressed": conjugate_transform_model(psd, traj),
         "traj": traj,
+        "k3": TriangularModel(interval=interval, J=J_OFF, x=x, beta=tall),
     }
 
 
 @pytest.mark.parametrize("z", SWEEP_ZS)
-@pytest.mark.parametrize("name", ["non_degenerate", "psd", "dressed"])
+@pytest.mark.parametrize("name", ["non_degenerate", "psd", "dressed", "k3"])
 def test_char_fn_sweep_matches_dense_solve(structured_models, name, z):
     op = discretize(structured_models[name], 128)
     a, kmap = op.matrix, op.channel_map
@@ -316,6 +321,56 @@ def test_char_fn_singular_at_a_node_of_zero_beta():
     op = discretize(model, 8)
     with pytest.raises(SingularMatrixError, match="resolvent singular"):
         char_fn(op, op.nodes[3])
+
+
+def test_char_fn_singular_at_a_node_of_zero_square_beta():
+    # k = m = 2: the closed-form block solve meets a zero determinant
+    model = TriangularModel.from_constant_beta(np.zeros((2, 2)), (0.0, 1.0), np.eye(2))
+    op = discretize(model, 8)
+    with pytest.raises(SingularMatrixError, match="resolvent singular"):
+        char_fn(op, op.nodes[3])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stack", [(), (5,), (3, 4)])
+def test_shifted_solve_matches_lapack(k, stack):
+    rng = np.random.default_rng(10 * k + len(stack))
+    shape = stack + (k, k)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 3.0 * np.eye(k)
+    rhs = rng.normal(size=stack + (k, 2)) + 1j * rng.normal(size=stack + (k, 2))
+    z = 0.3 - 0.7j
+    got = _shifted_solve(blocks, z, rhs)
+    expected = np.linalg.solve(blocks - z * np.eye(k), rhs)
+    assert got.shape == expected.shape
+    assert fro(got - expected) <= 1e-13 * fro(expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [0.0, 1e-160])
+@pytest.mark.parametrize("k", [1, 2])
+def test_shifted_solve_raises_instead_of_warning(k, scale):
+    # a zero determinant (with a nonzero adjugate) must raise before any
+    # division; a subnormal one makes the quotient overflow, which must
+    # raise rather than return inf
+    blocks = np.zeros((4, k, k), dtype=complex)
+    blocks[...] = np.eye(k)
+    blocks[2] = scale * np.eye(k) + np.eye(k, k=1)
+    rhs = np.full((4, k, 2), 1e300, dtype=complex)
+    with pytest.raises(SingularMatrixError, match="resolvent singular"):
+        _shifted_solve(blocks, 0.0, rhs)
+
+
+def test_char_fn_reuses_operator_data_exactly(structured_models):
+    zs = [2j, 0.5 + 1e-3j, -3.0 + 0.1j]
+    for name in ("non_degenerate", "psd", "k3"):
+        model = structured_models[name]
+        fresh = [char_fn(discretize(model, 64), z).value for z in zs]
+        op = discretize(model, 64)
+        forward = [char_fn(op, z).value for z in zs]
+        backward = [char_fn(op, z).value for z in reversed(zs)][::-1]
+        for want, one, two in zip(fresh, forward, backward):
+            assert np.array_equal(one, want)
+            assert np.array_equal(two, want)
 
 
 def test_char_fn_large_n_matches_fundamental_solution():
