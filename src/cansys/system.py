@@ -39,12 +39,20 @@ This module provides
   sup |beta(x) J beta(t)*| / (x - t) controlling cut limits for factored
   Hamiltonians H = beta* beta.
 
-Every Magnus product goes through :func:`_magnus_exponents`, the
-Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` and the
-work-efficient scan :func:`_ordered_product`.  Their stacked m x m
-products, and those of the triangular model's forward sweep, whose
-total :func:`_total_product` takes by pairwise halving, are all
-:func:`_mul`, a sum over the inner index.
+Every Magnus call is one pass of one kernel, :func:`_magnus_products`:
+:func:`_magnus_exponents` builds the exponents of all the breakpoint sets
+the call needs at its z (the first two refinement levels of
+:func:`fundamental_solution`, both sides of :func:`boundary_values`, the
+partition of :func:`product_integral` and its halving) from one H call on
+their nodes and midpoints and one on their Gauss points, the
+Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` takes them in one
+call, and the work-efficient scan :func:`_ordered_product` multiplies out
+each set.  The kernel holds m x m stacks entries-leading, as (m, m, n),
+so every elementwise operation runs over the panel axis; public outputs
+keep their (..., m, m) shapes.  Its stacked products, and those of the
+triangular model's forward sweep, whose total :func:`_total_product`
+takes by pairwise halving, are all :func:`_mul`, a sum over the inner
+index.
 """
 
 from __future__ import annotations
@@ -98,6 +106,18 @@ ROUNDING_GROWTH = 8.0
 
 class SpectralPointError(ValueError):
     """Spectral point z is too close to the cut [a, b]."""
+
+
+def _require_finite(name, value):
+    """Raise ValueError naming the argument unless every entry is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_tol(tol):
+    """Raise ValueError unless tol is a positive finite number."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
 def _cut_distance(z, interval):
@@ -392,8 +412,9 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         "magnus" reads W off one ordered product of the Magnus factors of
         :func:`_magnus_exponents` over panels that hold the grid, the
         sample nodes and xi and are graded towards Re z with ratio 1/2
-        (see :func:`_log_weight_product`).  Every panel is halved until
-        two successive products differ by at most ``tol`` at every grid
+        (see :func:`_log_weight_product`).  Every panel is halved (the
+        first two levels in one pass of the kernel) until two successive
+        products differ by at most ``tol`` at every grid
         point or a product has more than ``MAX_CUT_PANELS`` factors;
         ``error_estimate`` is that last difference plus the rounding floor
         ``ROUNDING_GROWTH`` u P max |W| (u the unit roundoff, P the
@@ -426,6 +447,8 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     points = [complex(p) for p in np.ravel(z)] if batch else [complex(z)]
     if np.ndim(z) > 1 or not points:
         raise ValueError("z must be a point or a non-empty 1-D array of points")
+    _require_finite("z", points)
+    _require_tol(tol)
     a, b = sys.interval
     for point in points:
         if _cut_distance(point, sys.interval) < DISTANCE_TOL:
@@ -433,6 +456,7 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     if grid is None:
         grid = np.linspace(a, b, 201)
     grid = np.asarray(grid, dtype=float)
+    _require_finite("grid", grid)
     if grid.size == 0 or grid.min() < a - 1e-12 or grid.max() > b + 1e-12:
         raise ValueError(f"grid must be nonempty and within [{a}, {b}]")
     m = sys.m
@@ -443,7 +467,9 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
                              "towards Re z; batch z with method 'rk45'")
         z = points[0]
         values, panels, diffs = _refine(
-            lambda level: _log_weight_product(sys, grid, z, 0.5, split=2**level), tol
+            lambda levels: _log_weight_product(sys, grid, z,
+                                               [(0.5, 0, 2**level) for level in levels]),
+            tol,
         )
         converged = bool(diffs[-1] <= tol)
         # two products exact up to rounding can differ by less than their error
@@ -488,7 +514,8 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
 
 
 def _expm_small(omega):
-    """exp of a stack of m x m matrices, in closed form for m = 2.
+    """exp of an entries-leading (m, m, ...) stack of m x m matrices, in
+    closed form for m = 2.
 
     Omega = tau I + N with tau = tr Omega / 2 leaves N traceless, so
     N^2 = delta^2 I with delta^2 = -det N, and Cayley-Hamilton gives
@@ -499,11 +526,12 @@ def _expm_small(omega):
     2^-53 there).  Other sizes go to scipy.linalg.expm.
     """
     omega = np.asarray(omega, dtype=complex)
-    if omega.shape[-1] != 2:
-        return scipy.linalg.expm(omega)
-    tau = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
-    p = 0.5 * (omega[..., 0, 0] - omega[..., 1, 1])  # N = [[p, q], [r, -p]]
-    d2 = p * p + omega[..., 0, 1] * omega[..., 1, 0]
+    if omega.shape[0] != 2:
+        expm = scipy.linalg.expm(np.moveaxis(omega, (0, 1), (-2, -1)))
+        return np.moveaxis(expm, (-2, -1), (0, 1))
+    tau = 0.5 * (omega[0, 0] + omega[1, 1])
+    p = 0.5 * (omega[0, 0] - omega[1, 1])  # N = [[p, q], [r, -p]]
+    d2 = p * p + omega[0, 1] * omega[1, 0]
     delta = np.sqrt(d2)
     small = np.abs(delta) < 1e-4
     delta = np.where(small, 1.0, delta)  # the series replaces these entries
@@ -512,70 +540,85 @@ def _expm_small(omega):
     scale = np.exp(tau)
     cosh, sinhc = scale * cosh, scale * sinhc
     out = np.empty_like(omega)
-    out[..., 0, 0] = cosh + sinhc * p
-    out[..., 1, 1] = cosh - sinhc * p
-    out[..., 0, 1] = sinhc * omega[..., 0, 1]
-    out[..., 1, 0] = sinhc * omega[..., 1, 0]
+    out[0, 0] = cosh + sinhc * p
+    out[1, 1] = cosh - sinhc * p
+    out[0, 1] = sinhc * omega[0, 1]
+    out[1, 0] = sinhc * omega[1, 0]
     return out
 
 
 def _mul(a, b):
-    """a @ b for stacks of small matrices; either may be a single matrix.
+    """a @ b for entries-leading stacks of small matrices: (m, k, ...)
+    times (k, p, ...) is (m, p, ...), the stack axes broadcasting.  Two
+    plain matrices multiply as they are; a single matrix times a stack
+    takes a trailing axis of length 1 (``J[..., None]``).
 
-    A sum over the inner index of broadcast products: for the m = 2
-    stacks here it is several times faster than a stacked ``matmul``
-    (one 2 x 2 matrix times 1199 of them: 100 us against 480 us).
+    A sum over the inner index of broadcast products, each one ufunc call
+    over the whole stack.  With the stack axis last, each call runs one
+    long inner loop; laid out (n, m, m), the same products run inner
+    loops of length m.  For two m = 2 stacks that layout is 2.6x slower
+    at n = 300 and 3.1x at n = 2048 (35 us against 108 us), and one 2 x 2
+    matrix times 1199 of them takes 11 us here, 65 us in that layout and
+    316 us as a stacked ``matmul`` (timeit, one core).
     """
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for l in range(1, a.shape[-1]):
-        out += a[..., :, l, None] * b[..., None, l, :]
+    out = a[:, 0, None] * b[None, 0]
+    for l in range(1, a.shape[1]):
+        out += a[:, l, None] * b[None, l]
     return out
 
 
 def _ordered_product(factors):
-    """Partial products F_j ... F_0 of a stack of m x m factors.
+    """Partial products F_j ... F_0 of an entries-leading (m, m, n) stack
+    of factors.
 
-    Later factors multiply from the left.  Returns the (n + 1, m, m) stack
+    Later factors multiply from the left.  Returns the (m, m, n + 1) stack
     that starts with the identity.  This one scan serves the Magnus
-    products (factors exp(Omega_j)) and the triangular model's forward
-    sweep.  It is the work-efficient scan of Blelloch ("Prefix sums and
-    their applications", 1990), in place over strided views: the up-sweep
-    leaves in slot i the product of the p factors ending there, p the
-    largest power of two dividing i + 1, and the down-sweep completes each
-    remaining slot from the finished prefix before it; about 2n products
-    in 2 log2 n calls of :func:`_mul`.
+    products (factors exp(Omega_j)).  It is the work-efficient scan of
+    Blelloch ("Prefix sums and their applications", 1990), in place over
+    strided views: the up-sweep leaves in slot i the product of the p
+    factors ending there, p the largest power of two dividing i + 1, and
+    the down-sweep completes each remaining slot from the finished prefix
+    before it; about 2n products in 2 log2 n calls of :func:`_mul`.
     """
-    m = np.shape(factors)[-1]
-    out = np.empty((len(factors) + 1, m, m), dtype=complex)
-    out[0] = np.eye(m)
-    acc = out[1:]
+    m, n = factors.shape[0], factors.shape[-1]
+    out = np.empty((m, m, n + 1), dtype=complex)
+    out[..., 0] = np.eye(m)
+    acc = out[..., 1:]
     acc[...] = factors
-    n, d = len(acc), 1
+    d = 1
     while 2 * d <= n:  # up-sweep: slot 2kd - 1 takes the d factors before its own
-        acc[2 * d - 1::2 * d] = _mul(acc[2 * d - 1::2 * d], acc[d - 1:n - d:2 * d])
+        acc[..., 2 * d - 1::2 * d] = _mul(acc[..., 2 * d - 1::2 * d],
+                                          acc[..., d - 1:n - d:2 * d])
         d *= 2
     while d > 1:  # down-sweep: slot (2k + 1)d - 1 takes the prefix d before it
         d //= 2
-        acc[3 * d - 1::2 * d] = _mul(acc[3 * d - 1::2 * d], acc[2 * d - 1:n - d:2 * d])
+        acc[..., 3 * d - 1::2 * d] = _mul(acc[..., 3 * d - 1::2 * d],
+                                          acc[..., 2 * d - 1:n - d:2 * d])
     return out
 
 
 def _total_product(factors):
-    """F_n-1 ... F_0 of a non-empty stack of m x m factors, by pairwise
-    halving: n - 1 products and no partial products."""
+    """F_n-1 ... F_0 of a non-empty entries-leading (m, m, n) stack of
+    factors, by pairwise halving: n - 1 products and no partial products.
+    Returns the (m, m) product."""
     acc = np.asarray(factors, dtype=complex)
-    while len(acc) > 1:
-        paired = _mul(acc[1::2], acc[:len(acc) - 1:2])
-        if len(acc) % 2:  # the unpaired last factor joins the last pair
-            paired[-1] = _mul(acc[-1], paired[-1])
+    while acc.shape[-1] > 1:
+        n = acc.shape[-1]
+        paired = _mul(acc[..., 1::2], acc[..., :n - 1:2])
+        if n % 2:  # the unpaired last factor joins the last pair
+            paired[..., -1:] = _mul(acc[..., -1:], paired[..., -1:])
         acc = paired
-    return acc[0]
+    return acc[..., 0].copy()
 
 
-def _magnus_product(sys, t, z, side=0):
-    """Partial products of the Magnus factors exp(Omega_j) of
-    :func:`_magnus_exponents` over the breakpoints t."""
-    return _ordered_product(_expm_small(_magnus_exponents(sys, t, z, side)))
+def _magnus_products(sys, z, sets):
+    """Partial products of the Magnus factors exp(Omega_j) over each
+    breakpoint set ``(t, side)`` of ``sets`` (see :func:`_magnus_exponents`):
+    one exponent build and one :func:`_expm_small` for all sets, then one
+    ordered product per set, each an entries-leading (m, m, n + 1) stack."""
+    omega, counts = _magnus_exponents(sys, z, sets)
+    factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
+    return [_ordered_product(f) for f in factors]
 
 
 def product_integral(sys, z, partition):
@@ -586,15 +629,17 @@ def product_integral(sys, z, partition):
     multiplying from the left, realises the curved-arrow product; each
     factor is exact when the values of H commute on its panel (constant
     or scalar-profile H).  The error estimate comes from one partition
-    halving.
+    halving, whose product comes from the same pass of the kernel.
     """
     z = complex(z)
+    _require_finite("z", z)
     a, b = sys.interval
     if abs(sys.xi - a) > 1e-12:
         raise ValueError("product integral uses the left-endpoint convention xi = a")
     if _cut_distance(z, sys.interval) < DISTANCE_TOL:
         raise SpectralPointError(f"z = {z} is within {DISTANCE_TOL} of the cut")
     partition = np.asarray(partition, dtype=float)
+    _require_finite("partition", partition)
     if partition.ndim != 1 or partition.size < 2 or np.any(np.diff(partition) <= 0):
         raise ValueError("partition must be strictly increasing with >= 2 points")
     if abs(partition[0] - a) > 1e-12:
@@ -602,13 +647,16 @@ def product_integral(sys, z, partition):
     if partition[-1] > b + 1e-12:
         raise ValueError(f"partition must lie within [{a}, {b}]")
 
-    values = _magnus_product(sys, partition, z)
     fine_partition = np.sort(
         np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
     )
-    fine_at_coarse = _magnus_product(sys, fine_partition, z)[::2]
+    # the public (n + 1, m, m) stacks of the entries-leading products
+    values, fine = (
+        p.transpose(2, 0, 1).copy()
+        for p in _magnus_products(sys, z, [(partition, 0), (fine_partition, 0)])
+    )
     # halving difference times the order->=1 Richardson safety factor
-    err = 2.0 * float(np.max(np.linalg.norm(fine_at_coarse - values, axis=(1, 2))))
+    err = 2.0 * float(np.max(np.linalg.norm(fine[::2] - values, axis=(1, 2))))
     return FundamentalSolution(
         z=z,
         grid=partition,
@@ -689,8 +737,12 @@ def _log1p(w):
     )
 
 
-def _magnus_exponents(sys, t, z, side=0):
-    """Fourth-order Magnus exponents Omega_j of the panels [t_j, t_j+1].
+def _magnus_exponents(sys, z, sets):
+    """Fourth-order Magnus exponents Omega_j of the panels [t_j, t_j+1] of
+    every breakpoint set ``(t, side)`` of ``sets``, from one H call on all
+    their nodes and midpoints and one on all their Gauss points; returns
+    the exponents of all sets side by side, as one entries-leading
+    (m, m, P) stack, and the list of each set's panel counts.
 
     Omega_j is i J int H(t) / (z - t) dt, integrated exactly for the
     quadratic through H at the panel's ends and midpoint (exact for
@@ -700,50 +752,66 @@ def _magnus_exponents(sys, t, z, side=0):
     2009).  exp(Omega_n-1) ... exp(Omega_0) approximates the propagator
     W(t_n, z) W(t_0, z)^{-1}.
 
-    ``side`` = +1 / -1 with real z = s on an inner breakpoint gives the
-    limits z = s +/- i0: the two panels that meet at s form one factor
-    whose ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s))
-    -/+ i pi).
+    ``side`` = +1 / -1 with real z = s on an inner breakpoint of its set
+    gives the limits z = s +/- i0: the two panels that meet at s form one
+    factor whose ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s))
+    -/+ i pi); its Gauss points are those of the merged panel.
     """
-    spec, J = sys.hamiltonian, sys.J
+    spec, J = sys.hamiltonian, sys.J[..., None]
     z = complex(z)
     s = z.real
-    t0, t1 = t[:-1], t[1:]
+    nodes = np.concatenate([t for t, _ in sets])
+    sizes = [t.size for t, _ in sets]
+    first = np.delete(np.arange(nodes.size), np.cumsum(sizes) - 1)  # left ends
+    t0, t1 = nodes[first], nodes[first + 1]
     n = t0.size
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    h = spec.hamiltonian(np.concatenate([t, mid]))
+    # H is (points, m, m); the kernel takes it entries-leading, contiguous
+    h = spec.hamiltonian(np.concatenate([nodes, mid])).transpose(1, 2, 0).copy()
+    h0, h1, hm = h[..., first], h[..., first + 1], h[..., nodes.size:]
     # H = hm + c1 tau + c2 tau^2 in tau = (t - mid) / half, and
     # int tau^k / (zeta - tau) dtau over [-1, 1] gives, with
     # log = ln((zeta + 1) / (zeta - 1)) = ln((z - t0) / (z - t1)):
     # int H / (z - t) dt = H(zeta) log - 2 (c1 + c2 zeta)
-    hm = h[n + 1:]
-    c1 = 0.5 * (h[1:n + 1] - h[:n])
-    c2 = 0.5 * (h[1:n + 1] + h[:n]) - hm
-    zeta = ((z - mid) / half)[:, None, None]
+    c1 = 0.5 * (h1 - h0)
+    c2 = 0.5 * (h1 + h0) - hm
+    zeta = (z - mid) / half
     with np.errstate(divide="ignore", invalid="ignore"):
-        log = _log1p((t1 - t0) / (z - t1))[:, None, None]
+        log = _log1p((t1 - t0) / (z - t1))
         weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
-    if side and t[0] < s < t[-1]:
-        k = int(np.searchsorted(t, s)) - 1  # panels k and k + 1 meet at s
-        weighted[k + 1] = (
-            h[k + 1] * (np.log((s - t[k]) / (t[k + 2] - s)) - side * 1j * np.pi)
-            - 2.0 * (c1[k] + c2[k]) - 2.0 * (c1[k + 1] - c2[k + 1])
-        )
-        weighted = np.delete(weighted, k, axis=0)
-        t = np.delete(t, k + 1)
-        n -= 1
-        mid, half = 0.5 * (t[:-1] + t[1:]), 0.5 * (t[1:] - t[:-1])
+    counts, merged, start = [], [], 0  # start: the set's first panel
+    for (t, side), size in zip(sets, sizes):
+        counts.append(size - 1)
+        if side and t[0] < s < t[-1]:
+            k = int(np.searchsorted(t, s)) - 1  # panels k and k + 1 meet at s
+            j = start + k
+            weighted[..., j + 1] = (
+                h1[..., j] * (np.log((s - t[k]) / (t[k + 2] - s)) - side * 1j * np.pi)
+                - 2.0 * (c1[..., j] + c2[..., j]) - 2.0 * (c1[..., j + 1] - c2[..., j + 1])
+            )
+            mid[j + 1], half[j + 1] = 0.5 * (t[k] + t[k + 2]), 0.5 * (t[k + 2] - t[k])
+            merged.append(j)  # panel j + 1 now spans both
+            counts[-1] -= 1
+        start += size - 1
+    if merged:
+        weighted = np.delete(weighted, merged, axis=-1)
+        mid, half = np.delete(mid, merged), np.delete(half, merged)
+        n -= len(merged)
     gauss = np.concatenate([mid - half / np.sqrt(3.0), mid + half / np.sqrt(3.0)])
-    ja = _mul(J, spec.hamiltonian(gauss)) / (z - gauss)[:, None, None]
-    commutator = _mul(ja[n:], ja[:n]) - _mul(ja[:n], ja[n:])  # -[A(g2), A(g1)]
-    return _mul(1j * J, weighted) - (half**2 / np.sqrt(3.0))[:, None, None] * commutator
+    ja = _mul(J, spec.hamiltonian(gauss).transpose(1, 2, 0).copy()) / (z - gauss)
+    # -[A(g2), A(g1)]
+    commutator = _mul(ja[..., n:], ja[..., :n]) - _mul(ja[..., :n], ja[..., n:])
+    omega = _mul(1j * J, weighted) - (half**2 / np.sqrt(3.0)) * commutator
+    return omega, counts
 
 
-def _log_weight_product(sys, x, z, rho, side=0, split=1):
-    """W(x, z) at a point or an array of points x, from one ordered product
+def _log_weight_product(sys, x, z, variants):
+    """W(x, z) at a point or an array of points x, from ordered products
     of the Magnus factors of :func:`_magnus_exponents` over panels graded
-    towards Re z with ratio ``rho``, each split into ``split`` equal parts;
-    returns ``(W, panels)``.
+    towards Re z: one product for each ``(rho, side, split)`` of
+    ``variants`` (grading ratio ``rho``, ``side`` as there, every panel
+    split into ``split`` equal parts), all from one pass of the kernel.
+    Returns a list of ``(W, panels)``, one per variant.
 
     The breakpoints hold x, xi and the sample nodes, so with P the partial
     products from the leftmost of them, W(x) = P(x) P(xi)^{-1}.
@@ -753,32 +821,49 @@ def _log_weight_product(sys, x, z, rho, side=0, split=1):
     ends = np.append(x.ravel(), sys.xi)
     lo, hi = ends.min(), ends.max()
     if lo == hi:
-        return np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0
-    t = _graded_breakpoints(np.concatenate([sys.hamiltonian.x, ends]), lo, hi, z, rho)
-    # unique: splitting a panel a few ulps wide repeats its ends
-    t = np.unique(np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi))
-    p = _magnus_product(sys, t, z, side)
-    if len(p) < len(t):  # the two panels meeting at s = z formed one factor
-        t = t[t != z.real]
-    at = p[np.searchsorted(t, ends)]
-    w = at[:-1] @ np.linalg.inv(at[-1])
-    return w.reshape(x.shape + w.shape[1:]), len(t) - 1
+        return [(np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0)
+                for _ in variants]
+    nodes = np.concatenate([sys.hamiltonian.x, ends])
+    grids, sets = {}, []  # variants that differ in side alone share breakpoints
+    for rho, side, split in variants:
+        if (rho, split) not in grids:
+            t = _graded_breakpoints(nodes, lo, hi, z, rho)
+            # unique: splitting a panel a few ulps wide repeats its ends
+            grids[rho, split] = np.unique(
+                np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi)
+            )
+        sets.append((grids[rho, split], side))
+    out = []
+    for (t, _), p in zip(sets, _magnus_products(sys, z, sets)):
+        if p.shape[-1] < t.size:  # the two panels meeting at s = z formed one factor
+            t = t[t != z.real]
+        at = p[..., np.searchsorted(t, ends)].transpose(2, 0, 1).copy()
+        w = at[:-1] @ np.linalg.inv(at[-1])
+        out.append((w.reshape(x.shape + w.shape[1:]), t.size - 1))
+    return out
 
 
 def _refine(product, tol):
-    """Call ``product(level) -> (values, panels)`` for level = 0, 1, ...
-    until two successive values differ by at most ``tol`` in Frobenius norm
-    at every point, or a product has more than ``MAX_CUT_PANELS`` factors;
-    returns the last ``(values, panels)`` and the list of differences."""
-    level, diffs, previous = 0, [], None
+    """Refine until two successive values agree.
+
+    ``product(levels)`` returns ``(values, panels)`` for each level of
+    ``levels``.  Levels 0 and 1, which every refinement needs, come from
+    one call, which the callers serve with one pass of the kernel; later
+    levels come one call each, until two successive values differ by at most ``tol`` in
+    Frobenius norm at every point, a product has more than
+    ``MAX_CUT_PANELS`` factors, or the difference is not finite (it never
+    falls again then).  Returns the last ``(values, panels)`` and the list
+    of differences.
+    """
+    (previous, _), (values, panels) = product((0, 1))
+    level, diffs = 1, []
     while True:
-        values, panels = product(level)
-        if previous is not None:
-            diffs.append(float(np.max(np.linalg.norm(values - previous, axis=(-2, -1)))))
-            if diffs[-1] <= tol or panels > MAX_CUT_PANELS:
-                return values, panels, diffs
+        diffs.append(float(np.max(np.linalg.norm(values - previous, axis=(-2, -1)))))
+        if diffs[-1] <= tol or panels > MAX_CUT_PANELS or not np.isfinite(diffs[-1]):
+            return values, panels, diffs
         previous = values
         level += 1
+        [(values, panels)] = product((level,))
 
 
 def boundary_values(sys, x, s, tol=ODE_TOL):
@@ -789,7 +874,9 @@ def boundary_values(sys, x, s, tol=ODE_TOL):
     directly.  The grading ratio rho halves from 1/2 until two successive
     results differ by at most ``tol`` or a product would exceed
     ``MAX_CUT_PANELS``; ``extrapolation_error`` is that last difference
-    (rounding level for commuting H, where every product is exact).  The
+    (rounding level for commuting H, where every product is exact).  Both
+    sides of a level come from one pass of the kernel, and both sides of
+    the first two levels from one pass together (see :func:`_refine`).  The
     innermost half-width shrinks like rho^4 because the error of the
     factor straddling s falls only like its square; halving every panel
     instead, as :func:`fundamental_solution` does off the cut, gains
@@ -800,6 +887,9 @@ def boundary_values(sys, x, s, tol=ODE_TOL):
     differences that grow above ``100 tol`` flag the report divergent
     instead of raising.
     """
+    _require_finite("x", x)
+    _require_finite("s", s)
+    _require_tol(tol)
     a, b = sys.interval
     if not a < x <= b:
         raise ValueError(f"x = {x} outside ({a}, {b}]")
@@ -812,11 +902,12 @@ def boundary_values(sys, x, s, tol=ODE_TOL):
     if not inside and min(abs(s - a), abs(s - x)) < margin:
         raise ValueError(f"s = {s} within margin {margin} of a cut endpoint")
 
-    def limits(level):
-        (w_plus, panels), (w_minus, _) = (
-            _log_weight_product(sys, x, s, 0.5 ** (level + 1), side) for side in (1, -1)
+    def limits(levels):
+        w = _log_weight_product(
+            sys, x, s, [(0.5 ** (level + 1), side, 1) for level in levels for side in (1, -1)]
         )
-        return np.stack([w_plus, w_minus]), panels
+        return [(np.stack([w_plus, w_minus]), panels)
+                for (w_plus, panels), (w_minus, _) in zip(w[::2], w[1::2])]
 
     (w_plus, w_minus), panels, diffs = _refine(limits, tol)
     # growth below the rounding floor is not divergence

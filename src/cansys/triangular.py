@@ -118,8 +118,10 @@ class DiscretizedOperator:
     rows sqrt(w_j) beta_j.  Only the nodes, the weights, the (N, k, m)
     stack of beta_j and J are given; the z-independent data of
     :func:`char_fn` and :func:`similarity_probe` are built from them once,
-    as read-only stacks: ``diag_blocks`` of the D_j, (N, k, k), and
-    ``left_factor`` of -i w_j J beta_j*, (N, m, k).  ``matrix`` and
+    as read-only stacks in the entries-leading layout of the small-matrix
+    kernel of :mod:`cansys.system`, node index last: ``diag_blocks`` of
+    the D_j, (k, k, N), ``left_factor`` of -i w_j J beta_j*, (m, k, N),
+    and ``right_factor`` of the beta_j, (k, m, N).  ``matrix`` and
     ``channel_map`` assemble the dense A and K on demand for the
     diagnostics.
     """
@@ -130,15 +132,18 @@ class DiscretizedOperator:
     J: np.ndarray
     diag_blocks: np.ndarray = field(init=False, repr=False)
     left_factor: np.ndarray = field(init=False, repr=False)
+    right_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = self.weights[:, None, None]
-        beta_adj = _adj(self.beta)
-        self.diag_blocks = (self.nodes[:, None, None] * np.eye(self.k)
-                            + 0.5j * w * _mul(_mul(self.beta, self.J), beta_adj))
-        self.left_factor = -1j * w * _mul(self.J, beta_adj)
-        self.diag_blocks.flags.writeable = False
-        self.left_factor.flags.writeable = False
+        w, J = self.weights, self.J[..., None]
+        beta = self.beta.transpose(1, 2, 0).copy()
+        beta_adj = beta.conj().transpose(1, 0, 2)
+        self.diag_blocks = (np.eye(self.k)[..., None] * self.nodes
+                            + 0.5j * w * _mul(_mul(beta, J), beta_adj))
+        self.left_factor = -1j * w * _mul(J, beta_adj)
+        self.right_factor = beta
+        for stack in (self.diag_blocks, self.left_factor, self.right_factor):
+            stack.flags.writeable = False
 
     @property
     def k(self):
@@ -208,34 +213,35 @@ class CharFnSample:
 
 def _shifted_solve(blocks, z, rhs):
     """(D - z I)^{-1} R for a k x k matrix D and a k x m right-hand side R,
-    or stacks of both.
+    or entries-leading stacks of both, (k, k, ...) and (k, m, ...).
 
     For k <= 2 in closed form, the adjugate over the determinant (a
     division when k = 1); larger k go to LAPACK ``np.linalg.solve``.  A
     zero determinant, or a result that is not finite, raises
     :class:`SingularMatrixError` before any value is returned.
     """
-    k = blocks.shape[-1]
+    k = blocks.shape[0]
     if k > 2:
         try:
-            out = np.linalg.solve(blocks - z * np.eye(k), rhs)
+            out = np.linalg.solve(np.moveaxis(blocks, (0, 1), (-2, -1)) - z * np.eye(k),
+                                  np.moveaxis(rhs, (0, 1), (-2, -1)))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
+        out = np.moveaxis(out, (-2, -1), (0, 1))
     else:
         # an overflow shows as a non-finite entry, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            p = blocks[..., 0, 0, None] - z
+            p = blocks[0, 0] - z
             if k == 1:
                 det, adj_rhs = p, rhs
             else:
-                q, r = blocks[..., 0, 1, None], blocks[..., 1, 0, None]
-                s = blocks[..., 1, 1, None] - z
+                q, r, s = blocks[0, 1], blocks[1, 0], blocks[1, 1] - z
                 det = p * s - q * r
-                r0, r1 = rhs[..., 0, :], rhs[..., 1, :]
-                adj_rhs = np.stack([s * r0 - q * r1, p * r1 - r * r0], axis=-2)
+                r0, r1 = rhs[0], rhs[1]
+                adj_rhs = np.stack([s * r0 - q * r1, p * r1 - r * r0])
             if not det.all():
                 raise SingularMatrixError(f"resolvent singular at z = {z}")
-            out = adj_rhs / det[..., None]
+            out = adj_rhs / det
     if not np.isfinite(out).all():
         raise SingularMatrixError(f"resolvent singular at z = {z}")
     return out
@@ -256,8 +262,8 @@ def char_fn(op, z):
     products.
     """
     z = complex(z)
-    factors = _mul(op.left_factor, _shifted_solve(op.diag_blocks, z, op.beta))
-    factors += np.eye(op.m)
+    factors = _mul(op.left_factor, _shifted_solve(op.diag_blocks, z, op.right_factor))
+    factors += np.eye(op.m)[..., None]
     return CharFnSample(z=z, value=_total_product(factors), method="resolvent")
 
 
@@ -378,7 +384,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 
     def probe(mod):
-        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diag_blocks)
+        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diag_blocks.transpose(2, 0, 1))
         a, b = mod.interval
         inside = np.mean((eigs.real > a - band) & (eigs.real < b + band))
         return float(np.abs(eigs.imag).max()), float(inside)

@@ -14,8 +14,10 @@ from cansys.system import (
     _graded_breakpoints,
     _log_weight_product,
     _magnus_exponents,
+    _magnus_products,
     _mul,
     _ordered_product,
+    _refine,
     _total_product,
     boundary_values,
     fundamental_solution,
@@ -301,11 +303,23 @@ def test_product_integral_j_unitary_real_z(unit_system):
 
 
 # -- small-matrix kernels ------------------------------------------------------
+# The kernels take and return entries-leading stacks, (m, m, n); the
+# references below are built and compared as (n, m, m) stacks.
 
 
 def _rel(got, ref):
     return float(np.max(np.linalg.norm(got - ref, axis=(-2, -1))
                         / np.linalg.norm(ref, axis=(-2, -1))))
+
+
+def _lead(stack):
+    """The entries-leading (m, k, ...) form of a (..., m, k) stack."""
+    return np.moveaxis(stack, (-2, -1), (0, 1))
+
+
+def _trail(stack):
+    """The (..., m, k) form of an entries-leading (m, k, ...) stack."""
+    return np.moveaxis(stack, (0, 1), (-2, -1))
 
 
 def _traceless(delta):
@@ -336,14 +350,14 @@ def test_expm_small_large_imaginary_tau():
 def test_expm_small_on_near_cut_magnus_exponents(varying_system):
     z = 0.5037 + 1e-5j
     t = _graded_breakpoints(varying_system.hamiltonian.x, 0.0, 1.0, z, 1 / 16)
-    omega = _magnus_exponents(varying_system, t, z)
-    assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+    omega, _ = _magnus_exponents(varying_system, z, [(t, 0)])
+    assert _rel(_trail(_expm_small(omega)), scipy.linalg.expm(_trail(omega))) <= 1e-14
 
 
 def test_expm_small_falls_back_to_scipy_for_other_sizes():
     rng = np.random.default_rng(3)
     omega = 0.4 * (rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
-    assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+    assert _rel(_trail(_expm_small(_lead(omega))), scipy.linalg.expm(omega)) <= 1e-14
 
 
 def _complex_stack(rng, shape):
@@ -351,17 +365,18 @@ def _complex_stack(rng, shape):
 
 
 @pytest.mark.parametrize("inner", [1, 2, 3])
-@pytest.mark.parametrize("shapes", [((7, 2, None), (7, None, 2)),
-                                    ((2, None), (7, None, 2)),
-                                    ((7, 2, None), (None, 2))],
+@pytest.mark.parametrize("shapes", [((2, None, 7), (None, 2, 7)),
+                                    ((2, None, 1), (None, 2, 7)),
+                                    ((2, None, 7), (None, 2, 1))],
                          ids=["stack-stack", "matrix-stack", "stack-matrix"])
 def test_mul_matches_matmul(shapes, inner):
     rng = np.random.default_rng(inner)
     a, b = (_complex_stack(rng, tuple(inner if d is None else d for d in shape))
             for shape in shapes)
+    expected = np.matmul(_trail(a), _trail(b))
     got = _mul(a, b)
-    assert got.shape == np.matmul(a, b).shape
-    assert _rel(got, np.matmul(a, b)) <= 1e-14
+    assert _trail(got).shape == expected.shape
+    assert _rel(_trail(got), expected) <= 1e-14
 
 
 def _factors_and_loop(n, m):
@@ -378,16 +393,16 @@ def _factors_and_loop(n, m):
 def test_ordered_product_matches_a_matmul_loop(n, m):
     # lengths around powers of two meet every edge of the up- and down-sweep
     factors, expected = _factors_and_loop(n, m)
-    got = _ordered_product(factors)
-    assert got.shape == (n + 1, m, m)
-    assert _rel(got, expected) <= 1e-13
+    got = _ordered_product(_lead(factors))
+    assert got.shape == (m, m, n + 1)
+    assert _rel(_trail(got), expected) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 1000])
 def test_total_product_is_the_loops_last_product(n, m):
     factors, expected = _factors_and_loop(n, m)
-    assert _rel(_total_product(factors), expected[-1]) <= 1e-13
+    assert _rel(_total_product(_lead(factors)), expected[-1]) <= 1e-13
 
 
 # -- J-monotonicity ----------------------------------------------------------
@@ -680,7 +695,7 @@ def test_varying_system_cut_limits_match_rk45_richardson(varying_system, s):
 @pytest.mark.parametrize("eta", [1e-2, 1e-4])
 def test_varying_system_log_weight_product_near_cut(varying_system, s, eta):
     z = s + 1j * eta
-    w, _ = _log_weight_product(varying_system, 1.0, z, rho=1 / 16)
+    [(w, _)] = _log_weight_product(varying_system, 1.0, z, [(1 / 16, 0, 1)])
     ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12,
                                method="rk45")
     assert fro(w - ode.values[0]) < 1e-7
@@ -751,6 +766,99 @@ def test_rk45_error_estimate_bounds_the_error_on_a_kinked_profile(s, eta):
     err = np.max(np.linalg.norm(sol.values - profile_fundamental(sol.grid, sol.z),
                                 axis=(1, 2)))
     assert err <= sol.error_estimate <= 100 * err
+
+
+# -- one kernel pass per call -------------------------------------------------
+
+
+@pytest.mark.parametrize("which, s", [
+    ("varying", 0.5), ("varying", 0.5037),
+    ("profile", PROFILE_X[16]), ("profile", PROFILE_X[16] + 0.03 * PROFILE_X[1]),
+], ids=["varying-node", "varying-between", "profile-node", "profile-between"])
+def test_one_pass_equals_separate_passes(varying_system, which, s):
+    # non-commuting and kinked commuting H, s on a sample node and between two
+    sys = varying_system if which == "varying" else profile_system()
+
+    def each_alone_equals_the_batch(x, z, variants):
+        batch = _log_weight_product(sys, x, z, variants)
+        for variant, (w, panels) in zip(variants, batch):
+            [(alone, alone_panels)] = _log_weight_product(sys, x, z, [variant])
+            assert np.array_equal(w, alone) and panels == alone_panels
+
+    # levels 0 + 1 of fundamental_solution, near the cut
+    each_alone_equals_the_batch(np.linspace(0.0, 1.0, 21), s + 1e-3j,
+                                [(0.5, 0, 1), (0.5, 0, 2)])
+    # levels 0 + 1 of boundary_values, both sides of each
+    each_alone_equals_the_batch(1.0, s, [(rho, side, 1) for rho in (0.5, 0.25)
+                                         for side in (1, -1)])
+    # a partition and its halving, as product_integral takes them
+    partition = np.linspace(0.0, 1.0, 65)
+    fine = np.linspace(0.0, 1.0, 129)
+    z = s + 0.4j
+    coarse_p, fine_p = _magnus_products(sys, z, [(partition, 0), (fine, 0)])
+    [alone] = _magnus_products(sys, z, [(partition, 0)])
+    assert np.array_equal(coarse_p, alone)
+    [alone] = _magnus_products(sys, z, [(fine, 0)])
+    assert np.array_equal(fine_p, alone)
+
+
+# -- argument checks ------------------------------------------------------------
+
+
+def untouchable_system():
+    """A system whose H must not be evaluated: the checks come first."""
+    def refuse(x):
+        raise AssertionError("H evaluated before the arguments were checked")
+
+    spec = HamiltonianSpec(np.array([0.0, 1.0]), h=np.stack([np.eye(2)] * 2), h_fn=refuse)
+    return CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("s", lambda sys: boundary_values(sys, 1.0, np.nan)),
+    ("s", lambda sys: boundary_values(sys, 1.0, np.inf)),
+    ("x", lambda sys: boundary_values(sys, np.nan, 0.5)),
+    ("z", lambda sys: fundamental_solution(sys, complex(np.nan, 1.0))),
+    ("z", lambda sys: fundamental_solution(sys, complex(np.inf, 1.0))),
+    ("z", lambda sys: fundamental_solution(sys, [1j, complex(np.nan, 1.0)],
+                                           method="rk45")),
+    ("grid", lambda sys: fundamental_solution(sys, 1j, grid=[0.0, np.nan])),
+    ("grid", lambda sys: fundamental_solution(sys, 1j, grid=[0.0, np.nan],
+                                              method="rk45")),
+    ("z", lambda sys: product_integral(sys, complex(np.nan, 1.0), [0.0, 0.5, 1.0])),
+    ("partition", lambda sys: product_integral(sys, 1j, [0.0, np.nan, 1.0])),
+], ids=["bv-s-nan", "bv-s-inf", "bv-x-nan", "fs-z-nan", "fs-z-inf", "fs-batch-z-nan",
+        "fs-grid-nan", "rk45-grid-nan", "pi-z-nan", "pi-partition-nan"])
+def test_non_finite_arguments_raise_naming_them(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(untouchable_system())
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda sys, tol: fundamental_solution(sys, 1j, tol=tol),
+    lambda sys, tol: fundamental_solution(sys, 1j, tol=tol, method="rk45"),
+    lambda sys, tol: boundary_values(sys, 1.0, 0.5, tol=tol),
+], ids=["magnus", "rk45", "boundary_values"])
+def test_tol_must_be_positive_and_finite(call, tol):
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        call(untouchable_system(), tol)
+
+
+def test_refine_stops_at_a_non_finite_difference():
+    # a NaN difference never meets tol; at a constant panel count nothing
+    # else would stop the refinement
+    levels_asked = []
+
+    def product(levels):
+        levels_asked.extend(levels)
+        if max(levels) > 10:
+            raise AssertionError("refinement ran past level 10")
+        return [(np.full((3, 2, 2), np.nan), 16) for _ in levels]
+
+    values, panels, diffs = _refine(product, 1e-10)
+    assert levels_asked == [0, 1]
+    assert panels == 16 and len(diffs) == 1 and np.isnan(diffs[0])
 
 
 # -- many z in one RK45 solve -------------------------------------------------

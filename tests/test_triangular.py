@@ -339,7 +339,9 @@ def test_shifted_solve_matches_lapack(k, stack):
     blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 3.0 * np.eye(k)
     rhs = rng.normal(size=stack + (k, 2)) + 1j * rng.normal(size=stack + (k, 2))
     z = 0.3 - 0.7j
-    got = _shifted_solve(blocks, z, rhs)
+    # the solve takes and returns entries-leading stacks, (k, k, ...)
+    got = np.moveaxis(_shifted_solve(np.moveaxis(blocks, (-2, -1), (0, 1)), z,
+                                     np.moveaxis(rhs, (-2, -1), (0, 1))), (0, 1), (-2, -1))
     expected = np.linalg.solve(blocks - z * np.eye(k), rhs)
     assert got.shape == expected.shape
     assert fro(got - expected) <= 1e-13 * fro(expected)
@@ -352,10 +354,10 @@ def test_shifted_solve_raises_instead_of_warning(k, scale):
     # a zero determinant (with a nonzero adjugate) must raise before any
     # division; a subnormal one makes the quotient overflow, which must
     # raise rather than return inf
-    blocks = np.zeros((4, k, k), dtype=complex)
-    blocks[...] = np.eye(k)
-    blocks[2] = scale * np.eye(k) + np.eye(k, k=1)
-    rhs = np.full((4, k, 2), 1e300, dtype=complex)
+    blocks = np.zeros((k, k, 4), dtype=complex)  # entries-leading
+    blocks[...] = np.eye(k)[..., None]
+    blocks[..., 2] = scale * np.eye(k) + np.eye(k, k=1)
+    rhs = np.full((k, 2, 4), 1e300, dtype=complex)
     with pytest.raises(SingularMatrixError, match="resolvent singular"):
         _shifted_solve(blocks, 0.0, rhs)
 
