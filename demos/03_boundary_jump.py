@@ -4,11 +4,12 @@ Off the interval the fundamental solution is analytic in z; approaching
 a cut point s from above and below gives different limits W+ and W-.
 For the rank-one scenario the two limits differ by the constant factor
 R^2 = I + 2 pi J beta* beta, and the difference V = W+ - W- stays
-uniformly bounded along the cut.  Each limit is computed at z = s +/- i0
-directly, as an ordered product of matrix exponentials over panels graded
-towards s, with the weight 1/(z - t) integrated exactly on every panel
-(its logarithm takes -/+ i pi across s).  The grading is refined until two
-successive products agree; ``extrapolation_error`` reports their
+uniformly bounded along the cut.  Both limits are products of matrix
+exponentials over panels graded towards s, with the weight 1/(z - t)
+integrated exactly on every panel; they share every factor but the one
+whose panel straddles s, W(x, s +/- i0) = T_R exp(Omega_s +/- pi J H(s)) T_L,
+where Omega_s takes the principal value.  The grading is refined until two
+successive levels agree; ``extrapolation_error`` reports their
 difference.  The dressed limits W~+- = v W+- v(xi)^{-1} are cross-checked
 against the same products run on the dressed system, whose Hamiltonian
 is w0* H w0.

@@ -489,7 +489,10 @@ class _Runner:
                                         [(p.real, p.imag) for p in z], values))
         self.check("charfn", "charfn_max_rel_error", worst, CHARFN_TOL)
 
-    def _constant_degenerate_reference(self):
+    def _constant_degenerate_generator(self):
+        """2 pi J beta* beta for constant degenerate beta, else None: the
+        exact jump at s is I + 2 pi sigma J beta* beta, sigma = +1 for
+        xi < s < x, -1 for x < s < xi and 0 off the cut."""
         spec = self.system.hamiltonian
         if not spec.is_factored or spec.beta is None:
             return None
@@ -498,11 +501,11 @@ class _Runner:
         beta = spec.beta[0]
         if fro(beta @ self.system.J @ beta.conj().T) > 1e-12:
             return None
-        return np.eye(self.system.m) + 2.0 * np.pi * self.system.J \
-            @ beta.conj().T @ beta
+        return 2.0 * np.pi * self.system.J @ beta.conj().T @ beta
 
     def run_rh_jump(self, x, s):
-        reference = self._constant_degenerate_reference()
+        generator = self._constant_degenerate_generator()
+        xi = self.system.xi
         rows = []
         worst_jump, v_sup = 0.0, 0.0
         for point in s:
@@ -515,17 +518,18 @@ class _Runner:
                 raise NumericalFailure("rh-jump", f"cut limits divergent at s = {point}")
             v_sup = max(v_sup, fro(rep.v))
             cells = [repr(point)] + _matrix_cells(rep.jump) + [repr(fro(rep.v))]
-            if reference is not None:
-                err = fro(rep.jump - reference)
+            if generator is not None:
+                sigma = (xi < point < x) - (x < point < xi)
+                err = fro(rep.jump - (np.eye(self.system.m) + sigma * generator))
                 worst_jump = max(worst_jump, err)
                 cells.append(repr(err))
             rows.append(cells)
         header = ["s"] + _entry_columns(self.system.m, self.system.m) + ["norm_v"]
-        if reference is not None:
+        if generator is not None:
             header.append("jump_error")
         self.emit("rh_jump.csv", header, rows)
         self.check("rh-jump", "v_sup", v_sup, V_SUP_BOUND)
-        if reference is not None:
+        if generator is not None:
             self.check("rh-jump", "jump_max_error", worst_jump, JUMP_TOL)
 
     def run_example_n1(self, z):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, ascomplex, fro, solve
+from .linalg import SingularMatrixError, fro, solve
 
 #: The constant 1x2 factor of the rank-one Hamiltonian.
 BETA = np.array([[1.0, 1j]])
@@ -91,11 +91,6 @@ def fundamental_matrix(x, z, b=1.0):
     return np.eye(2) + log_ratio(x, z) * _NILPOTENT
 
 
-def jump_factor():
-    """The constant jump factor R = I + pi J beta* beta."""
-    return np.eye(2) + np.pi * J @ hamiltonian()
-
-
 def jump_matrix(s=None, x=None):
     """The boundary-value jump R^2 = I + 2 pi J beta* beta.
 
@@ -136,17 +131,6 @@ class DiagonalParams:
     def n(self):
         return self.b_diag.size
 
-    @classmethod
-    def from_pi0(cls, b_diag, pi0):
-        """Recover (g, h) from an explicit initial matrix Pi(0)."""
-        b_diag = np.atleast_1d(np.asarray(b_diag, dtype=complex))
-        pi0 = ascomplex(pi0, "pi0")
-        if pi0.shape != (b_diag.size, 2):
-            raise ValueError(f"pi0 must be {b_diag.size}x2, got {pi0.shape}")
-        g = pi0 @ np.array([-1j, 1.0])
-        h = 0.5 * pi0 @ np.array([1.0, -1j]) - 1j * g * np.log(b_diag)
-        return cls(b_diag=b_diag, g=g, h=h)
-
     def to_gbdt_params(self, xi=0.0):
         """Engine-ready parameter triple with S(xi) from the closed form."""
         from .gbdt import GbdtParams
@@ -162,9 +146,6 @@ class DiagonalParams:
     def pi_at(self, x):
         """Parameter matrix Pi(x) = (1/2) [2 phi(x), g] T."""
         return 0.5 * np.column_stack([2.0 * self._phi(x), self.g]) @ T
-
-    def pi0(self):
-        return self.pi_at(0.0)
 
     def pi_j_pi(self, x):
         """Pi J Pi* = phi g* + g phi* (rank <= 2 Hermitian)."""
@@ -221,28 +202,6 @@ class DiagonalParams:
         w0 = self.w0_at(x)
         w0_inv = J @ w0.conj().T @ J
         return w0_inv @ self.w_a_at(x, z, b=b)
-
-
-@dataclass
-class ClosedForms:
-    """Bundle of the closed-form dressing data at one point x."""
-
-    pi: np.ndarray
-    s: np.ndarray
-    w0: np.ndarray
-    beta_t: np.ndarray
-    h_t: np.ndarray
-
-
-def closed_forms(params, x):
-    """Evaluate Pi, S, w0, beta w0 and the transformed Hamiltonian at x."""
-    return ClosedForms(
-        pi=params.pi_at(x),
-        s=params.s_at(x),
-        w0=params.w0_at(x),
-        beta_t=params.beta_t_at(x),
-        h_t=params.h_t_at(x),
-    )
 
 
 def transformed_fundamental_matrix(params, x, z, b=1.0):

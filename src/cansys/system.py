@@ -29,8 +29,10 @@ This module provides
   ordered product of the same factors over a user partition, exact for
   commuting H,
 * :func:`boundary_values` -- limits W(x, s +/- i0) on the cut and the jump
-  matrix relating them, each an ordered product of the same factors taken
-  at z = s +/- i0 directly, over panels graded geometrically towards s;
+  matrix relating them, T_R exp(Omega_s +/- pi J H(s)) T_L: the total
+  products T_L and T_R of the same factors at z = s, over panels graded
+  geometrically towards s, on either side of the one panel that straddles
+  s, whose exponent Omega_s takes the principal value;
   ``extrapolation_error`` is the change of the limits under the last
   halving of the grading ratio; this is the library's only cut-limit
   algorithm (dressed limits are checked by running it on the dressed
@@ -39,15 +41,17 @@ This module provides
   sup |beta(x) J beta(t)*| / (x - t) controlling cut limits for factored
   Hamiltonians H = beta* beta.
 
-Every Magnus call is one pass of one kernel, :func:`_magnus_products`:
-:func:`_magnus_exponents` builds the exponents of all the breakpoint sets
-the call needs at its z (the first two refinement levels of
-:func:`fundamental_solution`, both sides of :func:`boundary_values`, the
-partition of :func:`product_integral` and its halving) from one H call on
-their nodes and midpoints and one on their Gauss points, the
-Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` takes them in one
-call, and the work-efficient scan :func:`_ordered_product` multiplies out
-each set.  The kernel holds m x m stacks entries-leading, as (m, m, n),
+Every Magnus call is one pass of one kernel: :func:`_magnus_exponents`
+builds the exponents of all the breakpoint arrays the call needs at its z
+(the first two refinement levels of :func:`fundamental_solution` or of
+:func:`boundary_values`, the partition of :func:`product_integral` and its
+halving) from one H call on their nodes and midpoints and one on their
+Gauss points, and the Cayley-Hamilton 2 x 2 exponential
+:func:`_expm_small` takes them in one call.  :func:`_magnus_products`
+multiplies out each array with the work-efficient scan
+:func:`_ordered_product`; the cut limits need only the total products on
+either side of the straddling panel (:func:`_cut_limits`).  The kernel
+holds m x m stacks entries-leading, as (m, m, n),
 so every elementwise operation runs over the panel axis; public outputs
 keep their (..., m, m) shapes.  Its stacked products, and those of the
 triangular model's forward sweep, whose total :func:`_total_product`
@@ -71,7 +75,7 @@ DISTANCE_TOL = 1e-6
 #: Default error target of fundamental_solution and boundary_values.
 ODE_TOL = 1e-10
 
-#: boundary_values: s inside the cut keeps this times (b - a) from its ends.
+#: boundary_values: s keeps this times (b - a) from xi and x, the cut's ends.
 CUT_MARGIN = 1e-2
 
 #: kernel_bound: beta J beta* = 0 once its sup is at most this times the scale.
@@ -468,7 +472,7 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         z = points[0]
         values, panels, diffs = _refine(
             lambda levels: _log_weight_product(sys, grid, z,
-                                               [(0.5, 0, 2**level) for level in levels]),
+                                               [(0.5, 2**level) for level in levels]),
             tol,
         )
         converged = bool(diffs[-1] <= tol)
@@ -613,10 +617,10 @@ def _total_product(factors):
 
 def _magnus_products(sys, z, sets):
     """Partial products of the Magnus factors exp(Omega_j) over each
-    breakpoint set ``(t, side)`` of ``sets`` (see :func:`_magnus_exponents`):
-    one exponent build and one :func:`_expm_small` for all sets, then one
+    breakpoint array of ``sets`` (see :func:`_magnus_exponents`): one
+    exponent build and one :func:`_expm_small` for all sets, then one
     ordered product per set, each an entries-leading (m, m, n + 1) stack."""
-    omega, counts = _magnus_exponents(sys, z, sets)
+    omega, _, counts = _magnus_exponents(sys, z, sets)
     factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
     return [_ordered_product(f) for f in factors]
 
@@ -653,7 +657,7 @@ def product_integral(sys, z, partition):
     # the public (n + 1, m, m) stacks of the entries-leading products
     values, fine = (
         p.transpose(2, 0, 1).copy()
-        for p in _magnus_products(sys, z, [(partition, 0), (fine_partition, 0)])
+        for p in _magnus_products(sys, z, [partition, fine_partition])
     )
     # halving difference times the order->=1 Richardson safety factor
     err = 2.0 * float(np.max(np.linalg.norm(fine[::2] - values, axis=(1, 2))))
@@ -739,10 +743,11 @@ def _log1p(w):
 
 def _magnus_exponents(sys, z, sets):
     """Fourth-order Magnus exponents Omega_j of the panels [t_j, t_j+1] of
-    every breakpoint set ``(t, side)`` of ``sets``, from one H call on all
-    their nodes and midpoints and one on all their Gauss points; returns
-    the exponents of all sets side by side, as one entries-leading
-    (m, m, P) stack, and the list of each set's panel counts.
+    every breakpoint array t of ``sets``, from one H call on all their
+    nodes and midpoints and one on all their Gauss points; returns the
+    exponents of all sets side by side, as one entries-leading (m, m, P)
+    stack, H at the panel midpoints as another, and the list of each set's
+    panel counts.
 
     Omega_j is i J int H(t) / (z - t) dt, integrated exactly for the
     quadratic through H at the panel's ends and midpoint (exact for
@@ -750,18 +755,14 @@ def _magnus_exponents(sys, z, sets):
     two-point Gauss commutator (sqrt(3) h^2 / 12) [A(g2), A(g1)] of
     fourth-order Magnus, A = i J H / (z - t) (Blanes, Casas, Oteo & Ros
     2009).  exp(Omega_n-1) ... exp(Omega_0) approximates the propagator
-    W(t_n, z) W(t_0, z)^{-1}.
-
-    ``side`` = +1 / -1 with real z = s on an inner breakpoint of its set
-    gives the limits z = s +/- i0: the two panels that meet at s form one
-    factor whose ln(z - s) terms cancel, leaving H(s) (ln((s - t0)/(t1 - s))
-    -/+ i pi); its Gauss points are those of the merged panel.
+    W(t_n, z) W(t_0, z)^{-1}.  For real z inside a panel the integral is
+    its principal value, the real part of the logarithm; the limits
+    z +/- i0 add -/+ i pi H(z) to it (see :func:`_cut_limits`).
     """
     spec, J = sys.hamiltonian, sys.J[..., None]
     z = complex(z)
-    s = z.real
-    nodes = np.concatenate([t for t, _ in sets])
-    sizes = [t.size for t, _ in sets]
+    nodes = np.concatenate(sets)
+    sizes = [t.size for t in sets]
     first = np.delete(np.arange(nodes.size), np.cumsum(sizes) - 1)  # left ends
     t0, t1 = nodes[first], nodes[first + 1]
     n = t0.size
@@ -776,42 +777,25 @@ def _magnus_exponents(sys, z, sets):
     c1 = 0.5 * (h1 - h0)
     c2 = 0.5 * (h1 + h0) - hm
     zeta = (z - mid) / half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log = _log1p((t1 - t0) / (z - t1))
-        weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
-    counts, merged, start = [], [], 0  # start: the set's first panel
-    for (t, side), size in zip(sets, sizes):
-        counts.append(size - 1)
-        if side and t[0] < s < t[-1]:
-            k = int(np.searchsorted(t, s)) - 1  # panels k and k + 1 meet at s
-            j = start + k
-            weighted[..., j + 1] = (
-                h1[..., j] * (np.log((s - t[k]) / (t[k + 2] - s)) - side * 1j * np.pi)
-                - 2.0 * (c1[..., j] + c2[..., j]) - 2.0 * (c1[..., j + 1] - c2[..., j + 1])
-            )
-            mid[j + 1], half[j + 1] = 0.5 * (t[k] + t[k + 2]), 0.5 * (t[k + 2] - t[k])
-            merged.append(j)  # panel j + 1 now spans both
-            counts[-1] -= 1
-        start += size - 1
-    if merged:
-        weighted = np.delete(weighted, merged, axis=-1)
-        mid, half = np.delete(mid, merged), np.delete(half, merged)
-        n -= len(merged)
+    log = _log1p((t1 - t0) / (z - t1))
+    if z.imag == 0.0:  # the principal value on a panel holding z
+        log = log.real
+    weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
     gauss = np.concatenate([mid - half / np.sqrt(3.0), mid + half / np.sqrt(3.0)])
     ja = _mul(J, spec.hamiltonian(gauss).transpose(1, 2, 0).copy()) / (z - gauss)
     # -[A(g2), A(g1)]
     commutator = _mul(ja[..., n:], ja[..., :n]) - _mul(ja[..., :n], ja[..., n:])
     omega = _mul(1j * J, weighted) - (half**2 / np.sqrt(3.0)) * commutator
-    return omega, counts
+    return omega, hm, [size - 1 for size in sizes]
 
 
 def _log_weight_product(sys, x, z, variants):
     """W(x, z) at a point or an array of points x, from ordered products
     of the Magnus factors of :func:`_magnus_exponents` over panels graded
-    towards Re z: one product for each ``(rho, side, split)`` of
-    ``variants`` (grading ratio ``rho``, ``side`` as there, every panel
-    split into ``split`` equal parts), all from one pass of the kernel.
-    Returns a list of ``(W, panels)``, one per variant.
+    towards Re z: one product for each ``(rho, split)`` of ``variants``
+    (grading ratio ``rho``, every panel split into ``split`` equal parts),
+    all from one pass of the kernel.  Returns a list of ``(W, panels)``,
+    one per variant.
 
     The breakpoints hold x, xi and the sample nodes, so with P the partial
     products from the leftmost of them, W(x) = P(x) P(xi)^{-1}.
@@ -824,22 +808,64 @@ def _log_weight_product(sys, x, z, variants):
         return [(np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0)
                 for _ in variants]
     nodes = np.concatenate([sys.hamiltonian.x, ends])
-    grids, sets = {}, []  # variants that differ in side alone share breakpoints
-    for rho, side, split in variants:
-        if (rho, split) not in grids:
-            t = _graded_breakpoints(nodes, lo, hi, z, rho)
-            # unique: splitting a panel a few ulps wide repeats its ends
-            grids[rho, split] = np.unique(
-                np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi)
-            )
-        sets.append((grids[rho, split], side))
+    sets = []
+    for rho, split in variants:
+        t = _graded_breakpoints(nodes, lo, hi, z, rho)
+        # unique: splitting a panel a few ulps wide repeats its ends
+        sets.append(np.unique(
+            np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi)
+        ))
     out = []
-    for (t, _), p in zip(sets, _magnus_products(sys, z, sets)):
-        if p.shape[-1] < t.size:  # the two panels meeting at s = z formed one factor
-            t = t[t != z.real]
+    for t, p in zip(sets, _magnus_products(sys, z, sets)):
         at = p[..., np.searchsorted(t, ends)].transpose(2, 0, 1).copy()
         w = at[:-1] @ np.linalg.inv(at[-1])
         out.append((w.reshape(x.shape + w.shape[1:]), t.size - 1))
+    return out
+
+
+def _cut_limits(sys, x, s, levels):
+    """The cut limits W(x, s + i0) and W(x, s - i0), stacked, and their
+    panel count, for each level of ``levels`` (grading ratio
+    2^-(level + 1)), from one pass of :func:`_magnus_exponents` at z = s.
+
+    Each level's breakpoints are graded towards s by
+    :func:`_graded_breakpoints`, with s itself dropped, so when s lies
+    inside the cut one symmetric panel straddles it.  Its exponent Omega_s
+    takes the principal value of the weight integral, and the limits add
+    -/+ i pi H(s) to that integral, so with T_L and T_R the total products
+    of the factors left and right of that panel,
+
+        W(x, s +/- i0) = T_R exp(Omega_s +/- pi J H(s)) T_L
+
+    for xi < x, and its inverse for x < xi.  Outside the cut both limits
+    are the one total product.
+    """
+    lo, hi = min(sys.xi, x), max(sys.xi, x)
+    if lo == hi:
+        return [(np.stack([np.eye(sys.m, dtype=complex)] * 2), 0) for _ in levels]
+    nodes = np.concatenate([sys.hamiltonian.x, [lo, hi]])
+    sets = [t[t != s] for t in (
+        _graded_breakpoints(nodes, lo, hi, complex(s), 0.5 ** (level + 1)) for level in levels
+    )]
+    omega, h_mid, counts = _magnus_exponents(sys, s, sets)
+    starts = np.cumsum([0] + counts[:-1])
+    inside = lo < s < hi
+    if inside:  # the straddling panels get the + limit; the - limits go last
+        k = starts + [np.searchsorted(t, s) - 1 for t in sets]
+        pi_jh = np.pi * _mul(sys.J[..., None], h_mid[..., k])
+        omega = np.concatenate([omega, omega[..., k] - pi_jh], axis=-1)
+        omega[..., k] += pi_jh
+    factors = _expm_small(omega)
+    out = []
+    for i, (start, count) in enumerate(zip(starts, counts)):
+        if inside:
+            j = k[i]
+            left = _total_product(factors[..., start:j])
+            right = _total_product(factors[..., j + 1:start + count])
+            w = right @ np.stack([factors[..., j], factors[..., i - len(k)]]) @ left
+        else:
+            w = np.stack([_total_product(factors[..., start:start + count])] * 2)
+        out.append((np.linalg.inv(w) if x < sys.xi else w, count))
     return out
 
 
@@ -847,9 +873,11 @@ def _refine(product, tol):
     """Refine until two successive values agree.
 
     ``product(levels)`` returns ``(values, panels)`` for each level of
-    ``levels``.  Levels 0 and 1, which every refinement needs, come from
-    one call, which the callers serve with one pass of the kernel; later
-    levels come one call each, until two successive values differ by at most ``tol`` in
+    ``levels``: W on a grid for :func:`fundamental_solution`, the stacked
+    pair of cut limits for :func:`boundary_values`.  Levels 0 and 1, which
+    every refinement needs, come from one call, which the callers serve
+    with one pass of the kernel; later levels come one call each, until
+    two successive values differ by at most ``tol`` in
     Frobenius norm at every point, a product has more than
     ``MAX_CUT_PANELS`` factors, or the difference is not finite (it never
     falls again then).  Returns the last ``(values, panels)`` and the list
@@ -869,23 +897,23 @@ def _refine(product, tol):
 def boundary_values(sys, x, s, tol=ODE_TOL):
     """Cut limits W(x, s +/- i0) from exact-log-weight Magnus products.
 
-    Each limit is one ordered product of exp(Omega_j) over panels graded
-    towards s (see :func:`_log_weight_product`), taken at z = s +/- i0
-    directly.  The grading ratio rho halves from 1/2 until two successive
+    Both limits of a level share every factor but the one whose panel
+    straddles s (see :func:`_cut_limits`), over panels graded towards s.
+    The grading ratio rho halves from 1/2 until two successive
     results differ by at most ``tol`` or a product would exceed
     ``MAX_CUT_PANELS``; ``extrapolation_error`` is that last difference
-    (rounding level for commuting H, where every product is exact).  Both
-    sides of a level come from one pass of the kernel, and both sides of
-    the first two levels from one pass together (see :func:`_refine`).  The
+    (rounding level for commuting H, where every product is exact).  Each
+    level is one pass of the kernel, and the first two levels one pass
+    together (see :func:`_refine`).  The
     innermost half-width shrinks like rho^4 because the error of the
     factor straddling s falls only like its square; halving every panel
     instead, as :func:`fundamental_solution` does off the cut, gains
     only 2-3x per halving there.
-    ``s`` strictly inside the cut (a, x) must keep ``CUT_MARGIN (b - a)``
-    from both endpoints, where the limits degenerate; s outside [a, x] is
-    allowed and reproduces the off-cut analyticity (jump = I).  Successive
-    differences that grow above ``100 tol`` flag the report divergent
-    instead of raising.
+    The cut of W(x, .) runs between xi and x: ``s`` must keep
+    ``CUT_MARGIN (b - a)`` from both its ends, where the limits
+    degenerate; s outside the cut reproduces the off-cut analyticity
+    (jump = I).  Successive differences that grow above ``100 tol`` flag
+    the report divergent instead of raising.
     """
     _require_finite("x", x)
     _require_finite("s", s)
@@ -894,22 +922,13 @@ def boundary_values(sys, x, s, tol=ODE_TOL):
     if not a < x <= b:
         raise ValueError(f"x = {x} outside ({a}, {b}]")
     margin = CUT_MARGIN * (b - a)
-    inside = a < s < x
-    if inside and (s - a < margin or x - s < margin):
+    if min(abs(s - sys.xi), abs(s - x)) < margin:
         raise ValueError(
             f"s = {s} within margin {margin} of a cut endpoint; limits degenerate"
         )
-    if not inside and min(abs(s - a), abs(s - x)) < margin:
-        raise ValueError(f"s = {s} within margin {margin} of a cut endpoint")
-
-    def limits(levels):
-        w = _log_weight_product(
-            sys, x, s, [(0.5 ** (level + 1), side, 1) for level in levels for side in (1, -1)]
-        )
-        return [(np.stack([w_plus, w_minus]), panels)
-                for (w_plus, panels), (w_minus, _) in zip(w[::2], w[1::2])]
-
-    (w_plus, w_minus), panels, diffs = _refine(limits, tol)
+    (w_plus, w_minus), panels, diffs = _refine(
+        lambda levels: _cut_limits(sys, x, s, levels), tol
+    )
     # growth below the rounding floor is not divergence
     divergent = bool(
         len(diffs) >= 2 and diffs[-1] > max(diffs[-2] * (1.0 + 1e-9), 100.0 * tol)

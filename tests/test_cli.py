@@ -107,6 +107,37 @@ def test_rh_jump_csv_columns(tmp_path):
     assert all(float(line.split(",")[-1]) < 1e-3 for line in lines[1:])
 
 
+def rh_jump_from(xi):
+    """A config whose only task is rh-jump at its default s, based at xi."""
+    config = minimal_config(tasks=[{"task": "rh-jump"}])
+    config["system"]["xi"] = xi
+    return config
+
+
+def test_rh_jump_reference_follows_the_cut_from_xi(tmp_path):
+    # the default s are 0.2 .. 0.8: off the cut [0.4, 1] the jump is I,
+    # on it R^2, and the reference says which
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, rh_jump_from(0.4))), "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["all_pass"] is True
+    assert {c["name"] for c in results["checks"]} == {"v_sup", "jump_max_error"}
+    lines = (out / "rh_jump.csv").read_text().splitlines()[1:]
+    assert len(lines) == 5
+    assert all(float(line.split(",")[-1]) < 1e-3 for line in lines)
+
+
+def test_rh_jump_at_xi_is_a_numerical_failure(tmp_path, capsys):
+    # s = 0.5 = xi is an end of the cut: no limits there, and no NaN row
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, rh_jump_from(0.5))), "--out", str(out)]) == 1
+    assert "s = 0.5" in capsys.readouterr().err
+    results = json.loads((out / "results.json").read_text())
+    assert "s = 0.5" in results["failure"]
+    assert "rh_jump.csv" not in results["artifacts"]
+    assert not (out / "rh_jump.csv").exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema_version": 1,\n  "tasks": [,]\n}', encoding="utf-8")

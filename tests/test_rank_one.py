@@ -56,17 +56,6 @@ def test_log_branch_continuity():
         assert np.max(np.abs(np.diff(vals))) < 0.2
 
 
-def test_g_h_pi0_round_trip():
-    rng = np.random.default_rng(5)
-    b_diag = np.array([2j, -1.0 + 0.5j, 3.0])
-    pi0 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    params = rank_one.DiagonalParams.from_pi0(b_diag, pi0)
-    assert fro(params.pi0() - pi0) < 1e-13
-    again = rank_one.DiagonalParams.from_pi0(b_diag, params.pi0())
-    assert np.allclose(again.g, params.g, atol=1e-13)
-    assert np.allclose(again.h, params.h, atol=1e-13)
-
-
 @pytest.fixture
 def diag_n2():
     return rank_one.DiagonalParams(
@@ -111,10 +100,10 @@ def test_closed_forms_satisfy_evolution_equations(diag_n2):
         assert fro(d_s - expected) < 1e-6
 
 
-def test_closed_forms_bundle(diag_n2):
-    forms = rank_one.closed_forms(diag_n2, 0.4)
-    assert fro(forms.beta_t - rank_one.BETA @ forms.w0) < 1e-11
-    assert fro(forms.h_t - forms.beta_t.conj().T @ forms.beta_t) < 1e-13
+def test_closed_form_beta_t_and_h_t(diag_n2):
+    beta_t = diag_n2.beta_t_at(0.4)
+    assert fro(beta_t - rank_one.BETA @ diag_n2.w0_at(0.4)) < 1e-11
+    assert fro(diag_n2.h_t_at(0.4) - beta_t.conj().T @ beta_t) < 1e-13
 
 
 def test_degenerate_pole_pair_rejected():
@@ -157,18 +146,34 @@ def test_order_one_rejects_bad_parameters():
         rank_one.order_one_closed_forms(1j, 0.0, 0.0, 0.5, 2j)  # g = 0
 
 
-def test_jump_factor_and_square():
-    r = rank_one.jump_factor()
-    expected = np.array([[1.0 - 1j * np.pi, np.pi], [np.pi, 1.0 + 1j * np.pi]])
-    assert fro(r - expected) < 1e-14
-    # nilpotency: R^2 = I + 2 pi J beta* beta, computed independently
-    assert fro(r @ r - rank_one.jump_matrix(0.5, 1.0)) < 1e-13
+def test_jump_matrix_values_and_validation():
     expected_sq = np.array(
         [[1.0 - 2j * np.pi, 2 * np.pi], [2 * np.pi, 1.0 + 2j * np.pi]]
     )
     assert fro(rank_one.jump_matrix() - expected_sq) < 1e-13
+    assert fro(rank_one.jump_matrix(0.5, 1.0) - expected_sq) < 1e-13
     with pytest.raises(ValueError):
         rank_one.jump_matrix(1.5, 1.0)
+
+
+@pytest.mark.parametrize("h_zero", [True, False], ids=["h=0", "h!=0"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_order_one_closed_forms_match_diagonal_params(seed, h_zero):
+    # the expanded n = 1 formulas and the general diagonal ones are two
+    # oracles written apart; they must agree to rounding
+    rng = np.random.default_rng(seed)
+    B = complex(rng.uniform(-1.0, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))
+    g = complex(*rng.uniform(-1.0, 1.0, 2)) + 0.5
+    h = 0.0 if h_zero else complex(*rng.uniform(-0.5, 0.5, 2))
+    params = rank_one.DiagonalParams(b_diag=[B], g=[g], h=[h])
+    for x in (0.0, 0.45, 1.0):
+        for z in (2j, -0.5 + 0.3j, 1.5 - 0.2j):
+            forms = rank_one.order_one_closed_forms(B, g, h, x, z)
+            assert abs(forms.s - params.s_at(x)[0, 0]) <= 1e-13
+            assert fro(forms.beta_t - params.beta_t_at(x)) <= 1e-13
+            assert fro(forms.w0 - params.w0_at(x)) <= 1e-13
+            assert fro(forms.w_a - params.w_a_at(x, z)) <= 1e-13
+            assert fro(forms.v - params.v_at(x, z)) <= 1e-13
 
 
 def test_transformed_fundamental_matrix_normalisation(diag_n2):

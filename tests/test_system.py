@@ -10,6 +10,7 @@ from cansys.system import (
     HamiltonianSpec,
     MAX_CUT_PANELS,
     SpectralPointError,
+    _cut_limits,
     _expm_small,
     _graded_breakpoints,
     _log_weight_product,
@@ -350,7 +351,7 @@ def test_expm_small_large_imaginary_tau():
 def test_expm_small_on_near_cut_magnus_exponents(varying_system):
     z = 0.5037 + 1e-5j
     t = _graded_breakpoints(varying_system.hamiltonian.x, 0.0, 1.0, z, 1 / 16)
-    omega, _ = _magnus_exponents(varying_system, z, [(t, 0)])
+    omega, _, _ = _magnus_exponents(varying_system, z, [t])
     assert _rel(_trail(_expm_small(omega)), scipy.linalg.expm(_trail(omega))) <= 1e-14
 
 
@@ -459,6 +460,22 @@ def test_boundary_values_margin_enforced(unit_system):
         boundary_values(unit_system, 1.0, 1e-4)
     with pytest.raises(ValueError):
         boundary_values(unit_system, 1.0, 1.0 - 1e-4)
+
+
+def test_boundary_values_cut_runs_between_xi_and_x(unit_system):
+    # the cut of W(x, .) is the segment between xi and x, not [a, x]
+    def based_at(xi):
+        return CanonicalSystem(J=unit_system.J, interval=unit_system.interval,
+                               hamiltonian=unit_system.hamiltonian, xi=xi)
+
+    with pytest.raises(ValueError, match="margin"):
+        boundary_values(based_at(0.5), 1.0, 0.5)  # s = xi, an end of the cut
+    r2 = rank_one.jump_matrix()
+    for xi, x, s, expected in [(0.3, 1.0, 0.5, r2), (0.3, 1.0, 0.2, np.eye(2)),
+                               (0.8, 0.5, 0.6, np.linalg.inv(r2))]:
+        report = boundary_values(based_at(xi), x, s, tol=1e-11)
+        assert report.converged and not report.divergent
+        assert fro(report.jump - expected) <= 1e-12
 
 
 # Kinked commuting profile beta = c(x) [1, i]: H = c^2 H0 with J H0 nilpotent,
@@ -695,7 +712,7 @@ def test_varying_system_cut_limits_match_rk45_richardson(varying_system, s):
 @pytest.mark.parametrize("eta", [1e-2, 1e-4])
 def test_varying_system_log_weight_product_near_cut(varying_system, s, eta):
     z = s + 1j * eta
-    [(w, _)] = _log_weight_product(varying_system, 1.0, z, [(1 / 16, 0, 1)])
+    [(w, _)] = _log_weight_product(varying_system, 1.0, z, [(1 / 16, 1)])
     ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12,
                                method="rk45")
     assert fro(w - ode.values[0]) < 1e-7
@@ -779,27 +796,48 @@ def test_one_pass_equals_separate_passes(varying_system, which, s):
     # non-commuting and kinked commuting H, s on a sample node and between two
     sys = varying_system if which == "varying" else profile_system()
 
-    def each_alone_equals_the_batch(x, z, variants):
-        batch = _log_weight_product(sys, x, z, variants)
-        for variant, (w, panels) in zip(variants, batch):
-            [(alone, alone_panels)] = _log_weight_product(sys, x, z, [variant])
-            assert np.array_equal(w, alone) and panels == alone_panels
-
-    # levels 0 + 1 of fundamental_solution, near the cut
-    each_alone_equals_the_batch(np.linspace(0.0, 1.0, 21), s + 1e-3j,
-                                [(0.5, 0, 1), (0.5, 0, 2)])
-    # levels 0 + 1 of boundary_values, both sides of each
-    each_alone_equals_the_batch(1.0, s, [(rho, side, 1) for rho in (0.5, 0.25)
-                                         for side in (1, -1)])
+    grid, z = np.linspace(0.0, 1.0, 21), s + 1e-3j
+    variants = [(0.5, 1), (0.5, 2)]  # levels 0 + 1 of fundamental_solution
+    for variant, (w, panels) in zip(variants, _log_weight_product(sys, grid, z, variants)):
+        [(alone, alone_panels)] = _log_weight_product(sys, grid, z, [variant])
+        assert np.array_equal(w, alone) and panels == alone_panels
+    # levels 0 + 1 of boundary_values, both limits of each
+    for level, (w, panels) in zip((0, 1), _cut_limits(sys, 1.0, s, (0, 1))):
+        [(alone, alone_panels)] = _cut_limits(sys, 1.0, s, (level,))
+        assert np.array_equal(w, alone) and panels == alone_panels
     # a partition and its halving, as product_integral takes them
     partition = np.linspace(0.0, 1.0, 65)
     fine = np.linspace(0.0, 1.0, 129)
     z = s + 0.4j
-    coarse_p, fine_p = _magnus_products(sys, z, [(partition, 0), (fine, 0)])
-    [alone] = _magnus_products(sys, z, [(partition, 0)])
+    coarse_p, fine_p = _magnus_products(sys, z, [partition, fine])
+    [alone] = _magnus_products(sys, z, [partition])
     assert np.array_equal(coarse_p, alone)
-    [alone] = _magnus_products(sys, z, [(fine, 0)])
+    [alone] = _magnus_products(sys, z, [fine])
     assert np.array_equal(fine_p, alone)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5037])  # on a sample node, and between two
+def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
+    # both limits of a level share its breakpoints, so H is evaluated once
+    # at their nodes, midpoints and two Gauss points per panel, not per limit
+    spec = varying_system.hamiltonian
+    points = []
+
+    def counting(t):
+        points.append(np.size(t))
+        return spec.hamiltonian(t)
+
+    sys = CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
+                          hamiltonian=HamiltonianSpec(spec.x, beta=spec.beta, h_fn=counting))
+    report = boundary_values(sys, 1.0, s, tol=1e-7)
+    nodes = np.concatenate([spec.x, [0.0, 1.0]])
+    sizes = []  # breakpoints of each level, s dropped
+    while not sizes or sizes[-1] - 1 < report.panels:
+        t = _graded_breakpoints(nodes, 0.0, 1.0, complex(s), 0.5 ** (len(sizes) + 1))
+        sizes.append(np.count_nonzero(t != s))
+    assert sizes[-1] - 1 == report.panels and len(sizes) >= 3
+    assert sum(points) == sum(4 * n - 3 for n in sizes)
+    assert len(points) == 2 * (len(sizes) - 1)  # levels 0 + 1 share one pass
 
 
 # -- argument checks ------------------------------------------------------------
