@@ -259,15 +259,19 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     n, m = params.n, params.m
     J = sys.J
     spec = sys.hamiltonian
+    B, eye_n = params.B, np.eye(n)
+    n_pi, n_s = n * m, n * m + n * n  # ends of the Pi and S blocks of the state
 
     def rhs(x, y):
-        pi, s, k = _split(y, n, m)
-        a = params.a_at(x)
-        h = spec.hamiltonian(x)
-        pj = pi @ J
-        d_pi = -1j * a @ pi @ (J @ h)
-        d_s = pj @ h @ pj.conj().T - (a @ s + s @ a.conj().T)
-        return np.concatenate([d_pi.ravel(), d_s.ravel(), (k @ a).ravel()])
+        pi = y[:n_pi].reshape(n, m)
+        s = y[n_pi:n_s].reshape(n, n)
+        a = np.linalg.inv(B - x * eye_n)
+        u = pi @ J @ spec.hamiltonian(x)  # Pi J H, shared by both sources
+        out = np.empty_like(y)
+        out[:n_pi] = (-1j * (a @ u)).ravel()
+        out[n_pi:n_s] = (u @ J @ pi.conj().T - (a @ s + s @ a.conj().T)).ravel()
+        out[n_s:] = (y[n_s:].reshape(n, n) @ a).ravel()
+        return out
 
     y0 = np.concatenate(
         [params.Pi0.ravel(), params.S0.ravel(), np.eye(n, dtype=complex).ravel()]
@@ -513,7 +517,10 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
     independent check, :func:`boundary_values` also runs on the dressed
     system itself, with the Hamiltonian of :func:`transformed_hamiltonian`;
     the larger Frobenius difference of the two routes over the + and -
-    limits is reported as ``cross_check_error``.
+    limits is reported as ``cross_check_error``.  The report is
+    ``converged`` only when both refinements converged, and ``divergent``
+    when either diverged: a cross-check that stopped at the panel cap
+    leaves its error unconfirmed.
     """
     sys = traj.system
     eigs = np.linalg.eigvals(traj.params.B)
@@ -542,8 +549,8 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
         panels=base.panels,
         extrapolation_error=base.extrapolation_error
         * max(spec_norm(v_x) * spec_norm(v_xi_inv), 1.0),
-        divergent=base.divergent,
-        converged=base.converged,
+        divergent=base.divergent or direct.divergent,
+        converged=base.converged and direct.converged,
         cross_check_error=cross,
     )
 

@@ -158,6 +158,22 @@ def test_evolved_matches_closed_forms_order_two(unit_system):
         assert fro(traj.s[j] - diag.s_at(x)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_evolved_k_meets_its_closed_form(unit_system, n, xi):
+    # K' = K A, K(xi) = I with A = (B - x)^{-1} solves to
+    # K = (B - x)^{-1} (B - xi) = I + (x - xi) (B - x)^{-1}
+    sys = CanonicalSystem(unit_system.J, unit_system.interval, unit_system.hamiltonian, xi=xi)
+    tol = 1e-10
+    for seed in (0, 1):
+        params = sample_params(seed, sys, n=n)
+        traj = evolve(params, sys, tol=tol)
+        x = traj.grid[:, None, None]
+        k = np.eye(n) + (x - xi) * np.linalg.inv(params.B - x * np.eye(n))
+        scale = float(np.max(np.linalg.norm(k, axis=(1, 2))))
+        assert float(np.max(np.linalg.norm(traj.k - k, axis=(1, 2)))) <= tol * scale
+
+
 def test_trajectory_initial_values(traj_n1):
     assert fro(traj_n1.k[0] - np.eye(1)) < 1e-14
     assert fro(traj_n1.q[0] - traj_n1.params.S0) < 1e-12
@@ -498,6 +514,36 @@ def test_transformed_boundary_values_cross_check_can_fail(traj_n1, monkeypatch):
     )
     report = transformed_boundary_values(traj_n1, 1.0, 0.5, tol=1e-11)
     assert report.cross_check_error > 1.0
+
+
+def test_transformed_boundary_values_need_both_refinements_converged(traj_n1):
+    # at s = 0.7 the base limits converge, but the dressed-system check
+    # stops at the panel cap short of tol
+    s, tol = 0.7, 1e-10
+    sys = traj_n1.system
+    dressed = CanonicalSystem(sys.J, sys.interval, transformed_hamiltonian(traj_n1))
+    direct = boundary_values(dressed, 1.0, s, tol=tol)
+    assert direct.panels > system.MAX_CUT_PANELS and not direct.converged
+    assert boundary_values(sys, 1.0, s, tol=tol).converged
+    report = transformed_boundary_values(traj_n1, 1.0, s, tol=tol)
+    assert not report.converged and not report.divergent
+
+
+@pytest.mark.parametrize("which", [0, 1])  # the base limits, the dressed check
+def test_transformed_boundary_values_report_either_divergence(traj_n1, monkeypatch, which):
+    calls = []
+
+    def flagging(*args, **kwargs):
+        report = boundary_values(*args, **kwargs)
+        calls.append(report)
+        if len(calls) - 1 == which:
+            report.divergent, report.converged = True, False
+        return report
+
+    monkeypatch.setattr(gbdt, "boundary_values", flagging)
+    report = transformed_boundary_values(traj_n1, 1.0, 0.5, tol=1e-8)
+    assert len(calls) == 2
+    assert report.divergent and not report.converged
 
 
 def test_transformed_jump_is_conjugated_base_jump(unit_system, traj_n1):

@@ -102,6 +102,55 @@ def test_interpolation_is_bit_identical_to_the_clip_formula(kind):
                for t, h in zip(points, stacked))
 
 
+def _interpolated_specs():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]])
+    beta = rng.standard_normal((x.size, 1, 2)) + 1j * rng.standard_normal((x.size, 1, 2))
+    return {
+        "beta-grid": HamiltonianSpec(x, beta=beta),
+        "h-grid": HamiltonianSpec(x, h=np.conj(beta).swapaxes(1, 2) @ beta + np.eye(2)),
+        "constant-beta": HamiltonianSpec.from_constant_beta(beta[3], (0.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["beta-grid", "h-grid", "constant-beta"])
+def test_a_scalar_point_gives_the_bits_of_an_array_point(kind):
+    # the ODE right-hand sides pass one float, the Magnus kernel arrays
+    spec = _interpolated_specs()[kind]
+    x = spec.x
+    points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), x[:-1] + 0.1 * np.diff(x),
+                             [-0.4, x[0] - 1e-9, x[-1] + 1e-9, 1.3]])
+    h_stack = spec.hamiltonian(points)
+    beta_stack = spec.beta_at(points) if spec.is_factored else None
+    for i, t in enumerate(points):
+        for point in (float(t), np.float64(t)):
+            h = spec.hamiltonian(point)
+            assert h.shape == (2, 2)
+            assert np.array_equal(h, h_stack[i])
+            assert np.array_equal(h, spec.hamiltonian(np.asarray(point)))
+            if beta_stack is not None:
+                assert np.array_equal(spec.beta_at(point), beta_stack[i])
+    # outside the grid the end values hold
+    assert np.array_equal(spec.hamiltonian(-0.4), spec.hamiltonian(float(x[0])))
+    assert np.array_equal(spec.hamiltonian(1.3), spec.hamiltonian(float(x[-1])))
+
+
+@pytest.mark.parametrize("field", ["h_fn", "beta_fn"])
+def test_a_scalar_point_reaches_the_callable(field):
+    spec = _interpolated_specs()["beta-grid"]
+    seen = []
+
+    def fn(t):
+        seen.append(t)
+        return spec.hamiltonian(t) if field == "h_fn" else spec.beta_at(t)
+
+    wrapped = HamiltonianSpec(spec.x, beta=spec.beta, **{field: fn})
+    for point in (0.3, np.float64(0.3), 1.3):
+        seen.clear()
+        assert np.array_equal(wrapped.hamiltonian(point), spec.hamiltonian(point))
+        assert seen == [point] and type(seen[0]) is type(point)
+
+
 def test_hamiltonian_spec_calls_callables_once_per_evaluation():
     # a callable takes an array of points and returns the stack behind it
     x = np.linspace(0.0, 1.0, 5)
@@ -257,17 +306,36 @@ def test_product_integral_exact_for_constant_h(unit_system):
         assert fro(sol.values[-1] - ref) <= 1e-13
 
 
-@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
-def test_product_integral_order_four(varying_system, z):
-    ref = fundamental_solution(varying_system, z, grid=np.array([1.0]),
+def _assert_order_four(sys, z):
+    ref = fundamental_solution(sys, z, grid=np.array([1.0]),
                                tol=1e-13, method="rk45").values[0]
     errors = []
     for num in (8, 16, 32, 64):
-        sol = product_integral(varying_system, z, np.linspace(0, 1, num + 1))
+        sol = product_integral(sys, z, np.linspace(0, 1, num + 1))
         errors.append(fro(sol.values[-1] - ref))
         assert errors[-1] <= sol.error_estimate
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 3.5)  # fourth-order Magnus factors
+
+
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
+def test_product_integral_order_four(varying_system, z):
+    _assert_order_four(varying_system, z)
+
+
+def _callable_beta(t):
+    # beta J beta* = 0 for J = J_OFF, and H(x) = beta* beta turns with x
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return np.concatenate([np.exp(0.5 * t) + 0j, 1j * (1.0 + 0.5 * np.sin(3.0 * t))],
+                          axis=-1)
+
+
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
+def test_product_integral_order_four_on_a_callable(z):
+    # a non-commuting H known only as a callable: not quadratic on any panel
+    x = np.linspace(0.0, 1.0, 5)
+    spec = HamiltonianSpec.from_beta_grid(x, _callable_beta(x), beta_fn=_callable_beta)
+    _assert_order_four(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec), z)
 
 
 def test_product_integral_agrees_with_ode(unit_system):
@@ -819,7 +887,8 @@ def test_one_pass_equals_separate_passes(varying_system, which, s):
 @pytest.mark.parametrize("s", [0.5, 0.5037])  # on a sample node, and between two
 def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
     # both limits of a level share its breakpoints, so H is evaluated once
-    # at their nodes, midpoints and two Gauss points per panel, not per limit
+    # at their nodes and midpoints, not per limit, and the Gauss values
+    # come from the panel quadratic
     spec = varying_system.hamiltonian
     points = []
 
@@ -836,8 +905,8 @@ def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
         t = _graded_breakpoints(nodes, 0.0, 1.0, complex(s), 0.5 ** (len(sizes) + 1))
         sizes.append(np.count_nonzero(t != s))
     assert sizes[-1] - 1 == report.panels and len(sizes) >= 3
-    assert sum(points) == sum(4 * n - 3 for n in sizes)
-    assert len(points) == 2 * (len(sizes) - 1)  # levels 0 + 1 share one pass
+    assert sum(points) == sum(2 * n - 1 for n in sizes)
+    assert len(points) == len(sizes) - 1  # levels 0 + 1 share one pass
 
 
 # -- argument checks ------------------------------------------------------------
