@@ -56,6 +56,12 @@ public outputs keep their (..., m, m) shapes.  Its stacked products, and
 those of the triangular model's forward sweep, whose total
 :func:`_total_product` takes by pairwise halving, are all :func:`_mul`,
 a sum over the inner index.
+
+The module imports numpy alone.  scipy loads on first use:
+``scipy.integrate`` at the first adaptive solve, through the module
+attribute ``solve_ivp``, and ``scipy.linalg`` at the first exponential
+of matrices other than 2 x 2.  The Magnus routes of m = 2 systems
+(fundamental solutions, cut limits, product integrals) never load it.
 """
 
 from __future__ import annotations
@@ -63,8 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .linalg import PSD_TOL, _adj, ascomplex, fro, hermitian_part, psd_defect
 
@@ -105,6 +109,24 @@ KINK_ROUNDING = 64.0
 #: _ordered_product replaced reached 2.3 and 3.5 there, and 8 keeps a
 #: factor of two over that.
 ROUNDING_GROWTH = 8.0
+
+
+class _SolveIvp:
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    Only the adaptive routes integrate ODEs, so ``import cansys`` does not
+    pay scipy's import.  :func:`integrate_matrix_ode` calls through the
+    module attribute ``solve_ivp``, the one place a solver can be swapped
+    or wrapped.
+    """
+
+    def __call__(self, *args, **kwargs):
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        return scipy_solve_ivp(*args, **kwargs)
+
+
+solve_ivp = _SolveIvp()
 
 
 class SpectralPointError(ValueError):
@@ -525,6 +547,16 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     )
 
 
+def _trace_split(omega):
+    """tau, p and delta^2 of an entries-leading (2, 2, ...) stack, with
+    Omega = tau I + N, N = [[p, q], [r, -p]] traceless and
+    N^2 = delta^2 I, delta^2 = p^2 + q r = -det N; the eigenvalues of
+    Omega are tau +/- delta."""
+    tau = 0.5 * (omega[0, 0] + omega[1, 1])
+    p = 0.5 * (omega[0, 0] - omega[1, 1])
+    return tau, p, p * p + omega[0, 1] * omega[1, 0]
+
+
 def _expm_small(omega):
     """exp of an entries-leading (m, m, ...) stack of m x m matrices, in
     closed form for m = 2.
@@ -539,11 +571,11 @@ def _expm_small(omega):
     """
     omega = np.asarray(omega, dtype=complex)
     if omega.shape[0] != 2:
+        import scipy.linalg
+
         expm = scipy.linalg.expm(np.moveaxis(omega, (0, 1), (-2, -1)))
         return np.moveaxis(expm, (-2, -1), (0, 1))
-    tau = 0.5 * (omega[0, 0] + omega[1, 1])
-    p = 0.5 * (omega[0, 0] - omega[1, 1])  # N = [[p, q], [r, -p]]
-    d2 = p * p + omega[0, 1] * omega[1, 0]
+    tau, p, d2 = _trace_split(omega)
     delta = np.sqrt(d2)
     small = np.abs(delta) < 1e-4
     delta = np.where(small, 1.0, delta)  # the series replaces these entries

@@ -24,7 +24,8 @@ Gohberg 1999), so both applications work on the blocks in O(N) memory:
   :mod:`cansys.system`.  The diagonal blocks and the left factors of the
   sweep are built once per discretised operator; per z only the block
   solves (closed form for k <= 2) and the product remain;
-* the discrete spectrum is the union of the diagonal blocks' spectra.
+* the discrete spectrum is the union of the diagonal blocks' spectra,
+  in closed form for k <= 2.
 
 The dense matrix is assembled only on demand, for the node-identity and
 resolvent-identity diagnostics, which check the sweep independently.
@@ -33,6 +34,7 @@ Dressing applies at the operator level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,9 @@ from .system import (
     CanonicalSystem,
     HamiltonianSpec,
     _mul,
+    _require_finite,
     _total_product,
+    _trace_split,
     fundamental_solution,
 )
 
@@ -189,8 +193,8 @@ class DiscretizedOperator:
 
 def discretize(model, num_nodes):
     """Midpoint-rule discretisation with num_nodes nodes; O(N k m) storage."""
-    if num_nodes < 1:
-        raise ValueError("need at least one node")
+    if not isinstance(num_nodes, numbers.Integral) or num_nodes < 1:
+        raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
     a, b = model.interval
     step = (b - a) / num_nodes
     nodes = a + (np.arange(num_nodes) + 0.5) * step
@@ -262,6 +266,7 @@ def char_fn(op, z):
     products.
     """
     z = complex(z)
+    _require_finite("z", z)
     factors = _mul(op.left_factor, _shifted_solve(op.diag_blocks, z, op.right_factor))
     factors += np.eye(op.m)[..., None]
     return CharFnSample(z=z, value=_total_product(factors), method="resolvent")
@@ -366,13 +371,28 @@ class SimilarityReport:
     transformed_inside_fraction: float | None = None
 
 
+def _block_eigvals(blocks):
+    """Eigenvalues of an entries-leading (k, k, N) stack of blocks, (N, k):
+    for k <= 2 in closed form, tau +/- delta by the split of
+    :func:`cansys.system._trace_split`; larger k go to LAPACK ``eigvals``."""
+    k = blocks.shape[0]
+    if k == 1:
+        return blocks[0].T
+    if k == 2:
+        tau, _, d2 = _trace_split(blocks)
+        delta = np.sqrt(d2)
+        return np.stack([tau + delta, tau - delta], axis=-1)
+    return np.linalg.eigvals(blocks.transpose(2, 0, 1))
+
+
 def similarity_probe(model, num_nodes, traj=None, band=1e-2):
     """Eigenvalue probe for the multiplication-similarity regime.
 
-    The eigenvalues are those of the N diagonal blocks D_j, from one
-    stacked ``eigvals`` call; :class:`SimilarityReport` says what they
-    can and cannot show.  Preconditions: J = I, square beta with beta(x)
-    PSD at the sample points.  When a dressing trajectory is supplied the
+    The eigenvalues are those of the N diagonal blocks D_j
+    (:func:`_block_eigvals`, closed form for k <= 2);
+    :class:`SimilarityReport` says what they can and cannot show.
+    Preconditions: J = I, square beta with beta(x) PSD at the sample
+    points.  When a dressing trajectory is supplied the
     conjugated model beta~ = w0* beta w0 is probed alongside the original.
     """
     if fro(model.J - np.eye(model.m)) > 1e-12:
@@ -384,7 +404,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
 
     def probe(mod):
-        eigs = np.linalg.eigvals(discretize(mod, num_nodes).diag_blocks.transpose(2, 0, 1))
+        eigs = _block_eigvals(discretize(mod, num_nodes).diag_blocks)
         a, b = mod.interval
         inside = np.mean((eigs.real > a - band) & (eigs.real < b + band))
         return float(np.abs(eigs.imag).max()), float(inside)

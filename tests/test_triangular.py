@@ -10,6 +10,7 @@ from cansys.system import CanonicalSystem, HamiltonianSpec
 from cansys.triangular import (
     MAX_DENSE_ROWS,
     TriangularModel,
+    _block_eigvals,
     _shifted_solve,
     char_fn,
     char_fn_via_fundamental,
@@ -210,6 +211,8 @@ def test_similarity_probe_identity_beta_refinement():
     model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
     reports = [similarity_probe(model, n) for n in (64, 128, 256)]
     imags = [r.max_imag for r in reports]
+    # every block is x_j I + (i / 2N) I, whose eigenvalues come out exactly
+    assert imags == [0.5 / n for n in (64, 128, 256)]
     assert imags[2] < imags[1] < imags[0]
     assert imags[2] <= 5e-2
     assert all(r.inside_fraction == 1.0 for r in reports)
@@ -226,6 +229,22 @@ def test_similarity_probe_rejects_bad_inputs():
     model = TriangularModel.from_constant_beta(-np.eye(2), (0.0, 1.0), np.eye(2))
     with pytest.raises(ValueError, match="PSD"):
         similarity_probe(model, 16)
+    model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
+    with pytest.raises(ValueError, match="^num_nodes must be a positive integer"):
+        similarity_probe(model, 2.5)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("z", lambda model, op: char_fn(op, np.nan)),
+    ("z", lambda model, op: char_fn(op, np.inf)),
+    ("z", lambda model, op: char_fn(op, complex(0.5, -np.inf))),
+    ("num_nodes", lambda model, op: discretize(model, 2.5)),
+    ("num_nodes", lambda model, op: discretize(model, 0)),
+], ids=["char_fn-nan", "char_fn-inf", "char_fn-imag-inf", "discretize-float",
+        "discretize-zero"])
+def test_bad_arguments_raise_naming_them(rank_one_model, name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(rank_one_model, discretize(rank_one_model, 8))
 
 
 def test_similarity_probe_transformed_comparable():
@@ -382,6 +401,25 @@ def test_char_fn_large_n_matches_fundamental_solution():
     got = char_fn(discretize(model, n), z).value
     ref = char_fn_via_fundamental(model, z, tol=1e-12).value
     assert fro(got - ref) <= 10.0 / n**2 * fro(ref)
+
+
+def test_block_eigvals_closed_form_matches_lapack():
+    # k = 2 blocks of widely spread scales, shifted like x_j I
+    rng = np.random.default_rng(2024)
+    n = 4096
+    blocks = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    blocks *= 10.0 ** rng.uniform(-4.0, 4.0, size=(n, 1, 1))
+    blocks += rng.uniform(0.0, 1.0, size=(n, 1, 1)) * np.eye(2)
+    got = _block_eigvals(blocks.transpose(1, 2, 0).copy())
+    want = np.linalg.eigvals(blocks)
+    # the pairing of the two eigenvalues of a block is arbitrary
+    err = np.minimum(np.abs(got - want).max(axis=1), np.abs(got - want[:, ::-1]).max(axis=1))
+    assert np.all(err <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
+    # k = 1 is the entry itself, and k = 3 still goes to LAPACK
+    assert np.array_equal(_block_eigvals(blocks[:, :1, :1].transpose(1, 2, 0)),
+                          blocks[:, :1, 0])
+    tall = rng.normal(size=(3, 3, 5)) + 0j
+    assert np.array_equal(_block_eigvals(tall), np.linalg.eigvals(tall.transpose(2, 0, 1)))
 
 
 def test_similarity_probe_matches_dense_eigenvalues(structured_models):
