@@ -48,8 +48,9 @@ z (the first two refinement levels of :func:`fundamental_solution` or of
 its halving) from one H call on their nodes and midpoints, and the
 Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` takes them in one
 call.  :func:`_magnus_products` multiplies out each array with the
-work-efficient scan :func:`_ordered_product`; the cut limits need only
-the total products on either side of the straddling panel
+work-efficient scan :func:`_ordered_product`; :func:`product_integral`
+first multiplies its halving's factors in pairs, and the cut limits need
+only the total products on either side of the straddling panel
 (:func:`_cut_limits`).  The kernel holds m x m stacks entries-leading,
 as (m, m, n), so every elementwise operation runs over the panel axis;
 public outputs keep their (..., m, m) shapes.  Its stacked products, and
@@ -673,7 +674,10 @@ def product_integral(sys, z, partition):
     multiplying from the left, realises the curved-arrow product; each
     factor is exact when the values of H commute on its panel (constant
     or scalar-profile H).  The error estimate comes from one partition
-    halving, whose product comes from the same pass of the kernel.
+    halving, whose factors come from the same pass of the kernel: it is
+    compared only at the partition, so each panel's two half-panel
+    factors are multiplied first, and its scan runs over as many factors
+    as the partition's.
     """
     z = complex(z)
     _require_finite("z", z)
@@ -694,17 +698,19 @@ def product_integral(sys, z, partition):
     fine_partition = np.sort(
         np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
     )
-    # the public (n + 1, m, m) stacks of the entries-leading products
-    values, fine = (
-        p.transpose(2, 0, 1).copy()
-        for p in _magnus_products(sys, z, [partition, fine_partition])
-    )
+    omega, _, (count, _) = _magnus_exponents(sys, z, [partition, fine_partition])
+    factors = _expm_small(omega)
+    values = _ordered_product(factors[..., :count])
+    # the halving's products at the partition: each panel's two halves as one factor
+    fine = factors[..., count:]
+    fine = _ordered_product(_mul(fine[..., 1::2], fine[..., ::2]))
+    fine -= values
     # halving difference times the order->=1 Richardson safety factor
-    err = 2.0 * float(np.max(np.linalg.norm(fine[::2] - values, axis=(1, 2))))
+    err = 2.0 * float(np.max(np.linalg.norm(fine, axis=(0, 1))))
     return FundamentalSolution(
         z=z,
         grid=partition,
-        values=values,
+        values=values.transpose(2, 0, 1),  # the public (n + 1, m, m) stack
         method="product_integral",
         error_estimate=err,
         J=sys.J,
@@ -794,9 +800,17 @@ def _magnus_exponents(sys, z, sets):
     two-point Gauss commutator (sqrt(3) h^2 / 12) [A(g2), A(g1)] of
     fourth-order Magnus, A = i J H / (z - t) (Blanes, Casas, Oteo & Ros
     2009), with H at the Gauss points g1, g2 read off the same quadratic.
-    That is exact on grid data; for a callable H its O(h^3) error enters
-    only the commutator, which carries h^2, so the factor stays fourth
-    order.  exp(Omega_n-1) ... exp(Omega_0) approximates the propagator
+    H is Hermitian (beta* beta, or the Hermitian part of the data) and so
+    is J, so with M = H(g2) J H(g1) the commutator is
+    -J (M - M*) / ((z - g1) (z - g2)), and
+    Omega_j = J (i int H / (z - t) dt - c (M - M*)) with
+    c = (sqrt(3) h^2 / 12) / ((z - g1) (z - g2)) = sqrt(3) / (3 zeta^2 - 1),
+    zeta = (z - t_mid) / (h / 2): one stacked product and one product
+    with J per exponent.  That is exact on grid data; for a callable H
+    its O(h^3) error enters only the commutator, which carries h^2, so
+    the factor stays fourth order.  The build updates its stacks in place
+    and releases each once used, so a pass peaks at about ten (m, m, P)
+    stacks.  exp(Omega_n-1) ... exp(Omega_0) approximates the propagator
     W(t_n, z) W(t_0, z)^{-1}.  For real z inside a panel the integral is
     its principal value, the real part of the logarithm; the limits
     z +/- i0 add -/+ i pi H(z) to it (see :func:`_cut_limits`).
@@ -807,31 +821,52 @@ def _magnus_exponents(sys, z, sets):
     sizes = [t.size for t in sets]
     first = np.delete(np.arange(nodes.size), np.cumsum(sizes) - 1)  # left ends
     t0, t1 = nodes[first], nodes[first + 1]
-    n = t0.size
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     # H is (points, m, m); the kernel takes it entries-leading, contiguous
     h = spec.hamiltonian(np.concatenate([nodes, mid])).transpose(1, 2, 0).copy()
-    h0, h1, hm = h[..., first], h[..., first + 1], h[..., nodes.size:]
+    hm = h[..., nodes.size:].copy()  # returned: no view that keeps h alive
+    h0, h1 = h[..., first], h[..., first + 1]
+    del h
     # H = hm + c1 tau + c2 tau^2 in tau = (t - mid) / half, and
     # int tau^k / (zeta - tau) dtau over [-1, 1] gives, with
     # log = ln((zeta + 1) / (zeta - 1)) = ln((z - t0) / (z - t1)):
-    # int H / (z - t) dt = H(zeta) log - 2 (c1 + c2 zeta)
-    c1 = 0.5 * (h1 - h0)
-    c2 = 0.5 * (h1 + h0) - hm
+    # int H / (z - t) dt = H(zeta) log - 2 q, q = c1 + c2 zeta
+    c1 = h1 - h0
+    c1 *= 0.5
+    c2 = h1
+    c2 += h0
+    del h0, h1
+    c2 *= 0.5
+    c2 -= hm
     zeta = (z - mid) / half
     log = _log1p((t1 - t0) / (z - t1))
     if z.imag == 0.0:  # the principal value on a panel holding z
         log = log.real
-    weighted = (hm + zeta * (c1 + zeta * c2)) * log - 2.0 * (c1 + zeta * c2)
-    # H at the Gauss points tau = -/+ 1/sqrt(3), read off the same quadratic
+    q = zeta * c2
+    q += c1
+    weighted = zeta * q
+    weighted += hm
+    weighted *= log
+    q *= 2.0
+    weighted -= q
+    del q
+    # H at the Gauss points tau = -/+ 1/sqrt(3), read off the same quadratic,
+    # and M = H(g2) J H(g1)
     sqrt3 = np.sqrt(3.0)
-    h_gauss = np.concatenate([hm - c1 / sqrt3 + c2 / 3.0, hm + c1 / sqrt3 + c2 / 3.0], axis=-1)
-    gauss = np.concatenate([mid - half / sqrt3, mid + half / sqrt3])
-    ja = _mul(J, h_gauss) / (z - gauss)
-    # -[A(g2), A(g1)]
-    commutator = _mul(ja[..., n:], ja[..., :n]) - _mul(ja[..., :n], ja[..., n:])
-    omega = _mul(1j * J, weighted) - (half**2 / sqrt3) * commutator
-    return omega, hm, [size - 1 for size in sizes]
+    c1 /= sqrt3
+    c2 /= 3.0
+    m_diff = _mul(J, hm - c1 + c2)
+    h_g2 = c1
+    h_g2 += hm
+    h_g2 += c2
+    del c1, c2
+    m_diff = _mul(h_g2, m_diff)  # M
+    del h_g2
+    m_diff -= m_diff.conj().transpose(1, 0, 2)
+    m_diff *= sqrt3 / (3.0 * zeta * zeta - 1.0)  # c (M - M*)
+    weighted *= 1j
+    weighted -= m_diff
+    return _mul(J, weighted), hm, [size - 1 for size in sizes]
 
 
 def _log_weight_product(sys, x, z, variants):
@@ -842,8 +877,10 @@ def _log_weight_product(sys, x, z, variants):
     all from one pass of the kernel.  Returns a list of ``(W, panels)``,
     one per variant.
 
-    The breakpoints hold x, xi and the sample nodes, so with P the partial
-    products from the leftmost of them, W(x) = P(x) P(xi)^{-1}.
+    Variants of one ``rho`` share one grading.  The breakpoints hold x,
+    xi and the sample nodes, so with P the partial products from the
+    leftmost of them, W(x) = P(x) P(xi)^{-1}, read off the entries-leading
+    products with :func:`_mul`.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -853,18 +890,20 @@ def _log_weight_product(sys, x, z, variants):
         return [(np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0)
                 for _ in variants]
     nodes = np.concatenate([sys.hamiltonian.x, ends])
+    graded = {rho: _graded_breakpoints(nodes, lo, hi, z, rho)
+              for rho in {rho for rho, _ in variants}}
     sets = []
     for rho, split in variants:
-        t = _graded_breakpoints(nodes, lo, hi, z, rho)
+        t = graded[rho]
         # unique: splitting a panel a few ulps wide repeats its ends
         sets.append(np.unique(
             np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi)
         ))
     out = []
     for t, p in zip(sets, _magnus_products(sys, z, sets)):
-        at = p[..., np.searchsorted(t, ends)].transpose(2, 0, 1).copy()
-        w = at[:-1] @ np.linalg.inv(at[-1])
-        out.append((w.reshape(x.shape + w.shape[1:]), t.size - 1))
+        at = p[..., np.searchsorted(t, ends)]
+        w = _mul(at[..., :-1], np.linalg.inv(at[..., -1])[..., None])
+        out.append((w.transpose(2, 0, 1).reshape(x.shape + w.shape[:2]), t.size - 1))
     return out
 
 

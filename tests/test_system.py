@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,10 +11,12 @@ from cansys.system import (
     CanonicalSystem,
     HamiltonianSpec,
     MAX_CUT_PANELS,
+    ROUNDING_GROWTH,
     SpectralPointError,
     _cut_limits,
     _expm_small,
     _graded_breakpoints,
+    _log1p,
     _log_weight_product,
     _magnus_exponents,
     _magnus_products,
@@ -330,12 +334,16 @@ def _callable_beta(t):
                           axis=-1)
 
 
-@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
-def test_product_integral_order_four_on_a_callable(z):
+def callable_system():
     # a non-commuting H known only as a callable: not quadratic on any panel
     x = np.linspace(0.0, 1.0, 5)
     spec = HamiltonianSpec.from_beta_grid(x, _callable_beta(x), beta_fn=_callable_beta)
-    _assert_order_four(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec), z)
+    return CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec)
+
+
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j])
+def test_product_integral_order_four_on_a_callable(z):
+    _assert_order_four(callable_system(), z)
 
 
 def test_product_integral_agrees_with_ode(unit_system):
@@ -907,6 +915,84 @@ def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
     assert sizes[-1] - 1 == report.panels and len(sizes) >= 3
     assert sum(points) == sum(2 * n - 1 for n in sizes)
     assert len(points) == len(sizes) - 1  # levels 0 + 1 share one pass
+
+
+# -- the exponents, the halving and the memory of a pass --------------------------
+
+
+def _explicit_exponents(sys, z, t):
+    """The exponents of one breakpoint array t with the Gauss commutator in
+    its explicit form [A(g2), A(g1)], A = i J H / (z - t), each A a product
+    with J; the weight integral as :func:`_magnus_exponents` takes it."""
+    J, sqrt3 = sys.J[..., None], np.sqrt(3.0)
+    t0, t1 = t[:-1], t[1:]
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    h = _lead(sys.hamiltonian.hamiltonian(np.concatenate([t, mid])))
+    h0, h1, hm = h[..., :t.size - 1], h[..., 1:t.size], h[..., t.size:]
+    c1, c2 = 0.5 * (h1 - h0), 0.5 * (h1 + h0) - hm
+    zeta = (z - mid) / half
+    weighted = ((hm + zeta * (c1 + zeta * c2)) * _log1p((t1 - t0) / (z - t1))
+                - 2.0 * (c1 + zeta * c2))
+    ja1, ja2 = (_mul(J, hm + sign * c1 / sqrt3 + c2 / 3.0)
+                / (z - (mid + sign * half / sqrt3)) for sign in (-1.0, 1.0))
+    commutator = _mul(ja2, ja1) - _mul(ja1, ja2)  # [A(g2), A(g1)] = -commutator
+    return _mul(1j * J, weighted) - (half**2 / sqrt3) * commutator
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.3j, 0.5037 + 1e-3j, 0.2 - 1e-5j])
+@pytest.mark.parametrize("which", ["varying", "callable"])
+def test_exponents_match_the_explicit_commutator(varying_system, which, z):
+    # J (M - M*), M = H(g2) J H(g1), stands for the commutator because H is
+    # Hermitian; on panels graded towards Re z, near the cut and off it
+    sys = varying_system if which == "varying" else callable_system()
+    t = _graded_breakpoints(sys.hamiltonian.x, 0.0, 1.0, z, 0.5)
+    omega, _, _ = _magnus_exponents(sys, z, [t])
+    assert _rel(_trail(omega), _trail(_explicit_exponents(sys, z, t))) <= 1e-14
+
+
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.3j, -0.6])
+@pytest.mark.parametrize("which", ["varying", "callable"])
+def test_product_integral_estimate_is_the_halving_difference(varying_system, which, z):
+    # the halving's factors are multiplied in pairs before the scan; the
+    # values are the coarse scan's, and the estimate is twice the largest
+    # difference from the unmerged scan of the halving at the partition
+    sys = varying_system if which == "varying" else callable_system()
+    partition = np.linspace(0.0, 1.0, 65)
+    halving = np.sort(np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])]))
+    sol = product_integral(sys, z, partition)
+    coarse, fine = (_trail(p) for p in _magnus_products(sys, z, [partition, halving]))
+    assert np.array_equal(sol.values, coarse)
+    expected = 2.0 * np.max(np.linalg.norm(fine[::2] - coarse, axis=(1, 2)))
+    floor = (ROUNDING_GROWTH * 0.5 * np.finfo(float).eps * (halving.size - 1)
+             * np.max(np.linalg.norm(coarse, axis=(1, 2))))
+    assert abs(sol.error_estimate - expected) <= floor
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys: fundamental_solution(sys, PROFILE_X[16] + 0.03 * PROFILE_X[1] + 1e-4j),
+    lambda sys: product_integral(sys, 0.5 + 0.3j, np.linspace(0.0, 1.0, 257)),
+], ids=["near-cut-w", "product-integral"])
+def test_a_magnus_pass_holds_few_stacks(monkeypatch, call):
+    # the largest pass's exponents fill one complex (m, m, P) stack; the
+    # call peaks at 9.6 of them, 17.9 when no stack is released early
+    sys = profile_system()
+    panels = []
+
+    def recording(sys, z, sets):
+        out = _magnus_exponents(sys, z, sets)
+        panels.append(sum(out[2]))
+        return out
+
+    monkeypatch.setattr(system, "_magnus_exponents", recording)
+    call(sys)  # first-call allocations are no pass's
+    panels.clear()
+    tracemalloc.start()
+    try:
+        call(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 16 * sys.m**2 * max(panels)
 
 
 # -- argument checks ------------------------------------------------------------
