@@ -34,8 +34,8 @@ included, is checked before the output directory is made, so a rejected
 config writes nothing; each diagnostic is anchored at the config line
 of the offending key, a task option inside its own task entry.  The one
 tolerance a config sets is ``ode_tol`` (default ``gbdt.ODE_TOL``), the
-accuracy the solvers aim for; every check has a fixed bound, tabled at
-the bound constants below.
+accuracy every solve of the run aims for, the trajectory's included;
+every check has a fixed bound, tabled at the bound constants below.
 """
 
 from __future__ import annotations
@@ -235,24 +235,25 @@ def _build_system(block):
         samples = ham.get(field)
         if not isinstance(samples, list) or len(samples) != len(x):
             raise ConfigError(f"'{field}' must match the length of 'x'", key=at_field)
-        stack = np.stack([_cmatrix_from(s, at_field) for s in samples])
-        if stack.shape[2] != m or (kind == "h-grid" and stack.shape[1] != m):
-            raise ConfigError(f"'{field}' samples must be compatible with m={m}",
-                              key=at_field)
+        mats = [_cmatrix_from(s, at_field) for s in samples]
+        rows, cols = mats[0].shape
+        if (any(mat.shape != (rows, cols) for mat in mats) or cols != m
+                or (kind == "h-grid" and rows != m)):
+            raise ConfigError(f"'{field}' samples must share one shape compatible "
+                              f"with m={m}", key=at_field)
+        stack = np.stack(mats)
         if kind == "beta-grid":
             spec = HamiltonianSpec.from_beta_grid(np.array(x, dtype=float), stack)
         else:
             spec = HamiltonianSpec.from_grid(np.array(x, dtype=float), stack)
     else:
-        raise ConfigError(f"unknown hamiltonian type '{kind}'", key=(*at_ham, "type"))
+        raise ConfigError(f"'type' must be constant-beta, beta-grid or h-grid, "
+                          f"not '{kind}'", key=(*at_ham, "type"))
     xi = block.get("xi", interval[0])
     if not _is_number(xi) or not interval[0] <= xi <= interval[1]:
         raise ConfigError("'xi' must lie inside the interval", key=(*at, "xi"))
-    try:
-        return CanonicalSystem(J=jmat, interval=tuple(interval),
-                               hamiltonian=spec, xi=float(xi))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=at) from exc
+    return CanonicalSystem(J=jmat, interval=tuple(interval), hamiltonian=spec,
+                           xi=float(xi))
 
 
 def _build_gbdt(block, sys):
@@ -267,7 +268,8 @@ def _build_gbdt(block, sys):
         for forbidden in ("B", "S0", "Pi0"):
             if forbidden in block:
                 raise ConfigError(
-                    "give either the b_diag/g/h shorthand or explicit B/S0/Pi0",
+                    f"'{forbidden}' cannot join the b_diag/g/h shorthand: give "
+                    "either the shorthand or explicit B/S0/Pi0",
                     key=(*at, forbidden),
                 )
         b_diag = _cvector_from(block.get("b_diag"), (*at, "b_diag"), length=n)
@@ -342,7 +344,8 @@ class _Runner:
                 f"schema_version must be {SCHEMA_VERSION}", key="schema_version"
             )
         if "system" not in config or "tasks" not in config:
-            raise ConfigError("config needs 'system' and 'tasks'", key="schema_version")
+            raise ConfigError(f"a 'schema_version' {SCHEMA_VERSION} config needs "
+                              "'system' and 'tasks'", key="schema_version")
         tol_block = config.get("tolerances", {})
         if not isinstance(tol_block, dict):
             raise ConfigError("'tolerances' must be an object", key="tolerances")
@@ -381,8 +384,8 @@ class _Runner:
             if isinstance(entry, str):
                 entry = {"task": entry}
             if not isinstance(entry, dict) or not isinstance(entry.get("task"), str):
-                raise ConfigError("each task must be a name or a {'task': name} object",
-                                  key=anchor)
+                raise ConfigError("each of 'tasks' must be a name or a "
+                                  "{'task': name} object", key=anchor)
             name = entry["task"]
             anchor += (name,)
             if name not in _TASKS:
@@ -407,20 +410,11 @@ class _Runner:
                             "bound": bound, "pass": bool(value <= bound)})
 
     def trajectory(self):
-        """The one (Pi, S, K) trajectory every task of the run reads.
-
-        It is evolved once, at the tightest tolerance the tasks need:
-        example-n1 compares with closed forms at 1e-9 and needs 1e-12.
-        """
+        """The one (Pi, S, K) trajectory every task of the run reads,
+        evolved once, at ode_tol, on evolve's default grid."""
         if self._traj is None:
-            a, b = self.system.interval
-            tol = self.ode_tol
-            if any(name == "example-n1" for name, _ in self.tasks):
-                tol = min(tol, 1e-12)
             try:
-                self._traj = evolve(
-                    self.params, self.system, grid=np.linspace(a, b, 201), tol=tol
-                )
+                self._traj = evolve(self.params, self.system, tol=self.ode_tol)
             except SingularMatrixError as exc:
                 raise NumericalFailure("evolve", str(exc)) from exc
         return self._traj
@@ -510,8 +504,7 @@ class _Runner:
         worst_jump, v_sup = 0.0, 0.0
         for point in s:
             try:
-                rep = boundary_values(self.system, x, point,
-                                      tol=min(self.ode_tol, 1e-10))
+                rep = boundary_values(self.system, x, point, tol=self.ode_tol)
             except (SpectralPointError, ValueError) as exc:
                 raise NumericalFailure("rh-jump", f"s = {point}: {exc}") from exc
             if rep.divergent:
@@ -556,8 +549,7 @@ class _Runner:
         # one stacked RK45 solve for the sweep z and the grid's zs[0]: the base
         # solution has no shared route; the sweep is read at x = b
         solved = transformed_fundamental(
-            traj, np.array([*z, zs[0]]), grid=np.linspace(a, b, 51),
-            tol=min(self.ode_tol, 1e-10),
+            traj, np.array([*z, zs[0]]), grid=np.linspace(a, b, 51), tol=self.ode_tol
         )
         sweep = solved.values[:-1, -1]
         for point, got in zip(z, sweep):

@@ -141,7 +141,8 @@ def validate_params(params, sys):
         violations.append(
             f"spectrum of B within {gap:.2e} of [{a}, {b}] (margin {margin:.2e})"
         )
-    residual = params.identity_residual(sys.J)
+    # the identity takes Pi0 J Pi0*: undefined when Pi0 has the wrong columns
+    residual = params.identity_residual(sys.J) if params.m == sys.m else np.nan
     if residual > 1e-10:
         violations.append(f"displacement identity violated (residual {residual:.2e})")
     if not a <= params.xi <= b:
@@ -190,8 +191,8 @@ def _check_s(x, s, s_scale=None):
 class GbdtTrajectory:
     """Evolved dressing data sampled on a grid, plus a dense evaluator.
 
-    ``a``, ``s``, ``pi``, ``k``, ``q`` hold A(x), S(x), Pi(x), K(x) and
-    Q(x) = K S K* at the grid points; K solves K_x = K A, K(xi) = I, so
+    ``s``, ``pi``, ``k``, ``q`` hold S(x), Pi(x), K(x) and Q(x) = K S K*
+    at the grid points; K solves K_x = K A, K(xi) = I, so
     Q is nondecreasing whenever the data is consistent.  A completed
     trajectory is immutable and safe for concurrent queries.
     """
@@ -199,7 +200,6 @@ class GbdtTrajectory:
     params: GbdtParams
     system: object
     grid: np.ndarray
-    a: np.ndarray
     s: np.ndarray
     pi: np.ndarray
     k: np.ndarray
@@ -223,17 +223,11 @@ class GbdtTrajectory:
         of x gives stacks from one call."""
         return _split(self._dense(x), self.n, self.m)
 
-    def pi_at(self, x):
-        return self.state_at(x)[0]
-
     def s_at(self, x):
         return self.state_at(x)[1]
 
     def k_at(self, x):
         return self.state_at(x)[2]
-
-    def a_at(self, x):
-        return self.params.a_at(x)
 
 
 def evolve(params, sys, grid=None, tol=ODE_TOL):
@@ -247,15 +241,15 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     closed-form resolvent, once per right-hand side evaluation; the joint
     state keeps the displacement-identity residual coherent with the
     integration error.  Raises :class:`~cansys.linalg.SingularMatrixError`
-    if S(x) passes the singularity threshold anywhere on the grid.
+    if S(x) passes the singularity threshold anywhere on the grid; a
+    ``tol`` that is not a positive finite number, or a grid that is not
+    finite, non-empty and within the interval, raises ValueError.
     """
+    system._require_tol(tol)
+    grid = system._checked_grid(grid, sys.interval)
     report = validate_params(params, sys)
     if not report.ok:
         raise ValueError("invalid dressing parameters: " + "; ".join(report.violations))
-    a_lo, b_hi = sys.interval
-    if grid is None:
-        grid = np.linspace(a_lo, b_hi, 201)
-    grid = np.asarray(grid, dtype=float)
     n, m = params.n, params.m
     J = sys.J
     spec = sys.hamiltonian
@@ -291,7 +285,6 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
         params=params,
         system=sys,
         grid=grid,
-        a=a,
         s=s,
         pi=pi,
         k=k,
@@ -379,6 +372,7 @@ def _dressing_state(traj, x):
     stacked solve against S.
     """
     x = np.asarray(x, dtype=float)
+    system._require_finite("x", x)
     pi, s, _ = traj.state_at(x)
     _check_s(x, s, traj.s_scale)
     bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
@@ -408,6 +402,7 @@ def transfer(traj, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
+    system._require_finite("z", z)
     shape = np.broadcast_shapes(x.shape, z.shape)
     z = np.broadcast_to(z, shape)
     B = traj.params.B

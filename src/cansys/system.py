@@ -47,13 +47,14 @@ z (the first two refinement levels of :func:`fundamental_solution` or of
 :func:`boundary_values`, the partition of :func:`product_integral` and
 its halving) from one H call on their nodes and midpoints, and the
 Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` takes them in one
-call.  :func:`_magnus_products` multiplies out each array with the
-work-efficient scan :func:`_ordered_product`; :func:`product_integral`
-first multiplies its halving's factors in pairs, and the cut limits need
-only the total products on either side of the straddling panel
-(:func:`_cut_limits`).  The kernel holds m x m stacks entries-leading,
-as (m, m, n), so every elementwise operation runs over the panel axis;
-public outputs keep their (..., m, m) shapes.  Its stacked products, and
+call.  :func:`_log_weight_product` multiplies out each array of the
+fundamental solution with the work-efficient scan
+:func:`_ordered_product`; :func:`product_integral` first multiplies its
+halving's factors in pairs, and the cut limits need only the total
+products on either side of the straddling panel (:func:`_cut_limits`).
+The kernel holds m x m stacks entries-leading, as (m, m, n), so every
+elementwise operation runs over the panel axis; public outputs keep
+their (..., m, m) shapes.  Its stacked products, and
 those of the triangular model's forward sweep, whose total
 :func:`_total_product` takes by pairwise halving, are all :func:`_mul`,
 a sum over the inner index.
@@ -146,6 +147,19 @@ def _require_tol(tol):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
+def _checked_grid(grid, interval):
+    """grid as a float array, 201 points spanning the interval when None;
+    raise ValueError unless it is finite, non-empty and within the interval."""
+    a, b = interval
+    if grid is None:
+        return np.linspace(a, b, 201)
+    grid = np.asarray(grid, dtype=float)
+    _require_finite("grid", grid)
+    if grid.size == 0 or grid.min() < a - 1e-12 or grid.max() > b + 1e-12:
+        raise ValueError(f"grid must be nonempty and within [{a}, {b}]")
+    return grid
+
+
 def _cut_distance(z, interval):
     # |Im z| + dist(Re z, [a, b]): cheap and within sqrt(2) of Euclidean
     a, b = interval
@@ -233,14 +247,6 @@ class HamiltonianSpec:
     def is_factored(self):
         return self.beta is not None or self.beta_fn is not None
 
-    @property
-    def k(self):
-        if self.beta is not None:
-            return self.beta.shape[1]
-        if self.beta_fn is not None:
-            return np.asarray(self.beta_fn(self.x[0])).shape[0]
-        raise ValueError("no factored form present")
-
     def beta_at(self, x):
         """beta(x), or a stack of them for an array of points."""
         if self.beta_fn is not None:
@@ -283,7 +289,8 @@ class HamiltonianSpec:
 
 @dataclass
 class CanonicalSystem:
-    """System data: signature J, interval [a, b], base point xi, Hamiltonian."""
+    """System data: signature J, interval [a, b], base point xi in [a, b]
+    (default a), Hamiltonian."""
 
     J: np.ndarray
     interval: tuple
@@ -299,6 +306,8 @@ class CanonicalSystem:
         if self.xi is None:
             self.xi = a
         self.xi = float(self.xi)
+        if not a <= self.xi <= b:  # a NaN xi fails too
+            raise ValueError(f"xi = {self.xi} outside [{a}, {b}]")
 
     @property
     def m(self):
@@ -324,20 +333,22 @@ def _signature_defect(J):
 
 
 def validate_system(sys):
-    """Check J = J* = J^{-1}, H(x_j) PSD Hermitian, xi inside the interval."""
+    """Check J = J* = J^{-1}, the Hamiltonian's size, and H(x_j) PSD
+    Hermitian at the sample nodes; H samples are checked as given, before
+    :meth:`HamiltonianSpec.hamiltonian` takes their Hermitian part."""
     violations = []
     j_defect = _signature_defect(sys.J)
     if j_defect > 1e-12:
         violations.append(f"J is not a signature matrix (defect {j_defect:.2e})")
-    a, b = sys.interval
-    if not a <= sys.xi <= b:
-        violations.append(f"base point xi = {sys.xi} outside [{a}, {b}]")
     spec = sys.hamiltonian
     if spec.m != sys.m:
         violations.append(f"Hamiltonian size {spec.m} != system size {sys.m}")
     h = spec.hamiltonian(spec.x)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[:, 0].min())
-    for j in np.flatnonzero(psd_defect(h) > PSD_TOL):
+    defect = psd_defect(h)
+    if spec.h is not None:
+        defect = np.maximum(defect, np.linalg.norm(spec.h - _adj(spec.h), axis=(1, 2)))
+    for j in np.flatnonzero(defect > PSD_TOL):
         violations.append(f"H not PSD Hermitian at x_{j} = {spec.x[j]}")
     return SystemReport(violations=violations, j_defect=j_defect, min_h_eig=min_eig)
 
@@ -484,16 +495,10 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         raise ValueError("z must be a point or a non-empty 1-D array of points")
     _require_finite("z", points)
     _require_tol(tol)
-    a, b = sys.interval
     for point in points:
         if _cut_distance(point, sys.interval) < DISTANCE_TOL:
             raise SpectralPointError(f"z = {point} is within {DISTANCE_TOL} of the cut")
-    if grid is None:
-        grid = np.linspace(a, b, 201)
-    grid = np.asarray(grid, dtype=float)
-    _require_finite("grid", grid)
-    if grid.size == 0 or grid.min() < a - 1e-12 or grid.max() > b + 1e-12:
-        raise ValueError(f"grid must be nonempty and within [{a}, {b}]")
+    grid = _checked_grid(grid, sys.interval)
     m = sys.m
     J = sys.J
     if method == "magnus":
@@ -502,9 +507,7 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
                              "towards Re z; batch z with method 'rk45'")
         z = points[0]
         values, panels, diffs = _refine(
-            lambda levels: _log_weight_product(sys, grid, z,
-                                               [(0.5, 2**level) for level in levels]),
-            tol,
+            lambda levels: _log_weight_product(sys, grid, z, levels), tol
         )
         converged = bool(diffs[-1] <= tol)
         # two products exact up to rounding can differ by less than their error
@@ -654,16 +657,6 @@ def _total_product(factors):
             paired[..., -1:] = _mul(acc[..., -1:], paired[..., -1:])
         acc = paired
     return acc[..., 0].copy()
-
-
-def _magnus_products(sys, z, sets):
-    """Partial products of the Magnus factors exp(Omega_j) over each
-    breakpoint array of ``sets`` (see :func:`_magnus_exponents`): one
-    exponent build and one :func:`_expm_small` for all sets, then one
-    ordered product per set, each an entries-leading (m, m, n + 1) stack."""
-    omega, _, counts = _magnus_exponents(sys, z, sets)
-    factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
-    return [_ordered_product(f) for f in factors]
 
 
 def product_integral(sys, z, partition):
@@ -869,18 +862,16 @@ def _magnus_exponents(sys, z, sets):
     return _mul(J, weighted), hm, [size - 1 for size in sizes]
 
 
-def _log_weight_product(sys, x, z, variants):
-    """W(x, z) at a point or an array of points x, from ordered products
-    of the Magnus factors of :func:`_magnus_exponents` over panels graded
-    towards Re z: one product for each ``(rho, split)`` of ``variants``
-    (grading ratio ``rho``, every panel split into ``split`` equal parts),
-    all from one pass of the kernel.  Returns a list of ``(W, panels)``,
-    one per variant.
+def _log_weight_product(sys, x, z, levels):
+    """W(x, z) at a point or an array of points x, and its panel count,
+    for each level of ``levels`` (every panel of the grading towards Re z
+    with ratio 1/2 split into 2^level equal parts), from one pass of
+    :func:`_magnus_exponents`.
 
-    Variants of one ``rho`` share one grading.  The breakpoints hold x,
-    xi and the sample nodes, so with P the partial products from the
-    leftmost of them, W(x) = P(x) P(xi)^{-1}, read off the entries-leading
-    products with :func:`_mul`.
+    The breakpoints hold x, xi and the sample nodes, so with P the partial
+    products from the leftmost of them, W(x) = P(x) P(xi)^{-1}, read off
+    the entries-leading products of :func:`_ordered_product` with
+    :func:`_mul`.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -888,20 +879,17 @@ def _log_weight_product(sys, x, z, variants):
     lo, hi = ends.min(), ends.max()
     if lo == hi:
         return [(np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0)
-                for _ in variants]
-    nodes = np.concatenate([sys.hamiltonian.x, ends])
-    graded = {rho: _graded_breakpoints(nodes, lo, hi, z, rho)
-              for rho in {rho for rho, _ in variants}}
-    sets = []
-    for rho, split in variants:
-        t = graded[rho]
-        # unique: splitting a panel a few ulps wide repeats its ends
-        sets.append(np.unique(
-            np.append(t[:-1, None] + np.diff(t)[:, None] * np.arange(split) / split, hi)
-        ))
+                for _ in levels]
+    t = _graded_breakpoints(np.concatenate([sys.hamiltonian.x, ends]), lo, hi, z, 0.5)
+    # unique: splitting a panel a few ulps wide repeats its ends
+    sets = [np.unique(np.append(
+        t[:-1, None] + np.diff(t)[:, None] * np.arange(2**level) / 2**level, hi
+    )) for level in levels]
+    omega, _, counts = _magnus_exponents(sys, z, sets)
+    factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
     out = []
-    for t, p in zip(sets, _magnus_products(sys, z, sets)):
-        at = p[..., np.searchsorted(t, ends)]
+    for t, f in zip(sets, factors):
+        at = _ordered_product(f)[..., np.searchsorted(t, ends)]
         w = _mul(at[..., :-1], np.linalg.inv(at[..., -1])[..., None])
         out.append((w.transpose(2, 0, 1).reshape(x.shape + w.shape[:2]), t.size - 1))
     return out

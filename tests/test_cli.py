@@ -66,16 +66,17 @@ def count_evolves(monkeypatch):
     return tols
 
 
-def test_one_trajectory_per_run_at_the_tightest_tolerance(tmp_path, monkeypatch):
+def test_one_trajectory_per_run_at_ode_tol(tmp_path, monkeypatch):
     # the bundled scenario (ode_tol 1e-10) lists example-n1, whose closed-form
-    # comparisons need 1e-12; every task reads that one trajectory
+    # comparisons hold at the config's tolerance; every task reads that one
+    # trajectory
     tols = count_evolves(monkeypatch)
     raw = []
     for run in ("a", "b"):
         out = tmp_path / run
         assert main(["run", str(scenario_path()), "--out", str(out)]) == 0
         raw.append((out / "results.json").read_bytes())
-    assert tols == [1e-12, 1e-12]
+    assert tols == [1e-10, 1e-10]
     assert raw[0] == raw[1]
     checks = json.loads(raw[0])["checks"]
     n1 = [c for c in checks if c["task"] == "example-n1"]
@@ -246,6 +247,21 @@ def test_beta_grid_system_end_to_end(tmp_path):
     assert "transformed_beta.csv" in results["artifacts"]
 
 
+def test_validate_catches_non_hermitian_h_samples(tmp_path):
+    # I plus a skew part 0.5 at both nodes: the samples, not their
+    # Hermitian part, must be checked
+    skewed = [[[1, 0], [0.5, 0]], [[-0.5, 0], [1, 0]]]
+    config = without_gbdt(tasks=["validate"])
+    config["system"]["hamiltonian"] = {"type": "h-grid", "x": [0.0, 1.0],
+                                       "h": [skewed, skewed]}
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    results = json.loads((out / "results.json").read_text())
+    assert results["checks"] == [{"task": "validate", "name": "system_violations",
+                                  "value": 2.0, "bound": 0.0, "pass": False}]
+    assert results["all_pass"] is False
+
+
 def test_charfn_needs_factored_hamiltonian(tmp_path, capsys):
     config = minimal_config(tasks=[{"task": "charfn", "N": 16}])
     config["system"]["hamiltonian"] = {
@@ -347,6 +363,32 @@ def grid_config(x):
     return config
 
 
+def with_blocks(system=None, hamiltonian=None, gbdt=None, **overrides):
+    """minimal_config with keys of its 'system', 'hamiltonian' and 'gbdt'
+    blocks replaced (a value of None deletes the key), then ``overrides``
+    (None deletes a top-level key)."""
+    config = minimal_config()
+    for block, changes in ((config["system"], system),
+                           (config["system"]["hamiltonian"], hamiltonian),
+                           (config["gbdt"], gbdt), (config, overrides)):
+        for key, value in (changes or {}).items():
+            if value is None:
+                del block[key]
+            else:
+                block[key] = value
+    return config
+
+
+BETA_ROW = [[1, 0], [0, 1]]  # the 1 x 2 factor beta = [1, i]
+EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def two_sample_grid(field, first, second):
+    """The 'system' change to a two-node beta-grid or h-grid."""
+    return {"hamiltonian": {"type": f"{field}-grid", "x": [0.0, 1.0],
+                            field: [first, second]}}
+
+
 BAD_VALUES = {
     "gbdt_xi_string": (
         minimal_config(gbdt={"n": 1, "b_diag": [[0, 1]], "g": [[1, 0]],
@@ -371,6 +413,49 @@ BAD_VALUES = {
         minimal_config(tasks=[{"task": "charfn", "N": 8, "z": 2.0}]), ("tasks", "z"),
     ),
     "output_not_a_string": (minimal_config(output=5), ("output",)),
+    "beta_entry_not_a_pair": (
+        with_blocks(hamiltonian={"beta": [[[1, 0, 0], [0, 1]]]}),
+        ("system", "hamiltonian", "beta"),
+    ),
+    "beta_not_a_matrix": (with_blocks(hamiltonian={"beta": 5}),
+                          ("system", "hamiltonian", "beta")),
+    "beta_of_three_columns": (
+        with_blocks(hamiltonian={"beta": [[[1, 0], [0, 0], [1, 0]]]}),
+        ("system", "hamiltonian", "beta"),
+    ),
+    "J_of_the_wrong_shape": (with_blocks(system={"J": [[[1, 0]]]}), ("system", "J")),
+    "g_not_a_list": (with_blocks(gbdt={"g": 5}), ("gbdt", "g")),
+    "system_without_m": (with_blocks(system={"m": None}), ("system",)),
+    "interval_reversed": (with_blocks(system={"interval": [1.0, 0.0]}),
+                          ("system", "interval")),
+    "hamiltonian_without_type": (with_blocks(hamiltonian={"type": None}),
+                                 ("system", "hamiltonian")),
+    "hamiltonian_type_unknown": (with_blocks(hamiltonian={"type": "spline"}),
+                                 ("system", "hamiltonian", "type")),
+    "beta_grid_samples_of_three_columns": (
+        with_blocks(system=two_sample_grid("beta", [[[1, 0], [0, 0], [1, 0]]],
+                                           [[[1, 0], [0, 0], [1, 0]]])),
+        ("system", "hamiltonian", "beta"),
+    ),
+    "beta_grid_samples_of_two_shapes": (
+        with_blocks(system=two_sample_grid("beta", [BETA_ROW], EYE)),
+        ("system", "hamiltonian", "beta"),
+    ),
+    "h_grid_samples_of_two_shapes": (
+        with_blocks(system=two_sample_grid("h", EYE, [[[1, 0], [0, 0]]])),
+        ("system", "hamiltonian", "h"),
+    ),
+    "system_xi_outside_interval": (with_blocks(system={"xi": 2.0}), ("system", "xi")),
+    "shorthand_with_explicit_B": (with_blocks(gbdt={"B": [[[0, 1]]]}), ("gbdt", "B")),
+    "gbdt_without_S0": (
+        with_blocks(gbdt={"b_diag": None, "g": None, "h": None, "B": [[[0, 1]]],
+                          "Pi0": [[[1, 0], [0, 0]]]}),
+        ("gbdt",),
+    ),
+    "config_without_tasks": (with_blocks(tasks=None), ("schema_version",)),
+    "tolerances_not_an_object": (minimal_config(tolerances=5), ("tolerances",)),
+    "tasks_not_a_list": (minimal_config(tasks="validate"), ("tasks",)),
+    "task_entry_a_number": (minimal_config(tasks=[5]), ("tasks",)),
 }
 
 
@@ -494,9 +579,6 @@ def gbdt_first(h):
     system["hamiltonian"] = {"type": "h-grid", "x": [0.0, 1.0], "h": h}
     config = {"gbdt": config.pop("gbdt"), **config, "system": system}
     return config
-
-
-EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
 @pytest.mark.parametrize("h", [[EYE], [EYE, [[[1, 0], [0, 0]], [[0, 0]]]]],

@@ -86,7 +86,36 @@ def test_validate_order_one_scenario(unit_system, diag_n1):
     assert report.identity_residual <= 1e-12
 
 
+@pytest.mark.parametrize("params, violation", [
+    (GbdtParams(B=np.diag([2.0, -1.0]), S0=np.diag([1.0 + 0.5j, 1.0]),
+                Pi0=np.zeros((2, 2))),
+     "S0 not Hermitian (defect 1.00e+00)"),
+    (GbdtParams(B=np.diag([2.0, -1.0]), S0=np.eye(2), Pi0=np.zeros((2, 3))),
+     "Pi0 has 3 columns, system size is 2"),
+    (trivial_params(xi=1.5), "xi = 1.5 outside [0.0, 1.0]"),
+], ids=["s0-not-hermitian", "pi0-columns", "xi-outside"])
+def test_validate_reports_each_violation(unit_system, params, violation):
+    assert validate_params(params, unit_system).violations == [violation]
+
+
 # -- evolution ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_evolve_tol_must_be_positive_and_finite(unit_system, diag_n1, tol):
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        evolve(diag_n1.to_gbdt_params(), unit_system, tol=tol)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 0.5, 1.5], "grid must be nonempty and within"),
+    ([0.0, np.nan, 1.0], "grid must be finite"),
+    ([], "grid must be nonempty and within"),
+], ids=["past-b", "nan", "empty"])
+def test_evolve_checks_its_grid(unit_system, diag_n1, grid, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        evolve(diag_n1.to_gbdt_params(), unit_system, grid=grid)
+
 
 
 def test_zero_pi_stays_zero(unit_system):
@@ -311,6 +340,17 @@ def test_transfer_names_first_singular_point(unit_system):
     with pytest.raises(SingularMatrixError) as excinfo:
         transfer(traj, [0.2, 0.5], 2j)
     assert excinfo.value.location == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("z", lambda traj: transfer(traj, 0.5, np.nan)),
+    ("x", lambda traj: transfer(traj, np.nan, 2j)),
+    ("x", lambda traj: w0_at(traj, np.nan)),
+    ("x", lambda traj: g0_eval(traj, [0.5, np.inf])),
+], ids=["transfer-z", "transfer-x", "w0-x", "g0-x"])
+def test_non_finite_points_raise_naming_them(traj_n1, name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(traj_n1)
 
 
 def test_transfer_rejects_spectrum_of_b(traj_n1):

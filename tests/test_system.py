@@ -19,7 +19,6 @@ from cansys.system import (
     _log1p,
     _log_weight_product,
     _magnus_exponents,
-    _magnus_products,
     _mul,
     _ordered_product,
     _refine,
@@ -65,6 +64,32 @@ def test_validate_rejects_indefinite_hamiltonian():
     report = validate_system(sys)
     assert any("PSD" in v for v in report.violations)
     assert report.min_h_eig == pytest.approx(-0.1, abs=1e-12)
+
+
+def test_validate_rejects_non_hermitian_h_samples():
+    # I plus a skew part 0.5: their Hermitian part, which H(x) returns, is I
+    x = np.array([0.0, 1.0])
+    h = np.stack([np.array([[1.0, 0.5], [-0.5, 1.0]], dtype=complex)] * 2)
+    sys = CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
+                          hamiltonian=HamiltonianSpec.from_grid(x, h))
+    report = validate_system(sys)
+    assert report.violations == [f"H not PSD Hermitian at x_{j} = {x[j]}"
+                                 for j in (0, 1)]
+    assert report.min_h_eig == 1.0
+
+
+def test_validate_rejects_a_hamiltonian_of_another_size():
+    spec = HamiltonianSpec.from_constant_beta(np.ones((1, 3)), (0.0, 1.0))
+    report = validate_system(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
+                                             hamiltonian=spec))
+    assert report.violations == ["Hamiltonian size 3 != system size 2"]
+
+
+@pytest.mark.parametrize("xi", [5.0, -0.5, np.nan, np.inf])
+def test_base_point_must_lie_in_the_interval(xi):
+    spec = HamiltonianSpec.from_constant_beta(np.zeros((1, 2)), (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"^xi = .* outside \[0.0, 1.0\]"):
+        CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec, xi=xi)
 
 
 def test_hamiltonian_spec_interpolation():
@@ -788,10 +813,10 @@ def test_varying_system_cut_limits_match_rk45_richardson(varying_system, s):
 @pytest.mark.parametrize("eta", [1e-2, 1e-4])
 def test_varying_system_log_weight_product_near_cut(varying_system, s, eta):
     z = s + 1j * eta
-    [(w, _)] = _log_weight_product(varying_system, 1.0, z, [(1 / 16, 1)])
-    ode = fundamental_solution(varying_system, z, grid=np.array([1.0]), tol=1e-12,
-                               method="rk45")
-    assert fro(w - ode.values[0]) < 1e-7
+    grid = np.array([1.0])
+    sol = fundamental_solution(varying_system, z, grid=grid, tol=1e-8)
+    ode = fundamental_solution(varying_system, z, grid=grid, tol=1e-12, method="rk45")
+    assert fro(sol.values[0] - ode.values[0]) < 1e-7
 
 
 # -- Magnus route of fundamental_solution ---------------------------------------
@@ -864,6 +889,14 @@ def test_rk45_error_estimate_bounds_the_error_on_a_kinked_profile(s, eta):
 # -- one kernel pass per call -------------------------------------------------
 
 
+def _products(sys, z, sets):
+    """The partial products of the Magnus factors over each breakpoint
+    array of ``sets``, from one exponent build and one exponential call."""
+    omega, _, counts = _magnus_exponents(sys, z, sets)
+    factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
+    return [_ordered_product(f) for f in factors]
+
+
 @pytest.mark.parametrize("which, s", [
     ("varying", 0.5), ("varying", 0.5037),
     ("profile", PROFILE_X[16]), ("profile", PROFILE_X[16] + 0.03 * PROFILE_X[1]),
@@ -873,9 +906,9 @@ def test_one_pass_equals_separate_passes(varying_system, which, s):
     sys = varying_system if which == "varying" else profile_system()
 
     grid, z = np.linspace(0.0, 1.0, 21), s + 1e-3j
-    variants = [(0.5, 1), (0.5, 2)]  # levels 0 + 1 of fundamental_solution
-    for variant, (w, panels) in zip(variants, _log_weight_product(sys, grid, z, variants)):
-        [(alone, alone_panels)] = _log_weight_product(sys, grid, z, [variant])
+    # levels 0 + 1 of fundamental_solution
+    for level, (w, panels) in zip((0, 1), _log_weight_product(sys, grid, z, (0, 1))):
+        [(alone, alone_panels)] = _log_weight_product(sys, grid, z, (level,))
         assert np.array_equal(w, alone) and panels == alone_panels
     # levels 0 + 1 of boundary_values, both limits of each
     for level, (w, panels) in zip((0, 1), _cut_limits(sys, 1.0, s, (0, 1))):
@@ -885,10 +918,10 @@ def test_one_pass_equals_separate_passes(varying_system, which, s):
     partition = np.linspace(0.0, 1.0, 65)
     fine = np.linspace(0.0, 1.0, 129)
     z = s + 0.4j
-    coarse_p, fine_p = _magnus_products(sys, z, [partition, fine])
-    [alone] = _magnus_products(sys, z, [partition])
+    coarse_p, fine_p = _products(sys, z, [partition, fine])
+    [alone] = _products(sys, z, [partition])
     assert np.array_equal(coarse_p, alone)
-    [alone] = _magnus_products(sys, z, [fine])
+    [alone] = _products(sys, z, [fine])
     assert np.array_equal(fine_p, alone)
 
 
@@ -960,7 +993,7 @@ def test_product_integral_estimate_is_the_halving_difference(varying_system, whi
     partition = np.linspace(0.0, 1.0, 65)
     halving = np.sort(np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])]))
     sol = product_integral(sys, z, partition)
-    coarse, fine = (_trail(p) for p in _magnus_products(sys, z, [partition, halving]))
+    coarse, fine = (_trail(p) for p in _products(sys, z, [partition, halving]))
     assert np.array_equal(sol.values, coarse)
     expected = 2.0 * np.max(np.linalg.norm(fine[::2] - coarse, axis=(1, 2)))
     floor = (ROUNDING_GROWTH * 0.5 * np.finfo(float).eps * (halving.size - 1)
