@@ -237,9 +237,14 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     Norsett & Wanner, Solving ODEs I, II.10), which needs far fewer steps
     than RK45 at the tight tolerances used here, and each direction
     restarts at the kinks of the data (see
-    :func:`~cansys.system.integrate_matrix_ode`).  A(x) comes from the
-    closed-form resolvent, once per right-hand side evaluation; the joint
-    state keeps the displacement-identity residual coherent with the
+    :func:`~cansys.system.integrate_matrix_ode`).  A(x) = (B - x)^{-1} is
+    formed once per right-hand side evaluation: for n = 1 directly as
+    1/(b - x), with no factorisation and no check per call (:func:`validate_params` keeps the
+    pole SPECTRUM_MARGIN away from the interval), otherwise by
+    ``np.linalg.inv``.  K stays in the joint state: its error takes part in
+    the step control, and without it the controller takes fewer, longer
+    steps that leave the identity residual about ten times larger.  The
+    joint state keeps the displacement-identity residual coherent with the
     integration error.  Raises :class:`~cansys.linalg.SingularMatrixError`
     if S(x) passes the singularity threshold anywhere on the grid; a
     ``tol`` that is not a positive finite number, or a grid that is not
@@ -254,12 +259,18 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     J = sys.J
     spec = sys.hamiltonian
     B, eye_n = params.B, np.eye(n)
+    pole = complex(B[0, 0])  # B itself when n = 1
     n_pi, n_s = n * m, n * m + n * n  # ends of the Pi and S blocks of the state
 
     def rhs(x, y):
         pi = y[:n_pi].reshape(n, m)
         s = y[n_pi:n_s].reshape(n, n)
-        a = np.linalg.inv(B - x * eye_n)
+        if n == 1:
+            # A = 1/(b - x) with no factorisation: validate_params keeps the
+            # pole b a margin away from [a, b]
+            a = np.array([[1.0 / (pole - x)]])
+        else:
+            a = np.linalg.inv(B - x * eye_n)
         u = pi @ J @ spec.hamiltonian(x)  # Pi J H, shared by both sources
         out = np.empty_like(y)
         out[:n_pi] = (-1j * (a @ u)).ravel()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, fro, solve
+from .linalg import SingularMatrixError, _adj, solve
 
 #: The constant 1x2 factor of the rank-one Hamiltonian.
 BETA = np.array([[1.0, 1j]])
@@ -67,15 +67,18 @@ def make_system(b=1.0):
 
 
 def _check_off_cut(z, b):
-    z = complex(z)
-    if abs(z.imag) < 1e-13 and -1e-13 <= z.real <= b + 1e-13:
-        raise BranchCutError(f"z = {z} lies on the cut [0, {b}]")
+    """z as a complex array; raises :class:`BranchCutError` at the first
+    z on [0, b]."""
+    z = np.asarray(z, dtype=complex)
+    on_cut = (np.abs(z.imag) < 1e-13) & (z.real >= -1e-13) & (z.real <= b + 1e-13)
+    if on_cut.any():
+        raise BranchCutError(f"z = {complex(z[on_cut][0])} lies on the cut [0, {b}]")
     return z
 
 
 def log_ratio(x, z):
     """ln(z / (z - x)) on the branch that vanishes at x = 0."""
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     return np.log(z) - np.log(z - x)
 
 
@@ -83,12 +86,13 @@ def fundamental_matrix(x, z, b=1.0):
     """Closed-form fundamental solution W(x, z) of the scenario.
 
     Equals ``I + L N`` with ``L = ln(z/(z-x))``; W(0, z) = I and
-    det W = 1 identically.
+    det W = 1 identically.  An array of z stacks the 2 x 2 matrices
+    behind z's shape.
     """
     z = _check_off_cut(z, b)
     if not (-1e-13 <= x <= b + 1e-13):
         raise ValueError(f"x = {x} outside [0, {b}]")
-    return np.eye(2) + log_ratio(x, z) * _NILPOTENT
+    return np.eye(2) + log_ratio(x, z)[..., None, None] * _NILPOTENT
 
 
 def jump_matrix(s=None, x=None):
@@ -190,15 +194,23 @@ class DiagonalParams:
         return bt.conj().T @ bt
 
     def w_a_at(self, x, z, b=1.0):
-        """Transfer matrix w_A(x, z) with the diagonal resolvent in closed form."""
-        z = _check_off_cut(z, b)
-        s = self.s_at(x)
+        """Transfer matrix w_A(x, z) with the diagonal resolvent in closed form.
+
+        An array of z stacks the 2 x 2 matrices behind z's shape; S(x),
+        Pi(x) and the checked solve against S(x) are made once for all z.
+        """
+        z = _check_off_cut(z, b)[..., None]
+        pi = self.pi_at(x)
         resolvent = (x - z) * (self.b_diag - x) / (self.b_diag - z)
-        core, _ = solve(s, resolvent[:, None] * self.pi_at(x))
-        return np.eye(2) - 1j * J @ self.pi_at(x).conj().T @ core
+        # every z's right-hand side side by side: one solve against S(x)
+        rhs = np.moveaxis(resolvent[..., None] * pi, -2, 0)
+        core, _ = solve(self.s_at(x), rhs.reshape(self.n, -1))
+        core = np.moveaxis(core.reshape(rhs.shape), 0, -2)
+        return np.eye(2) - 1j * J @ pi.conj().T @ core
 
     def v_at(self, x, z, b=1.0):
-        """Normalised multiplier v(x, z) = w0(x)^{-1} w_A(x, z)."""
+        """Normalised multiplier v(x, z) = w0(x)^{-1} w_A(x, z); an array of
+        z stacks as in :meth:`w_a_at`, with w0(x) formed once."""
         w0 = self.w0_at(x)
         w0_inv = J @ w0.conj().T @ J
         return w0_inv @ self.w_a_at(x, z, b=b)
@@ -208,7 +220,9 @@ def transformed_fundamental_matrix(params, x, z, b=1.0):
     """Dressed fundamental solution v(x,z) W(x,z) v(0,z)^{-1}, all closed form.
 
     Its value at ``x = b`` is the characteristic function of the dressed
-    triangular model operator.
+    triangular model operator.  An array of z stacks the 2 x 2 matrices
+    behind z's shape; the z-free pieces (S, Pi and w0 at x and at 0, and
+    the checked solves against each S) are built once for all z.
     """
     v_x = params.v_at(x, z, b=b)
     v_0 = params.v_at(0.0, z, b=b)
@@ -218,7 +232,9 @@ def transformed_fundamental_matrix(params, x, z, b=1.0):
 
 @dataclass
 class OrderOneForms:
-    """Order-one (n = 1) closed forms at a point (x, z)."""
+    """Order-one (n = 1) closed forms at a point (x, z), or at every pair of
+    broadcast arrays x and z (fields then carry the broadcast shape in
+    front, as :class:`~cansys.gbdt.TransferEval`'s do)."""
 
     s: complex
     beta_t: np.ndarray
@@ -227,15 +243,24 @@ class OrderOneForms:
     v: np.ndarray
 
 
+def _t_row(first, second):
+    """The row [first, second] T for every pair of broadcast coefficients."""
+    return first * T[:1] + second * T[1:]
+
+
 def order_one_closed_forms(B, g, h, x, z, b=1.0):
     """Fully expanded n = 1 formulas for S, beta w0, w0, w_A and v.
 
     Requires a non-real pole ``B`` and ``g != 0``.  The invertibility of
     the scalar S(x) is equivalent to ``Im ln(B - x) != Re(h / g)``; a
-    violation raises :class:`~cansys.linalg.SingularMatrixError`.  For
-    ``h = 0`` the simplified beta-row formula is used and cross-checked
-    against the general one; a disagreement above 1e-10 raises
-    :class:`ArithmeticError`.
+    violation raises :class:`~cansys.linalg.SingularMatrixError` at the
+    first such x.  For ``h = 0`` the simplified beta-row formula is used
+    and cross-checked against the general one at every x; a disagreement
+    above 1e-10 raises :class:`ArithmeticError`.
+
+    x and z broadcast against each other, and every field carries the
+    broadcast shape in front; scalars give one evaluation.  The z-free
+    pieces (S, beta w0, w0) are formed once per x, then broadcast.
     """
     B = complex(B)
     g = complex(g)
@@ -245,28 +270,35 @@ def order_one_closed_forms(B, g, h, x, z, b=1.0):
     if g == 0:
         raise ValueError("g must be nonzero")
     z = _check_off_cut(z, b)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    # x and z as stacks of 1 x 1 matrices: each coefficient below then
+    # scales the matrices it multiplies
+    x, z = x[..., None, None], z[..., None, None]
 
     ln = np.log(B - x)
     ln_delta = ln - np.conj(ln)  # 2i Im ln(B - x)
     denom_core = abs(g) ** 2 * ln_delta - 1j * h * np.conj(g) - 1j * g * np.conj(h)
-    if abs(ln.imag - (h / g).real) < 1e-12:
+    singular = np.abs(ln.imag - (h / g).real) < 1e-12
+    if singular.any():
         raise SingularMatrixError(
             "S(x) = 0: invertibility condition Im ln(B-x) != Re(h/g) fails",
-            location=x,
+            location=float(x[singular][0]),
         )
 
     s = denom_core * (B - x) * (np.conj(B) - x) / (B - np.conj(B))
 
-    row = np.array([[2.0 * (1j * g * ln + h), g]]) @ T
-    col = T_INV @ np.array([[np.conj(g)], [2.0 * np.conj(1j * g * ln + h)]])
+    phi = 1j * g * ln + h
+    row = _t_row(2.0 * phi, g)
+    col = np.conj(g) * T_INV[:, :1] + 2.0 * np.conj(phi) * T_INV[:, 1:]  # T^-1 [g*; 2 phi*]
 
     c_beta = 1j * np.conj(g) * (B - np.conj(B)) / (2.0 * (np.conj(B) - x) * denom_core)
     beta_t = BETA - c_beta * row
     if h == 0:
         simplified = BETA - (B - np.conj(B)) / (
             4.0 * (np.conj(B) - x) * ln.imag
-        ) * np.array([[2j * ln, 1.0]]) @ T
-        gap = fro(simplified - beta_t)
+        ) * _t_row(2j * ln, 1.0)
+        gap = np.max(np.linalg.norm(simplified - beta_t, axis=(-2, -1)))
         if not gap < 1e-10:
             raise ArithmeticError(
                 f"h = 0 beta-row formula disagrees with the general one by {gap:.2e}"
@@ -279,5 +311,10 @@ def order_one_closed_forms(B, g, h, x, z, b=1.0):
     c_wa = c_w0 * (x - z) / (B - z)
     w_a = np.eye(2) - c_wa * col @ row
 
-    v = ((x - z) * np.eye(2) + (B - x) * J @ w0.conj().T @ J) / (B - z)
-    return OrderOneForms(s=s, beta_t=beta_t, w0=w0, w_a=w_a, v=v)
+    v = ((x - z) * np.eye(2) + (B - x) * J @ _adj(w0) @ J) / (B - z)
+
+    def full(value, tail=(2, 2)):
+        return np.broadcast_to(value, shape + tail).copy()[()]
+
+    return OrderOneForms(s=full(s[..., 0, 0], ()), beta_t=full(beta_t, (1, 2)),
+                         w0=full(w0), w_a=w_a, v=v)

@@ -194,19 +194,15 @@ def test_criterion_5_closed_form_oracles(scenario_system):
     diag1 = rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0])
     traj1 = evolve(diag1.to_gbdt_params(), scenario_system,
                    grid=np.linspace(0, 1, 201), tol=1e-12)
-    n1_err = 0.0
-    for x in (0.2, 0.5, 0.8):
-        for z in (2j, -1.0 + 0.5j, 3.0 + 0.0j):
-            forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x, z)
-            te = transfer(traj1, x, z)
-            n1_err = max(
-                n1_err,
-                abs(traj1.s_at(x)[0, 0] - forms.s),
-                fro(te.w0 - forms.w0),
-                fro(te.w_a - forms.w_a),
-                fro(te.v - forms.v),
-                fro(scenario_system.hamiltonian.beta_at(x) @ te.w0 - forms.beta_t),
-            )
+    x1 = np.array([0.2, 0.5, 0.8])[:, None]
+    z1 = [2j, -1.0 + 0.5j, 3.0 + 0.0j]
+    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x1, z1)
+    te = transfer(traj1, x1, z1)
+    beta_t = scenario_system.hamiltonian.beta_at(x1) @ te.w0
+    pairs = [(te.w0, forms.w0), (te.w_a, forms.w_a), (te.v, forms.v),
+             (beta_t, forms.beta_t)]
+    n1_err = max([np.max(np.abs(traj1.s_at(x1)[..., 0, 0] - forms.s))]
+                 + [np.max(np.linalg.norm(got - exp, axis=(-2, -1))) for got, exp in pairs])
     ok = w_err <= 1e-8 and pi_s_err <= 1e-8 and n1_err <= 1e-9
     _report(5, "closed-form scenario oracles", ok,
             f"W {w_err:.2e} <= 1e-8, (Pi,S) {pi_s_err:.2e} <= 1e-8, "

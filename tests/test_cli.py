@@ -5,7 +5,12 @@ import pytest
 
 from cansys import cli
 from cansys.cli import main
+from cansys.gbdt import GbdtTrajectory
 from cansys.scenarios import scenario_path
+
+#: The example-n1 checks and their fixed bounds.
+N1_BOUNDS = {"n1_s_residual": 1e-8, "n1_beta_residual": 1e-8, "n1_wa_residual": 1e-9,
+             "n1_v_residual": 1e-9, "n1_wtilde_residual": 1e-8}
 
 
 def minimal_config(**overrides):
@@ -455,7 +460,6 @@ BAD_VALUES = {
     "config_without_tasks": (with_blocks(tasks=None), ("schema_version",)),
     "tolerances_not_an_object": (minimal_config(tolerances=5), ("tolerances",)),
     "tasks_not_a_list": (minimal_config(tasks="validate"), ("tasks",)),
-    "task_entry_a_number": (minimal_config(tasks=[5]), ("tasks",)),
 }
 
 
@@ -560,6 +564,50 @@ def test_bad_task_entries_exit_2_before_anything_is_written(tmp_path, capsys, ca
     assert err.startswith(f"{path}:{line_of(path, 'tasks', *keys)}: ")
     assert f"'{keys[-1]}'" in err
     assert not out.exists()
+
+
+# config with a task entry that is neither a name nor an object with a
+# 'task' name, and the text of the line that opens that entry
+MALFORMED_TASK_ENTRIES = {
+    "first_entry_a_number": (minimal_config(tasks=[5]), "5"),
+    "number_after_validate": (bundled_config(["validate", 5]), "5"),
+    "object_without_task_after_validate": (bundled_config(["validate", {"N": 3}]), "{"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TASK_ENTRIES))
+def test_malformed_task_entry_is_anchored_at_itself(tmp_path, capsys, case):
+    config, opening = MALFORMED_TASK_ENTRIES[case]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    lines = path.read_text(encoding="utf-8").splitlines()
+    entry = next(i for i in range(line_of(path, "tasks") + 1, len(lines) + 1)
+                 if lines[i - 1].strip() == opening)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{entry}: ")
+    assert "'tasks'" in err
+    assert not out.exists()
+
+
+def test_example_n1_checks_fail_on_a_perturbed_trajectory(tmp_path, monkeypatch):
+    # Pi and S off by one part in a million: every closed-form comparison of
+    # example-n1 must report it against its fixed bound
+    state_at = GbdtTrajectory.state_at
+
+    def perturbed(self, x):
+        pi, s, k = state_at(self, x)
+        return pi * (1 + 1e-6), s * (1 + 1e-6), k
+
+    monkeypatch.setattr(GbdtTrajectory, "state_at", perturbed)
+    path = write_config(tmp_path, bundled_config(["example-n1"]))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    checks = json.loads((out / "results.json").read_text())["checks"]
+    assert sorted(c["name"] for c in checks) == sorted(N1_BOUNDS)
+    for c in checks:
+        assert c["bound"] == N1_BOUNDS[c["name"]]
+        assert c["value"] > c["bound"] and c["pass"] is False
 
 
 def test_out_naming_a_plain_file_exits_2(tmp_path, capsys):

@@ -44,6 +44,11 @@ def count_evaluations(monkeypatch):
     return counts
 
 
+def worst_fro(got, expected):
+    """Largest Frobenius distance over a stack of matrices."""
+    return float(np.max(np.linalg.norm(got - expected, axis=(-2, -1))))
+
+
 def trivial_params(n=2, xi=0.0):
     """Pi0 = 0 with Hermitian-compatible B: both identity sides vanish."""
     return GbdtParams(
@@ -144,15 +149,12 @@ def test_bundled_trajectory_meets_the_closed_forms_to_rounding(
     te = transfer(traj, xs[:, None], zs)
     s = traj.s_at(xs)
     beta = unit_system.hamiltonian.beta_at(xs) @ te.w0[:, 0]
-    worst = np.zeros(4)
-    for i, x in enumerate(xs):
-        for j, z in enumerate(zs):
-            forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x, z)
-            worst = np.maximum(worst, [
-                abs(s[i, 0, 0] - forms.s), fro(beta[i] - forms.beta_t),
-                fro(te.w_a[i, j] - forms.w_a), fro(te.v[i, j] - forms.v),
-            ])
-    assert np.all(worst <= 1e-13)
+    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, xs[:, None], zs)
+    worst = [
+        np.max(np.abs(s[:, None, 0, 0] - forms.s)), worst_fro(beta[:, None], forms.beta_t),
+        worst_fro(te.w_a, forms.w_a), worst_fro(te.v, forms.v),
+    ]
+    assert np.all(np.array(worst) <= 1e-13)
 
 
 def test_evolve_restarts_at_the_kinks_of_a_zigzag_profile(monkeypatch):
@@ -275,13 +277,13 @@ def test_transfer_large_z_approaches_w0(unit_system, traj_n1):
 
 def test_transfer_matches_order_one_closed_forms(traj_n1):
     # 0.123456 exercises the dense interpolation between grid samples
-    for x in (0.123456, 0.25, 0.5, 0.9):
-        for z in (2j, -1.0 + 0.5j, 3.0 + 0.0j):
-            forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x, z)
-            te = transfer(traj_n1, x, z)
-            assert fro(te.w_a - forms.w_a) < 1e-9
-            assert fro(te.v - forms.v) < 1e-9
-            assert fro(te.w0 - forms.w0) < 1e-9
+    xs = np.array([0.123456, 0.25, 0.5, 0.9])[:, None]
+    zs = [2j, -1.0 + 0.5j, 3.0 + 0.0j]
+    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, xs, zs)
+    te = transfer(traj_n1, xs, zs)
+    assert worst_fro(te.w_a, forms.w_a) < 1e-9
+    assert worst_fro(te.v, forms.v) < 1e-9
+    assert worst_fro(te.w0, forms.w0) < 1e-9
 
 
 def test_transfer_j_property_and_w0_inverse(traj_n1):
@@ -598,12 +600,12 @@ def test_transformed_jump_is_conjugated_base_jump(unit_system, traj_n1):
 
 
 def test_transformed_boundary_values_spectrum_margin(unit_system):
-    diag = rank_one.DiagonalParams(b_diag=[0.5 + 0.00005j], g=[1.0], h=[0.0])
-    params = diag.to_gbdt_params()
-    with pytest.raises(ValueError):
-        # pole projects onto s = 0.5 closer than the spectrum margin
-        traj = evolve(params, unit_system, tol=1e-10)
-        transformed_boundary_values(traj, 1.0, 0.5, tol=1e-10)
+    # the pole keeps its margin from [0, 1], so evolve accepts it, but it
+    # lies closer than the margin to the real point s = 1.5
+    diag = rank_one.DiagonalParams(b_diag=[1.5 + 1e-5j], g=[1.0], h=[0.0])
+    traj = evolve(diag.to_gbdt_params(), unit_system, tol=1e-10)
+    with pytest.raises(ValueError, match="spectrum margin"):
+        transformed_boundary_values(traj, 1.0, 1.5, tol=1e-10)
 
 
 # -- random parameter draws ----------------------------------------------------------

@@ -180,3 +180,78 @@ def test_transformed_fundamental_matrix_normalisation(diag_n2):
     for z in (2j, -1.0 + 1.0j):
         wt = rank_one.transformed_fundamental_matrix(diag_n2, 0.0, z)
         assert fro(wt - np.eye(2)) < 1e-11
+
+
+# the (x, z) grid and the sweep z of the bundled example-n1 task on [0, 1]
+GRID_X = np.linspace(0.1, 1.0, 7)
+GRID_Z = [2j, 1.0 + 1.5j, -0.7 + 0.5j]
+SWEEP_Z = np.array([f + 1.5j for f in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)])
+
+
+def rel_gap(stacked, single):
+    return np.linalg.norm(stacked - single) / np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3 - 0.1j], ids=["h=0", "h!=0"])
+def test_stacked_order_one_forms_match_the_per_point_ones(h):
+    forms = rank_one.order_one_closed_forms(1j, 1.0, h, GRID_X[:, None], GRID_Z)
+    assert forms.s.shape == (7, 3) and forms.beta_t.shape == (7, 3, 1, 2)
+    for name in ("w0", "w_a", "v"):
+        assert getattr(forms, name).shape == (7, 3, 2, 2)
+    single = rank_one.order_one_closed_forms(1j, 1.0, h, 0.5, 2j)
+    assert np.ndim(single.s) == 0 and single.beta_t.shape == (1, 2)
+    assert single.w0.shape == single.w_a.shape == single.v.shape == (2, 2)
+    for i, x in enumerate(GRID_X):
+        for j, z in enumerate(GRID_Z):
+            single = rank_one.order_one_closed_forms(1j, 1.0, h, x, z)
+            for name in ("s", "beta_t", "w0", "w_a", "v"):
+                assert rel_gap(getattr(forms, name)[i, j], getattr(single, name)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stacked_transformed_fundamental_matrix_matches_the_per_point_one(order, diag_n2):
+    diag = diag_n2 if order == 2 else rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0])
+    stacked = rank_one.transformed_fundamental_matrix(diag, 1.0, SWEEP_Z)
+    assert stacked.shape == (7, 2, 2)
+    for k, z in enumerate(SWEEP_Z):
+        single = rank_one.transformed_fundamental_matrix(diag, 1.0, z)
+        assert single.shape == (2, 2)
+        assert rel_gap(stacked[k], single) <= 1e-14
+
+
+def test_a_cut_point_anywhere_in_a_stack_raises(diag_n2):
+    with pytest.raises(rank_one.BranchCutError, match="0.5"):
+        rank_one.order_one_closed_forms(1j, 1.0, 0.0, GRID_X[:, None], [2j, 0.5, 1 + 1j])
+    with pytest.raises(rank_one.BranchCutError, match="0.3"):
+        rank_one.transformed_fundamental_matrix(diag_n2, 1.0, [*SWEEP_Z, 0.3])
+    with pytest.raises(rank_one.BranchCutError):
+        rank_one.fundamental_matrix(0.5, [2j, 1.0])
+
+
+def test_stacked_singular_point_is_located_at_the_first_bad_x():
+    B, g, x_target = 1j, 1.0, 0.5
+    h = np.log(B - x_target).imag * g  # Re(h/g) = Im ln(B - x_target)
+    xs = np.array([0.9, x_target + 1e-13, 0.2, x_target])
+    with pytest.raises(SingularMatrixError) as info:
+        rank_one.order_one_closed_forms(B, g, h, xs[:, None], GRID_Z)
+    assert info.value.location == x_target + 1e-13
+
+
+def test_h_zero_cross_check_covers_the_whole_stack(monkeypatch):
+    # spoil the simplified h = 0 row at the last x of a stack only: a check
+    # made at the first x alone would miss it
+    t_row = rank_one._t_row
+
+    def spoiled(first, second):
+        row = t_row(first, second)
+        if second == 1.0 and np.ndim(first) > 2:  # the simplified row, stacked
+            row = row.copy()
+            row[-1] += 1e-6
+        return row
+
+    monkeypatch.setattr(rank_one, "_t_row", spoiled)
+    g = 0.7 - 0.3j  # the general row's call then passes g, not 1
+    for x in GRID_X:
+        rank_one.order_one_closed_forms(1j, g, 0.0, x, 2j)
+    with pytest.raises(ArithmeticError, match="h = 0 beta-row"):
+        rank_one.order_one_closed_forms(1j, g, 0.0, GRID_X[:, None], GRID_Z)
