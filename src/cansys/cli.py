@@ -37,6 +37,14 @@ inside its own task entry.  The one
 tolerance a config sets is ``ode_tol`` (default ``gbdt.ODE_TOL``), the
 accuracy every solve of the run aims for, the trajectory's included;
 every check has a fixed bound, tabled at the bound constants below.
+
+The ``transform`` task dresses the trajectory's stored grid samples.  Its
+``transformed_kernel_bound_finite`` check is the degeneracy test that
+:func:`~cansys.system.kernel_bound` applies before it returns +inf
+(``system._degeneracy``): identical to ``kernel_bound(...).finite`` on
+finite samples barring overflow, without the O(N^2) pair supremum.
+``example-n1`` needs the system of ``rank_one.make_system(b)``, on which
+its closed forms hold.
 """
 
 from __future__ import annotations
@@ -68,9 +76,9 @@ from .system import (
     CanonicalSystem,
     HamiltonianSpec,
     SpectralPointError,
+    _degeneracy,
     _signature_defect,
     boundary_values,
-    kernel_bound,
     validate_system,
 )
 from .triangular import (
@@ -464,14 +472,16 @@ class _Runner:
                    PSD_TOL * 100)
         self.emit("transformed_hamiltonian.csv", *_table(["x"], traj.grid, h))
         if dressed.is_factored:
-            base = kernel_bound(self.system.hamiltonian, self.system.J)
-            out = kernel_bound(dressed, self.system.J)
-            if base.degeneracy_defect <= DEGENERACY_TOL:
+            # kernel_bound's degeneracy test, without its O(N^2) supremum
+            _, base_diag, base_degenerate = _degeneracy(self.system.hamiltonian,
+                                                        self.system.J)
+            _, diag, degenerate = _degeneracy(dressed, self.system.J)
+            if np.max(base_diag) <= DEGENERACY_TOL:
                 self.check("transform", "transformed_degeneracy",
-                           out.degeneracy_defect, DEGENERACY_TOL)
-            if base.finite:
+                           np.max(diag), DEGENERACY_TOL)
+            if base_degenerate:
                 self.check("transform", "transformed_kernel_bound_finite",
-                           0.0 if out.finite else 1.0, 0.0)
+                           0.0 if degenerate else 1.0, 0.0)
             self.emit("transformed_beta.csv", *_table(["x"], traj.grid, dressed.beta))
 
     def run_charfn(self, N, z):
@@ -598,13 +608,27 @@ class _Task(NamedTuple):
     needs: str | None = None  # a key of _NEEDS
 
 
+def _is_rank_one_order_one(run):
+    """The order-one shorthand on the system of ``rank_one.make_system(b)``,
+    the one the closed forms of example-n1 hold on: J = ``rank_one.J``,
+    constant beta = ``rank_one.BETA`` on [0, b] and xi = 0, the 'gbdt'
+    block's xi included."""
+    sys, beta = run.system, run.system.hamiltonian.beta
+    return (run.diag is not None and run.diag.n == 1
+            and sys.interval[0] == 0.0 and sys.xi == 0.0 and run.params.xi == 0.0
+            and np.array_equal(sys.J, rank_one.J)
+            and beta is not None and beta.shape[1:] == rank_one.BETA.shape
+            and np.all(beta == rank_one.BETA))
+
+
 #: What a task can need: the diagnostic's words, and the test on the runner.
 _NEEDS = {
     "gbdt": ("a 'gbdt' block", lambda run: run.params is not None),
     "factored": ("a factored Hamiltonian",
                  lambda run: run.system.hamiltonian.is_factored),
-    "order-one": ("the order-one b_diag/g/h shorthand",
-                  lambda run: run.diag is not None and run.diag.n == 1),
+    "order-one": ("the order-one b_diag/g/h shorthand on the rank-one system: "
+                  "J = [[0, 1], [1, 0]], constant beta = [1, i] on [0, b], xi = 0",
+                  _is_rank_one_order_one),
 }
 
 _COMPLEXES = _list_of(_complex_from)

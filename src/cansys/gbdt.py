@@ -26,10 +26,12 @@ for (Pi, S, K) with the eighth-order Dormand-Prince pair DOP853, restarted
 at every kink of interpolated H data.
 
 :func:`transfer`, :func:`w0_at` and :func:`g0_eval` take arrays of x
-(and z) and evaluate them as one batch.  They all read (Pi, S) through
-one checked lookup: one dense-output call for the whole stack and one
-stacked SVD of S, raising :class:`~cansys.linalg.SingularMatrixError` at
-the first x, in order, where S(x) is singular to working tolerance.
+(and z) and evaluate them as one batch.  They all read (Pi, S) with one
+dense-output call for the whole stack and check S in one place: one
+stacked SVD, raising :class:`~cansys.linalg.SingularMatrixError` at the
+first x, in order, where S(x) is singular to working tolerance, and one
+stacked solve.  :func:`transformed_hamiltonian` passes the grid samples
+:func:`evolve` stored through the same check and solve.
 """
 
 from __future__ import annotations
@@ -239,9 +241,11 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     restarts at the kinks of the data (see
     :func:`~cansys.system.integrate_matrix_ode`).  A(x) = (B - x)^{-1} is
     formed once per right-hand side evaluation: for n = 1 directly as
-    1/(b - x), with no factorisation and no check per call (:func:`validate_params` keeps the
-    pole SPECTRUM_MARGIN away from the interval), otherwise by
-    ``np.linalg.inv``.  K stays in the joint state: its error takes part in
+    1/(b - x), with no factorisation and no check per call
+    (:func:`validate_params` keeps the pole SPECTRUM_MARGIN away from the
+    interval), otherwise by ``np.linalg.inv``.  Pi J is formed once for
+    both sources, as u = (Pi J) H and u (Pi J)*, and -i A u is scaled in
+    place.  K stays in the joint state: its error takes part in
     the step control, and without it the controller takes fewer, longer
     steps that leave the identity residual about ten times larger.  The
     joint state keeps the displacement-identity residual coherent with the
@@ -271,10 +275,13 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
             a = np.array([[1.0 / (pole - x)]])
         else:
             a = np.linalg.inv(B - x * eye_n)
-        u = pi @ J @ spec.hamiltonian(x)  # Pi J H, shared by both sources
+        pj = pi @ J  # Pi J, shared by both sources as u = (Pi J) H and u (Pi J)*
+        u = pj @ spec.hamiltonian(x)
+        au = a @ u
+        au *= -1j
         out = np.empty_like(y)
-        out[:n_pi] = (-1j * (a @ u)).ravel()
-        out[n_pi:n_s] = (u @ J @ pi.conj().T - (a @ s + s @ a.conj().T)).ravel()
+        out[:n_pi] = au.ravel()
+        out[n_pi:n_s] = (u @ pj.conj().T - (a @ s + s @ a.conj().T)).ravel()
         out[n_s:] = (y[n_s:].reshape(n, n) @ a).ravel()
         return out
 
@@ -374,21 +381,32 @@ class TransferEval:
     w0_inv_residual: float
 
 
-def _dressing_state(traj, x):
-    """x as an array, with Pi(x), B - x, S(x)^{-1} (B - x) and
-    S(x)^{-1} Pi(x) at every point.
-
-    The single place where S is read and checked: one dense-output call
-    for the whole stack, one stacked SVD (see :func:`_check_s`) and one
-    stacked solve against S.
-    """
+def _read_state(traj, x):
+    """x as an array, with Pi(x) and S(x) from one dense-output call for
+    the whole stack."""
     x = np.asarray(x, dtype=float)
     system._require_finite("x", x)
     pi, s, _ = traj.state_at(x)
+    return x, pi, s
+
+
+def _solve_state(traj, x, pi, s):
+    """B - x, S^{-1} (B - x) and S^{-1} Pi at every point of x.
+
+    The single place where S is checked and solved against: one stacked
+    SVD (see :func:`_check_s`) and one stacked solve, whether (Pi, S) come
+    from :func:`_read_state` or from the trajectory's grid samples.
+    """
     _check_s(x, s, traj.s_scale)
     bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
     sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
-    return x, pi, bx, sol[..., : traj.n], sol[..., traj.n :]
+    return bx, sol[..., : traj.n], sol[..., traj.n :]
+
+
+def _w0(traj, x, pi, s):
+    """w0 = I - i J Pi* S^{-1} (B - x) Pi from Pi(x) and S(x)."""
+    _, s_bx, _ = _solve_state(traj, x, pi, s)
+    return np.eye(traj.m) - 1j * traj.system.J @ _adj(pi) @ s_bx @ pi
 
 
 def w0_at(traj, x):
@@ -399,8 +417,44 @@ def w0_at(traj, x):
     :class:`~cansys.linalg.SingularMatrixError` at the first x where
     S(x) is singular to working tolerance.
     """
-    _, pi, _, s_bx, _ = _dressing_state(traj, x)
-    return np.eye(traj.m) - 1j * traj.system.J @ _adj(pi) @ s_bx @ pi
+    return _w0(traj, *_read_state(traj, x))
+
+
+def _transfer_core(traj, x, z):
+    """The checked points and the x-only pieces of the transfer matrix.
+
+    Returns x, z broadcast to the common shape, Pi(x), the core
+    J Pi* S^{-1} (B - x) and w0^{-1}(x).  The state depends on x alone: it
+    is read once per x, not per (x, z) pair.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    system._require_finite("z", z)
+    z = np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape))
+    eigs = np.linalg.eigvals(traj.params.B)
+    near = np.abs(z[..., None] - np.append(eigs, eigs.conj())).min(axis=-1) < 1e-10
+    if near.any():
+        raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
+    x, pi, s = _read_state(traj, x)
+    bx, s_bx, s_pi = _solve_state(traj, x, pi, s)
+    j_pi = traj.system.J @ _adj(pi)
+    w0_inv = np.eye(traj.m) + 1j * j_pi @ _adj(bx) @ s_pi
+    return x, z, pi, j_pi @ s_bx, w0_inv
+
+
+def _w_a(traj, x, z, pi, core):
+    """w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi from the
+    core of :func:`_transfer_core`, at every z of a stack behind x's shape."""
+    zz = z[..., None, None]
+    resolvent_pi = np.linalg.solve(traj.params.B - zz * np.eye(traj.n), pi)
+    return np.eye(traj.m) - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
+
+
+def _v(traj, x, z):
+    """v = w0^{-1} w_A at (x, z), as :func:`transfer` forms it, without
+    the conj(z) half, w0 and the diagnostics."""
+    x, z, pi, core, w0_inv = _transfer_core(traj, x, z)
+    return w0_inv @ _w_a(traj, x, z, pi, core)
 
 
 def transfer(traj, x, z):
@@ -409,32 +463,17 @@ def transfer(traj, x, z):
     x and z broadcast against each other; scalars give one m x m
     evaluation.  Every z and conj(z) must avoid the spectrum of B; x may
     sit anywhere in the trajectory's range (dense interpolation between
-    grid samples), and S(x) is checked as in :func:`w0_at`.
+    grid samples), and S(x) is checked as in :func:`w0_at`.  Callers that
+    read only v take the private core :func:`_v`, which forms the same v
+    without the conj(z) half and the diagnostics.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    system._require_finite("z", z)
-    shape = np.broadcast_shapes(x.shape, z.shape)
-    z = np.broadcast_to(z, shape)
-    B = traj.params.B
-    eigs = np.linalg.eigvals(B)
-    near = np.abs(z[..., None] - np.append(eigs, eigs.conj())).min(axis=-1) < 1e-10
-    if near.any():
-        raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
-    # the state depends on x alone: read it once per x, not per (x, z) pair
-    _, pi, bx, s_bx, s_pi = _dressing_state(traj, x)
+    x, z, pi, core, w0_inv = _transfer_core(traj, x, z)
     J = traj.system.J
     eye_m = np.eye(traj.m)
-    j_pi = J @ _adj(pi)
-    core = j_pi @ s_bx
     w0 = eye_m - 1j * core @ pi
-    w0_inv = eye_m + 1j * j_pi @ _adj(bx) @ s_pi
     residual = np.linalg.norm(w0 @ w0_inv - eye_m, axis=(-2, -1))
-    # w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi at z and conj(z)
-    zz = np.stack([z, z.conj()])[..., None, None]
-    resolvent_pi = np.linalg.solve(B - zz * np.eye(traj.n), pi)
-    w_a, w_a_conj = eye_m - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
-    mm = (traj.m, traj.m)
+    w_a, w_a_conj = _w_a(traj, x, np.stack([z, z.conj()]), pi, core)
+    shape, mm = z.shape, (traj.m, traj.m)
     return TransferEval(
         x=np.broadcast_to(x, shape)[()],
         z=z[()],
@@ -453,23 +492,27 @@ def transformed_hamiltonian(traj):
     For factored input the dressed factor beta~ = beta w0 is emitted
     (grid samples plus an exact callable along the trajectory); otherwise
     an H-grid with an exact callable is returned.  Both callables take a
-    point or an array of points.
+    point or an array of points.  The grid samples dress the (Pi, S) that
+    :func:`evolve` stored there, which are the dense output at the grid
+    bit for bit, so w0 at the grid costs no second dense-output call.
     """
     spec = traj.system.hamiltonian
     grid = traj.grid
+    w0_grid = _w0(traj, grid, traj.pi, traj.s)
     if spec.is_factored:
         def dressed_beta(x):
             return spec.beta_at(x) @ w0_at(traj, x)
 
         return HamiltonianSpec.from_beta_grid(
-            grid, dressed_beta(grid), beta_fn=dressed_beta
+            grid, spec.beta_at(grid) @ w0_grid, beta_fn=dressed_beta
         )
 
     def dressed_h(x):
         w0 = w0_at(traj, x)
         return _adj(w0) @ spec.hamiltonian(x) @ w0
 
-    return HamiltonianSpec(grid, h=hermitian_part(dressed_h(grid)), h_fn=dressed_h)
+    h = _adj(w0_grid) @ spec.hamiltonian(grid) @ w0_grid
+    return HamiltonianSpec(grid, h=hermitian_part(h), h_fn=dressed_h)
 
 
 def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
@@ -478,15 +521,16 @@ def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
 
     ``z`` may be a 1-D array of points: the base W is then one stacked RK45
     solve (each point held at least as tightly as alone; ``panels`` counts
-    the joint solve's steps), v one :func:`transfer` call over (x, z), and
-    ``values`` stacks (len(z), len(grid), m, m).
+    the joint solve's steps), v one call over (x, z) of :func:`transfer`'s
+    core, which forms v at the given z alone, without the conj(z) half and
+    the diagnostics, and ``values`` stacks (len(z), len(grid), m, m).
     """
     sys = traj.system
     if grid is None:
         grid = traj.grid
     base = fundamental_solution(sys, z, grid=grid, tol=tol, method="rk45")
     x = np.append(sys.xi, base.grid)
-    v = transfer(traj, x[:, None] if np.ndim(base.z) else x, base.z).v
+    v = _v(traj, x[:, None] if np.ndim(base.z) else x, base.z)
     v = np.moveaxis(v, 0, -3)  # a batch's (x, z) stack to (z, x)
     return FundamentalSolution(
         z=base.z,
@@ -508,7 +552,8 @@ def g0_eval(traj, x):
 
     ``x`` may be an array of points, as for :func:`w0_at`.
     """
-    x, pi, _, _, s_pi = _dressing_state(traj, x)
+    x, pi, s = _read_state(traj, x)
+    _, _, s_pi = _solve_state(traj, x, pi, s)
     J = traj.system.J
     h = traj.system.hamiltonian.hamiltonian(x.ravel()).reshape(x.shape + J.shape)
     core = _adj(pi) @ s_pi
@@ -539,7 +584,7 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
         sys.J, sys.interval, transformed_hamiltonian(traj), xi=sys.xi
     )
     direct = boundary_values(dressed, x, s, tol=tol)
-    v = transfer(traj, [x, sys.xi], s).v
+    v = _v(traj, [x, sys.xi], s)
     v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
     w_plus = v_x @ base.w_plus @ v_xi_inv
     w_minus = v_x @ base.w_minus @ v_xi_inv

@@ -1047,25 +1047,39 @@ def _block_norms(blocks):
     return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
+def _degeneracy(spec, J):
+    """The degeneracy test of :func:`kernel_bound`, without its supremum.
+
+    Returns the factor's samples beta, |beta J beta*| at each of them and
+    whether the kernel is degenerate: the largest of these at most
+    ``DEGENERACY_TOL`` times the data scale max(1, max |beta|_F^2).  The
+    kernel that fails the test is the one :func:`kernel_bound` reports as
+    +inf; on finite samples, barring overflow, the two agree.
+    """
+    if not spec.is_factored:
+        raise ValueError("kernel bound needs the factored form beta")
+    beta = spec.beta if spec.beta is not None else spec.beta_at(spec.x)
+    own = np.einsum("iam,mn,ibn->iab", beta, J, beta.conj())  # beta_i J beta_i*
+    diag = _block_norms(own)
+    scale = max(1.0, float(np.max(np.linalg.norm(beta, axis=(1, 2)))) ** 2)
+    return beta, diag, not (float(np.max(diag)) > DEGENERACY_TOL * scale)
+
+
 def kernel_bound(spec, J):
     """Grid supremum of the divided-difference kernel norm.
 
     Adjacent sample pairs supply the divided-difference limit on the
     diagonal t -> x.  A non-degenerate kernel (sup |beta J beta*| above
-    ``DEGENERACY_TOL`` times the data scale) makes the supremum diverge
-    like 1/(x - t); it is reported as +inf with a diagnostic.  The pairs
+    ``DEGENERACY_TOL`` times the data scale, the test of
+    :func:`_degeneracy`) makes the supremum diverge like 1/(x - t); it is
+    reported as +inf with a diagnostic, and no pair is formed.  The pairs
     are visited in row chunks of about ``KERNEL_CHUNK_PAIRS``, so memory
     stays bounded however many samples the factor has.
     """
-    if not spec.is_factored:
-        raise ValueError("kernel bound needs the factored form beta")
+    beta, diag, degenerate = _degeneracy(spec, J)
     x = spec.x
-    beta = spec.beta if spec.beta is not None else spec.beta_at(x)
-    own = np.einsum("iam,mn,ibn->iab", beta, J, beta.conj())  # beta_i J beta_i*
-    diag = _block_norms(own)
-    scale = max(1.0, float(np.max(np.linalg.norm(beta, axis=(1, 2)))) ** 2)
     degeneracy = float(np.max(diag))
-    if degeneracy > DEGENERACY_TOL * scale:
+    if not degenerate:
         return KernelBoundReport(
             sup_bound=np.inf,
             argmax_pair=(float(x[int(np.argmax(diag))]),) * 2,

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from cansys import cli
+import cansys
+from cansys import cli, system
 from cansys.cli import main
 from cansys.gbdt import GbdtTrajectory
 from cansys.scenarios import scenario_path
+from cansys.system import HamiltonianSpec
 
 #: The example-n1 checks and their fixed bounds.
 N1_BOUNDS = {"n1_s_residual": 1e-8, "n1_beta_residual": 1e-8, "n1_wa_residual": 1e-9,
@@ -526,6 +528,18 @@ def without_gbdt(**overrides):
     return config
 
 
+def bundled_with(block, **values):
+    """The bundled config with some keys of one block changed."""
+    config = bundled_config()
+    config[block].update(values)
+    return config
+
+
+# beta = [1, i (1 + x/2)]: degenerate, but not the rank-one system
+VARYING_BETA = {"type": "beta-grid", "x": [0.0, 0.5, 1.0],
+                "beta": [[[[1, 0], [0, 1 + x / 2]]] for x in (0.0, 0.5, 1.0)]}
+
+
 # config, and the keys leading to the offending one: the task's name, then
 # the option, if the option is at fault
 BAD_TASKS = {
@@ -551,6 +565,16 @@ BAD_TASKS = {
     ),
     "unknown_task_after_validate": (minimal_config(tasks=["validate", "evolv"]),
                                     ("validate", "evolv")),
+    # the closed forms of example-n1 hold on the rank-one system alone
+    "example_n1_on_a_varying_beta": (
+        bundled_with("system", hamiltonian=VARYING_BETA), ("charfn", "example-n1"),
+    ),
+    "example_n1_with_gbdt_xi_off_0": (
+        bundled_with("gbdt", xi=0.5), ("charfn", "example-n1"),
+    ),
+    "example_n1_on_an_interval_off_0": (
+        bundled_with("system", interval=[0.25, 1.0], xi=0.25), ("charfn", "example-n1"),
+    ),
 }
 
 
@@ -608,6 +632,36 @@ def test_example_n1_checks_fail_on_a_perturbed_trajectory(tmp_path, monkeypatch)
     for c in checks:
         assert c["bound"] == N1_BOUNDS[c["name"]]
         assert c["value"] > c["bound"] and c["pass"] is False
+
+
+def test_transform_checks_fail_on_a_non_degenerate_dressed_factor(tmp_path, monkeypatch):
+    # beta~ = [1, 1] has beta~ J beta~* = 2: the degeneracy test must see it
+    def non_degenerate(traj):
+        return HamiltonianSpec.from_beta_grid(
+            traj.grid, np.ones((traj.grid.size, 1, 2), dtype=complex))
+
+    monkeypatch.setattr(cli, "transformed_hamiltonian", non_degenerate)
+    path = write_config(tmp_path, bundled_config(["transform"]))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads((out / "results.json").read_text())["checks"]}
+    assert checks["transformed_degeneracy"]["value"] == 2.0
+    assert checks["transformed_kernel_bound_finite"]["value"] == 1.0
+    for name in ("transformed_degeneracy", "transformed_kernel_bound_finite"):
+        assert checks[name]["pass"] is False
+
+
+def test_bundled_run_forms_no_kernel_supremum(tmp_path, monkeypatch):
+    def no_supremum(spec, J):
+        raise AssertionError("kernel_bound called")
+
+    for module in (cansys, system, cli):
+        monkeypatch.setattr(module, "kernel_bound", no_supremum, raising=False)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_path()), "--out", str(out)]) == 0
+    checks = json.loads((out / "results.json").read_text())["checks"]
+    names = {c["name"] for c in checks if c["task"] == "transform"}
+    assert {"transformed_degeneracy", "transformed_kernel_bound_finite"} <= names
 
 
 def test_out_naming_a_plain_file_exits_2(tmp_path, capsys):

@@ -320,6 +320,49 @@ def test_transfer_broadcasts_like_pointwise_calls(traj_n1):
     assert fro(by_x.v - stacked.v[:, 0]) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def bundled_traj(unit_system, diag_n1):
+    """The trajectory a bundled `cansys run` evolves: ode_tol 1e-10 on
+    evolve's default grid."""
+    return evolve(diag_n1.to_gbdt_params(), unit_system, tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def traj_n2(unit_system):
+    return evolve(sample_params(3, unit_system, n=2), unit_system, tol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
+def test_v_core_is_transfers_v_bitwise(request, name):
+    # transformed_fundamental's stack: xi, then a grid, against a batch of z
+    traj = request.getfixturevalue(name)
+    x = np.append(0.0, np.linspace(0.0, 1.0, 51))[:, None]
+    z = np.array([-0.5 + 1.5j, 1.5j, 0.25 + 1.5j, 1.0 + 1.5j, 2j, 2.0 - 1.0j])
+    assert np.array_equal(gbdt._v(traj, x, z), transfer(traj, x, z).v)
+    for x, z in ((0.3, 2j), ([0.0, 0.7], 0.5 - 0.0j)):
+        assert np.array_equal(gbdt._v(traj, x, z), transfer(traj, x, z).v)
+
+
+@pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
+def test_transformed_beta_samples_are_the_dense_dressing_bitwise(request, name):
+    traj = request.getfixturevalue(name)
+    grid = traj.grid
+    expected = traj.system.hamiltonian.beta_at(grid) @ w0_at(traj, grid)
+    assert np.array_equal(transformed_hamiltonian(traj).beta, expected)
+
+
+def test_transformed_h_samples_are_the_dense_congruence_bitwise(diag_n1):
+    x = np.linspace(0, 1, 33)
+    h = np.stack([rank_one.hamiltonian()] * x.size)
+    sys_grid = CanonicalSystem(
+        J=J_OFF, interval=(0.0, 1.0), hamiltonian=HamiltonianSpec.from_grid(x, h)
+    )
+    traj = evolve(diag_n1.to_gbdt_params(), sys_grid, tol=1e-10)
+    w0 = w0_at(traj, traj.grid)
+    expected = hermitian_part(_adj(w0) @ sys_grid.hamiltonian.hamiltonian(traj.grid) @ w0)
+    assert np.array_equal(transformed_hamiltonian(traj).h, expected)
+
+
 def _nearly_singular_trajectory(unit_system):
     # S vanishes at x = 0.5, between the grid points, so evolve succeeds
     h = np.log(1j - 0.5).imag

@@ -740,6 +740,35 @@ def test_kernel_bound_requires_factored_form():
     spec = HamiltonianSpec.from_grid(x, np.stack([np.eye(2)] * 2).astype(complex))
     with pytest.raises(ValueError):
         kernel_bound(spec, np.eye(2))
+    with pytest.raises(ValueError):
+        system._degeneracy(spec, np.eye(2))
+
+
+def _kernel_bound_cases(unit_system):
+    """(spec, J) of the degenerate and non-degenerate kernels above."""
+    x = np.linspace(0.0, 1.0, 201)
+    rng = np.random.default_rng(6)
+    x_random = np.sort(rng.uniform(0.0, 1.0, 120))
+    return [
+        (unit_system.hamiltonian, unit_system.J),
+        *[(HamiltonianSpec.from_beta_grid(x, np.stack([np.array([[1.0, f(xx)]])
+                                                        for xx in x])), J_OFF)
+          for f in (lambda t: 1j * t, lambda t: 0.1 * t, lambda t: 1j * (1.0 + 0.5 * t))],
+        *[(HamiltonianSpec.from_beta_grid(x_random, beta), J)
+          for beta, J in (_random_degenerate_factor(rng, x_random, k) for k in (1, 2))],
+    ]
+
+
+def test_degeneracy_test_decides_kernel_bounds_finiteness(unit_system):
+    finite = []
+    for spec, J in _kernel_bound_cases(unit_system):
+        report = kernel_bound(spec, J)
+        beta, diag, degenerate = system._degeneracy(spec, J)
+        assert degenerate == report.finite
+        assert float(np.max(diag)) == report.degeneracy_defect
+        assert np.array_equal(beta, spec.beta)
+        finite.append(degenerate)
+    assert finite == [True, True, False, True, True, True]
 
 
 # -- a varying degenerate system ----------------------------------------------
