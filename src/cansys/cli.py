@@ -44,7 +44,11 @@ The ``transform`` task dresses the trajectory's stored grid samples.  Its
 (``system._degeneracy``): identical to ``kernel_bound(...).finite`` on
 finite samples barring overflow, without the O(N^2) pair supremum.
 ``example-n1`` needs the system of ``rank_one.make_system(b)``, on which
-its closed forms hold.
+its closed forms hold.  The 'gbdt' block's ``b_diag``/``g``/``h``
+shorthand builds Pi(xi) and S(xi) by the closed forms of
+``rank_one.DiagonalParams``, on the frame ``rank_one.T`` of the signature
+``rank_one.J``, so it needs m = 2 and that J; any other system gives
+explicit ``B``, ``S0`` and ``Pi0``.
 """
 
 from __future__ import annotations
@@ -282,6 +286,14 @@ def _build_gbdt(block, sys):
                     "either the shorthand or explicit B/S0/Pi0",
                     key=(*at, forbidden),
                 )
+        if not np.array_equal(sys.J, rank_one.J):
+            # Pi(xi) and S(xi) come from the frame rank_one.T, which holds
+            # T J T* = 2 J for this J alone
+            raise ConfigError(
+                "'b_diag': the b_diag/g/h shorthand needs the rank-one signature, "
+                "m = 2 and J = [[0, 1], [1, 0]]; give explicit B/S0/Pi0 otherwise",
+                key=(*at, "b_diag"),
+            )
         b_diag = _cvector_from(block.get("b_diag"), (*at, "b_diag"), length=n)
         g = _cvector_from(block.get("g"), (*at, "g"), length=n)
         h = _cvector_from(block.get("h"), (*at, "h"), length=n)
@@ -610,13 +622,12 @@ class _Task(NamedTuple):
 
 def _is_rank_one_order_one(run):
     """The order-one shorthand on the system of ``rank_one.make_system(b)``,
-    the one the closed forms of example-n1 hold on: J = ``rank_one.J``,
-    constant beta = ``rank_one.BETA`` on [0, b] and xi = 0, the 'gbdt'
-    block's xi included."""
+    the one the closed forms of example-n1 hold on: J = ``rank_one.J``
+    (which the shorthand already needs), constant beta = ``rank_one.BETA``
+    on [0, b] and xi = 0, the 'gbdt' block's xi included."""
     sys, beta = run.system, run.system.hamiltonian.beta
     return (run.diag is not None and run.diag.n == 1
             and sys.interval[0] == 0.0 and sys.xi == 0.0 and run.params.xi == 0.0
-            and np.array_equal(sys.J, rank_one.J)
             and beta is not None and beta.shape[1:] == rank_one.BETA.shape
             and np.all(beta == rank_one.BETA))
 

@@ -31,7 +31,7 @@ dense-output call for the whole stack and check S in one place: one
 stacked SVD, raising :class:`~cansys.linalg.SingularMatrixError` at the
 first x, in order, where S(x) is singular to working tolerance, and one
 stacked solve.  :func:`transformed_hamiltonian` passes the grid samples
-:func:`evolve` stored through the same check and solve.
+:func:`evolve` stored, and already checked, through the same solve alone.
 """
 
 from __future__ import annotations
@@ -390,22 +390,24 @@ def _read_state(traj, x):
     return x, pi, s
 
 
-def _solve_state(traj, x, pi, s):
-    """B - x, S^{-1} (B - x) and S^{-1} Pi at every point of x.
-
-    The single place where S is checked and solved against: one stacked
-    SVD (see :func:`_check_s`) and one stacked solve, whether (Pi, S) come
-    from :func:`_read_state` or from the trajectory's grid samples.
-    """
-    _check_s(x, s, traj.s_scale)
+def _solve(traj, x, pi, s):
+    """B - x, S^{-1} (B - x) and S^{-1} Pi at every point of x: the single
+    place where S is solved against, one stacked solve, with S unchecked.
+    Only the grid samples :func:`evolve` checked come here directly."""
     bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
     sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
     return bx, sol[..., : traj.n], sol[..., traj.n :]
 
 
-def _w0(traj, x, pi, s):
-    """w0 = I - i J Pi* S^{-1} (B - x) Pi from Pi(x) and S(x)."""
-    _, s_bx, _ = _solve_state(traj, x, pi, s)
+def _solve_state(traj, x, pi, s):
+    """:func:`_solve` on (Pi, S) read from the dense output, checked first:
+    one stacked SVD (see :func:`_check_s`) at the trajectory's S scale."""
+    _check_s(x, s, traj.s_scale)
+    return _solve(traj, x, pi, s)
+
+
+def _w0(traj, pi, s_bx):
+    """w0 = I - i J Pi* S^{-1} (B - x) Pi from Pi(x) and S^{-1} (B - x)."""
     return np.eye(traj.m) - 1j * traj.system.J @ _adj(pi) @ s_bx @ pi
 
 
@@ -417,7 +419,8 @@ def w0_at(traj, x):
     :class:`~cansys.linalg.SingularMatrixError` at the first x where
     S(x) is singular to working tolerance.
     """
-    return _w0(traj, *_read_state(traj, x))
+    x, pi, s = _read_state(traj, x)
+    return _w0(traj, pi, _solve_state(traj, x, pi, s)[1])
 
 
 def _transfer_core(traj, x, z):
@@ -494,11 +497,13 @@ def transformed_hamiltonian(traj):
     an H-grid with an exact callable is returned.  Both callables take a
     point or an array of points.  The grid samples dress the (Pi, S) that
     :func:`evolve` stored there, which are the dense output at the grid
-    bit for bit, so w0 at the grid costs no second dense-output call.
+    bit for bit, so w0 at the grid costs no second dense-output call, and
+    no second check of S: :func:`evolve` checked these samples at the same
+    scale.
     """
     spec = traj.system.hamiltonian
     grid = traj.grid
-    w0_grid = _w0(traj, grid, traj.pi, traj.s)
+    w0_grid = _w0(traj, traj.pi, _solve(traj, grid, traj.pi, traj.s)[1])
     if spec.is_factored:
         def dressed_beta(x):
             return spec.beta_at(x) @ w0_at(traj, x)

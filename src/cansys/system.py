@@ -59,6 +59,11 @@ those of the triangular model's forward sweep, whose total
 :func:`_total_product` takes by pairwise halving, are all :func:`_mul`,
 a sum over the inner index.
 
+Constant Hamiltonian data is one stored, read-only matrix (see
+:class:`HamiltonianSpec`): the adaptive right-hand sides, which pass
+one float point, get that matrix itself and the kernel, which passes
+arrays, a stack of copies, with no interpolation on either path.
+
 The module imports numpy alone.  scipy loads on first use:
 ``scipy.integrate`` at the first adaptive solve, through the module
 attribute ``solve_ivp``, and ``scipy.linalg`` at the first exponential
@@ -191,6 +196,15 @@ def _interp_stack(xgrid, values, xq):
     return (1.0 - w) * values[j - 1] + w * values[j]
 
 
+def _constant_at(value, xq):
+    """The one matrix of constant data at xq: ``value`` itself, read-only,
+    for a scalar point (a Python float, as for :func:`_interp_stack`), and
+    a fresh stack of copies behind the shape of an array of points."""
+    if isinstance(xq, float):
+        return value
+    return np.broadcast_to(value, np.shape(xq) + value.shape).copy()
+
+
 class HamiltonianSpec:
     """Hamiltonian data: an H-grid, a factored beta-grid, or a callable.
 
@@ -202,6 +216,15 @@ class HamiltonianSpec:
     trajectory).  A callable takes a point or an array of points and
     returns the stack of matrices behind that shape; the spec calls it
     once per evaluation.
+
+    Constant data, with no callable and every sample (beta for factored
+    data, H otherwise) equal to the first, is one stored matrix: the
+    spec keeps beta and H = beta* beta, or the Hermitian part of the H
+    sample, read-only and formed once.  A scalar point returns the stored
+    matrix itself, an array of points a fresh stack of copies, so both
+    paths give the same bits and no evaluation interpolates.  The rule
+    reads the samples, so :meth:`from_constant_beta` and an equal-sample
+    grid alike get it.
     """
 
     def __init__(self, x, h=None, beta=None, h_fn=None, beta_fn=None):
@@ -224,6 +247,16 @@ class HamiltonianSpec:
             raise ValueError("H samples must be square")
         self.h_fn = h_fn
         self.beta_fn = beta_fn
+        self._beta0 = self._h0 = None  # the one matrix of constant data
+        samples = self.beta if self.beta is not None else self.h
+        if h_fn is None and beta_fn is None and np.all(samples == samples[0]):
+            if self.beta is not None:
+                self._beta0 = samples[0].copy()
+                self._beta0.flags.writeable = False
+                self._h0 = _adj(self._beta0) @ self._beta0
+            else:
+                self._h0 = hermitian_part(samples[0])
+            self._h0.flags.writeable = False
 
     @classmethod
     def from_grid(cls, x, h):
@@ -253,6 +286,8 @@ class HamiltonianSpec:
             return np.asarray(self.beta_fn(x), dtype=complex)
         if self.beta is None:
             raise ValueError("no factored form present")
+        if self._beta0 is not None:
+            return _constant_at(self._beta0, x)
         return _interp_stack(self.x, self.beta, x)
 
     def hamiltonian(self, x):
@@ -260,6 +295,8 @@ class HamiltonianSpec:
         to interpolation rounding."""
         if self.h_fn is not None:
             return hermitian_part(np.asarray(self.h_fn(x), dtype=complex))
+        if self._h0 is not None:
+            return _constant_at(self._h0, x)
         if self.is_factored:
             b = self.beta_at(x)
             return _adj(b) @ b

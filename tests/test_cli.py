@@ -535,6 +535,52 @@ def bundled_with(block, **values):
     return config
 
 
+def signature(*signs):
+    """The diagonal signature matrix diag(signs) as config entries."""
+    return [[[sign if i == j else 0, 0] for j in range(len(signs))]
+            for i, sign in enumerate(signs)]
+
+
+# the gbdt shorthand builds Pi(xi) and S(xi) on the rank-one frame: the
+# bundled config's evolve on other systems must be rejected at 'b_diag'
+SHORTHAND_OFF_RANK_ONE = {
+    "J_diag_1_minus_1": {"J": signature(1, -1)},
+    "m_3": {"m": 3, "J": signature(1, 1, -1),
+            "hamiltonian": {"type": "constant-beta", "beta": [[[1, 0], [0, 0], [1, 0]]]}},
+}
+
+
+@pytest.mark.parametrize("case", list(SHORTHAND_OFF_RANK_ONE))
+def test_gbdt_shorthand_needs_the_rank_one_signature(tmp_path, capsys, case):
+    config = bundled_with("system", **SHORTHAND_OFF_RANK_ONE[case])
+    config["tasks"] = ["validate", "evolve"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{line_of(path, 'gbdt', 'b_diag')}: 'b_diag': ")
+    assert "J = [[0, 1], [1, 0]]" in err
+    assert not out.exists()
+
+
+def test_bundled_run_interpolates_no_hamiltonian(tmp_path, monkeypatch):
+    # constant data is one stored matrix: no H or beta evaluation of the
+    # bundled run interpolates, and its outputs keep every byte
+    reference = tmp_path / "reference"
+    assert main(["run", str(scenario_path()), "--out", str(reference)]) == 0
+
+    def no_interpolation(*args):
+        raise AssertionError("interpolated")
+
+    monkeypatch.setattr(system, "_interp_stack", no_interpolation)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_path()), "--out", str(out)]) == 0
+    names = sorted(path.name for path in reference.iterdir())
+    assert names == sorted(path.name for path in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
 # beta = [1, i (1 + x/2)]: degenerate, but not the rank-one system
 VARYING_BETA = {"type": "beta-grid", "x": [0.0, 0.5, 1.0],
                 "beta": [[[[1, 0], [0, 1 + x / 2]]] for x in (0.0, 0.5, 1.0)]}

@@ -380,6 +380,23 @@ def test_w0_and_dressed_hamiltonian_check_s(unit_system):
         assert excinfo.value.location == pytest.approx(0.5)
 
 
+def test_grid_dressing_does_not_recheck_what_evolve_checked(traj_n1, monkeypatch):
+    # evolve checked S on its grid at the scale it took there; the dense
+    # output at any other x is checked once per call
+    calls = []
+    check_s = gbdt._check_s
+
+    def counting(*args):
+        calls.append(args)
+        return check_s(*args)
+
+    monkeypatch.setattr(gbdt, "_check_s", counting)
+    transformed_hamiltonian(traj_n1)
+    assert calls == []
+    w0_at(traj_n1, 0.37)
+    assert len(calls) == 1
+
+
 def test_transfer_names_first_singular_point(unit_system):
     traj = _nearly_singular_trajectory(unit_system)
     with pytest.raises(SingularMatrixError) as excinfo:

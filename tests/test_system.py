@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from cansys import rank_one, system
-from cansys.linalg import fro
+from cansys.linalg import _adj, fro, hermitian_part
 from cansys.system import (
     CanonicalSystem,
     HamiltonianSpec,
@@ -213,6 +213,110 @@ def test_hamiltonian_spec_rejects_bad_samples():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         HamiltonianSpec.from_grid(x, bad)
+
+
+# -- constant data -------------------------------------------------------------
+
+#: A 1 x 2 factor whose interpolation (1 - w) beta + w beta need not round
+#: back to beta.
+BETA_OFF = np.array([[0.3 + 0.7j, -1.1 + 0.2j]])
+
+
+def _constant_specs():
+    x = np.linspace(0.0, 1.0, 4)
+    h = _adj(BETA_OFF) @ BETA_OFF + np.array([[1.0, 0.25j], [-0.25j, 1.0]])
+    return {
+        "constant-beta": HamiltonianSpec.from_constant_beta(BETA_OFF, (0.0, 1.0)),
+        "beta-grid": HamiltonianSpec(x, beta=np.stack([BETA_OFF] * x.size)),
+        "h-grid": HamiltonianSpec(x, h=np.stack([h] * x.size)),
+    }
+
+
+def _interpolates(spec, monkeypatch):
+    """Whether H at a scalar or at an array of points reaches the
+    interpolation of the samples."""
+
+    def no_interpolation(*args):
+        raise AssertionError("interpolated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(system, "_interp_stack", no_interpolation)
+        try:
+            for point in (0.37, np.array([0.1, 0.9])):
+                spec.hamiltonian(point)
+                if spec.is_factored:
+                    spec.beta_at(point)
+        except AssertionError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["constant-beta", "beta-grid", "h-grid"])
+def test_equal_samples_are_one_stored_matrix(kind, monkeypatch):
+    spec = _constant_specs()[kind]
+    assert not _interpolates(spec, monkeypatch)
+    assert spec.hamiltonian(0.2) is spec.hamiltonian(0.9)
+
+
+@pytest.mark.parametrize("kind", ["beta-grid", "h-grid"])
+def test_a_sample_one_ulp_off_is_interpolated(kind, monkeypatch):
+    spec = _constant_specs()[kind]
+    field = "beta" if kind == "beta-grid" else "h"
+    samples = getattr(spec, field).copy()
+    samples[2, 0, 1] = complex(np.nextafter(samples[2, 0, 1].real, np.inf),
+                               samples[2, 0, 1].imag)
+    off = HamiltonianSpec(spec.x, **{field: samples})
+    assert _interpolates(off, monkeypatch)
+    assert not np.array_equal(off.hamiltonian(spec.x), spec.hamiltonian(spec.x))
+
+
+@pytest.mark.parametrize("field", ["h_fn", "beta_fn"])
+def test_a_callable_takes_precedence_over_equal_samples(field):
+    # equal samples with a callable are not constant data: every evaluation
+    # reaches the callable, whose values differ from the samples'
+    spec = _constant_specs()["constant-beta"]
+    seen = []
+
+    def fn(t):
+        seen.append(t)
+        scaled = 2.0 * spec.beta_at(t)
+        return _adj(scaled) @ scaled if field == "h_fn" else scaled
+
+    wrapped = HamiltonianSpec(spec.x, beta=spec.beta, **{field: fn})
+    points = np.array([0.1, 0.6])
+    assert np.array_equal(wrapped.hamiltonian(0.3), 4.0 * spec.hamiltonian(0.3))
+    assert np.array_equal(wrapped.hamiltonian(points), 4.0 * spec.hamiltonian(points))
+    assert seen[0] == 0.3 and seen[1] is points and len(seen) == 2
+
+
+@pytest.mark.parametrize("kind", ["constant-beta", "h-grid"])
+def test_the_stored_matrix_is_read_only_and_arrays_are_fresh(kind):
+    spec = _constant_specs()[kind]
+    evaluations = [spec.hamiltonian] + ([spec.beta_at] if spec.is_factored else [])
+    for evaluate in evaluations:
+        stored = evaluate(0.5)
+        before = stored.copy()
+        with pytest.raises(ValueError):
+            stored[0, 0] = 7.0
+        stack = evaluate(np.array([0.25, 0.5]))
+        assert stack.flags.writeable and stack.flags.owndata
+        stack[...] = 7.0
+        assert np.array_equal(evaluate(0.5), before)
+        assert np.array_equal(evaluate(np.array([0.25])), before[None])
+
+
+@pytest.mark.parametrize("kind", ["constant-beta", "beta-grid", "h-grid"])
+def test_constant_h_is_its_formula_bitwise_at_every_shape(kind):
+    spec = _constant_specs()[kind]
+    if spec.is_factored:
+        expected = _adj(BETA_OFF) @ BETA_OFF
+    else:
+        expected = hermitian_part(spec.h[0])
+    points = np.linspace(-0.1, 1.1, 12).reshape(4, 3)
+    for point in (0.4, np.float64(0.4), np.asarray(0.4), points):
+        h = spec.hamiltonian(point)
+        assert h.shape == np.shape(point) + (2, 2)
+        assert np.array_equal(h, np.broadcast_to(expected, h.shape))
 
 
 # -- fundamental solutions ---------------------------------------------------
