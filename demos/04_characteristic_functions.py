@@ -3,13 +3,15 @@
 The model operator x f(x) + i * integral of beta(x) J beta(t)* f(t)
 carries the same data as the canonical system with H = beta* beta: its
 characteristic function W(z) = I - i J K* (A - z)^{-1} K equals the
-fundamental solution W(b, z).  We discretise the operator with a
-midpoint rule (exact discrete node identity).  The discrete operator is
-block lower triangular with a rank-m part below the diagonal, so W_N(z)
-is a forward sweep: an ordered product of N small factors, O(N) in time
-and memory, which reaches N = 32768 here.  We confirm the equality under
-refinement, check the sweep against a dense resolvent solve, and dress
-the operator through the kernel factor.
+fundamental solution W(b, z).  We discretise the operator by two-node
+Gauss-Legendre collocation on N / 2 panels (exact discrete node
+identity, error falling like N^-4).  The discrete operator is block
+lower triangular with a rank-m part below the panels' diagonal blocks,
+so W_N(z) is a forward sweep: an ordered product of N / 2 small
+factors, O(N) in time and memory, which reaches N = 32768 here.  We
+confirm the equality under refinement against the closed form (the RK45
+route at tol 1e-11 is about 1e-12 off it), check the sweep against a
+dense resolvent solve, and dress the operator through the kernel factor.
 """
 
 import numpy as np
@@ -33,11 +35,13 @@ z = 2j
 op = discretize(model, 256)
 print("discrete node identity defect:", op.node_identity_defect())
 
-reference = char_fn_via_fundamental(model, z, tol=1e-11)
-for num in (128, 256, 512, 1024, 32768):
+reference = rank_one.fundamental_matrix(1.0, z)
+rk45 = char_fn_via_fundamental(model, z, tol=1e-11)
+print(f"RK45 route:  |W(b, z) - closed form| = {fro(rk45.value - reference):.3e}")
+for num in (16, 32, 64, 128, 32768):
     sample = char_fn(discretize(model, num), z)
-    print(f"N = {num:5d}: |W_N(z) - W(b, z)| = "
-          f"{fro(sample.value - reference.value):.3e}")
+    print(f"N = {num:5d}: |W_N(z) - closed form| = "
+          f"{fro(sample.value - reference):.3e}")
 
 # the resolvent acts on the kernel columns exactly like multiplication
 # by (x - z)^{-1} followed by the fundamental solution; this check solves

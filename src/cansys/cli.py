@@ -154,6 +154,13 @@ def _positive_int(value, key):
     return value
 
 
+def _even_positive_int(value, key):
+    """A positive even integer: a node count of two-node panels."""
+    if _positive_int(value, key) % 2:
+        raise ConfigError(f"'{_key_name(key)}' must be a positive even integer", key=key)
+    return value
+
+
 def _list_of(parse):
     """Parser of a non-empty list whose every entry ``parse`` accepts."""
 
@@ -650,7 +657,7 @@ _TASKS = {
     "evolve": _Task(_Runner.run_evolve, needs="gbdt"),
     "transform": _Task(_Runner.run_transform, needs="gbdt"),
     "charfn": _Task(_Runner.run_charfn, {
-        "N": (_positive_int, lambda a, b, o: 512),
+        "N": (_even_positive_int, lambda a, b, o: 512),
         "z": (_COMPLEXES, lambda a, b, o: [[0.0, 2.0 * (b - a)], [b + a, b - a],
                                            [a - b, b - a]]),
     }, needs="factored"),

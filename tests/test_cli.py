@@ -320,13 +320,14 @@ def line_of(path, *keys):
     return lineno
 
 
-CHARFN_N1 = [{"task": "charfn", "N": 1}]
+#: One two-node panel at a z within 0.5 of the cut: a relative error of 4e-2
+CHARFN_ONE_PANEL = [{"task": "charfn", "N": 2, "z": [[0.5, 0.5]]}]
 
 
 def test_charfn_at_one_node_fails(tmp_path):
-    # one Nystrom node is too coarse: the relative error is about 5e-2
+    # one Nystrom panel is too coarse near the cut
     out = tmp_path / "out"
-    config = minimal_config(tasks=CHARFN_N1)
+    config = minimal_config(tasks=CHARFN_ONE_PANEL)
     assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
     results = json.loads((out / "results.json").read_text())
     check = results["checks"][0]
@@ -338,8 +339,8 @@ def test_charfn_at_one_node_fails(tmp_path):
 @pytest.mark.parametrize("key", ["psd_tol", "charfn_tol", "jump_tol", "n1_tol",
                                  "transfer_tol", "probe_tol", "v_sup_bound"])
 def test_check_bounds_are_not_config_keys(tmp_path, capsys, key):
-    # no config can loosen a check: the N = 1 charfn run above stays failing
-    config = minimal_config(tasks=CHARFN_N1, tolerances={"ode_tol": 1e-9, key: 1.0})
+    # no config can loosen a check: the one-panel charfn run above stays failing
+    config = minimal_config(tasks=CHARFN_ONE_PANEL, tolerances={"ode_tol": 1e-9, key: 1.0})
     path = write_config(tmp_path, config)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -419,6 +420,8 @@ BAD_VALUES = {
     "charfn_z_not_a_list": (
         minimal_config(tasks=[{"task": "charfn", "N": 8, "z": 2.0}]), ("tasks", "z"),
     ),
+    # two Gauss nodes per panel
+    "charfn_N_odd": (minimal_config(tasks=[{"task": "charfn", "N": 7}]), ("tasks", "N")),
     "output_not_a_string": (minimal_config(output=5), ("output",)),
     "beta_entry_not_a_pair": (
         with_blocks(hamiltonian={"beta": [[[1, 0, 0], [0, 1]]]}),

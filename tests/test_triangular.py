@@ -3,15 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cansys import rank_one
+from cansys import rank_one, triangular
 from cansys.gbdt import evolve, sample_params, transfer, w0_at
 from cansys.linalg import SingularMatrixError, fro
-from cansys.system import CanonicalSystem, HamiltonianSpec
+from cansys.system import CanonicalSystem, HamiltonianSpec, fundamental_solution
 from cansys.triangular import (
+    _GAUSS2,
+    _MIDPOINT,
     MAX_DENSE_ROWS,
+    DiscretizedOperator,
     TriangularModel,
     _block_eigvals,
-    _shifted_solve,
+    _discretize,
     char_fn,
     char_fn_via_fundamental,
     conjugate_transform_model,
@@ -32,20 +35,49 @@ def rank_one_model():
 # -- discretisation -----------------------------------------------------------
 
 
+def midpoint(model, num_nodes):
+    """The one-node midpoint operator that similarity_probe reads."""
+    return _discretize(model, num_nodes, _MIDPOINT)
+
+
 def test_discretize_single_node(rank_one_model):
-    op = discretize(rank_one_model, 1)
+    op = midpoint(rank_one_model, 1)
     # x1 I_k + (i/2) w1 beta J beta*, and beta J beta* = 0 here
     assert op.matrix.shape == (1, 1)
     assert abs(op.matrix[0, 0] - 0.5) < 1e-15
     assert np.allclose(op.channel_map, rank_one.BETA)  # sqrt(w) = 1
 
 
+def test_discretize_single_panel(rank_one_model):
+    op = discretize(rank_one_model, 2)
+    # the Gauss points of [0, 1], and x_i delta_ij + i h a_ij beta J beta* = x_i
+    root = np.sqrt(3.0) / 6.0
+    assert np.allclose(op.nodes, [0.5 - root, 0.5 + root], rtol=0.0, atol=1e-15)
+    assert fro(op.matrix - np.diag(op.nodes)) < 1e-15
+    assert np.allclose(op.channel_map, np.sqrt(0.5) * np.vstack([rank_one.BETA] * 2))
+
+
 def test_discretize_half_diagonal_with_nonzero_kernel():
     beta = np.array([[1.0, 0.5]])  # beta J beta* = 1 != 0
     model = TriangularModel.from_constant_beta(beta, (0.0, 1.0), J_OFF)
-    op = discretize(model, 1)
+    op = midpoint(model, 1)
     expected = 0.5 + 0.5j * 1.0 * (beta @ J_OFF @ beta.conj().T)[0, 0]
     assert abs(op.matrix[0, 0] - expected) < 1e-15
+
+
+def test_discretize_gauss_tableau_with_nonzero_kernel():
+    beta = np.array([[1.0, 0.5]])  # beta J beta* = 1 != 0
+    model = TriangularModel.from_constant_beta(beta, (0.0, 1.0), J_OFF)
+    op = discretize(model, 2)  # one panel, h = 1
+    kernel = (beta @ J_OFF @ beta.conj().T)[0, 0]
+    root = np.sqrt(3.0) / 6.0
+    # diagonal x_i + i h a_ii beta J beta*, a_ii = 1/4
+    assert np.allclose(op.matrix.diagonal(), op.nodes + 0.25j * kernel,
+                       rtol=0.0, atol=1e-15)
+    # off the diagonal i h a_ij beta J beta*: a_12 = 1/4 - sqrt(3)/6 above,
+    # a_21 = 1/4 + sqrt(3)/6 below
+    assert abs(op.matrix[0, 1] - 1j * (0.25 - root) * kernel) < 1e-15
+    assert abs(op.matrix[1, 0] - 1j * (0.25 + root) * kernel) < 1e-15
 
 
 def test_degenerate_kernel_gives_multiplication_operator(rank_one_model):
@@ -137,6 +169,9 @@ def test_resolvent_identity_large_z(rank_one_model):
 
 
 def test_resolvent_identity_refinement(rank_one_model):
+    # beta J beta* = 0 makes A the multiplication by x, and beta W(x, z) =
+    # beta, so the identity holds to rounding at every N; the order is
+    # measured on a non-degenerate model at the end of this file
     residuals = [
         resolvent_identity_check(
             discretize(rank_one_model, n), rank_one_model, 2j, tol=1e-11
@@ -145,7 +180,7 @@ def test_resolvent_identity_refinement(rank_one_model):
     ]
     for n, res in zip((128, 256, 512), residuals):
         assert res <= 10.0 / n
-    assert residuals[2] <= residuals[0]
+        assert res <= 1e-14
 
 
 # -- dressing at the operator level -------------------------------------------------
@@ -218,6 +253,16 @@ def test_similarity_probe_identity_beta_refinement():
     assert all(r.inside_fraction == 1.0 for r in reports)
 
 
+def test_similarity_probe_builds_no_sweep_data(monkeypatch):
+    # the probe reads the midpoint blocks alone
+    def no_sweep(op):
+        raise AssertionError("similarity_probe built the char_fn sweep")
+
+    monkeypatch.setattr(DiscretizedOperator, "sweep", property(no_sweep))
+    model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
+    assert similarity_probe(model, 64).max_imag == 0.5 / 64
+
+
 def test_similarity_probe_rejects_bad_inputs():
     model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), J_OFF)
     with pytest.raises(ValueError, match="J = I"):
@@ -240,8 +285,9 @@ def test_similarity_probe_rejects_bad_inputs():
     ("z", lambda model, op: char_fn(op, complex(0.5, -np.inf))),
     ("num_nodes", lambda model, op: discretize(model, 2.5)),
     ("num_nodes", lambda model, op: discretize(model, 0)),
+    ("num_nodes", lambda model, op: discretize(model, 7)),
 ], ids=["char_fn-nan", "char_fn-inf", "char_fn-imag-inf", "discretize-float",
-        "discretize-zero"])
+        "discretize-zero", "discretize-odd"])
 def test_bad_arguments_raise_naming_them(rank_one_model, name, call):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(rank_one_model, discretize(rank_one_model, 8))
@@ -335,6 +381,18 @@ def test_char_fn_sweep_matches_dense_solve(structured_models, name, z):
     assert fro(got - expected) <= 1e-12 * fro(expected)
 
 
+@pytest.mark.parametrize("name", ["non_degenerate", "psd"])
+def test_midpoint_char_fn_matches_dense_solve(structured_models, name):
+    # one node per panel: 1 x 1 blocks go to LAPACK, 2 x 2 ones (k = 2)
+    # take the closed form centred on the node
+    op = midpoint(structured_models[name], 64)
+    a, kmap = op.matrix, op.channel_map
+    for z in SWEEP_ZS:
+        dense = np.linalg.solve(a - z * np.eye(a.shape[0]), kmap)
+        expected = np.eye(op.m) - 1j * op.J @ kmap.conj().T @ dense
+        assert fro(char_fn(op, z).value - expected) <= 1e-12 * fro(expected)
+
+
 def test_char_fn_singular_at_a_node_of_zero_beta():
     model = TriangularModel.from_constant_beta(np.zeros((1, 2)), (0.0, 1.0), J_OFF)
     op = discretize(model, 8)
@@ -350,35 +408,101 @@ def test_char_fn_singular_at_a_node_of_zero_square_beta():
         char_fn(op, op.nodes[3])
 
 
+@pytest.mark.parametrize("name", ["non_degenerate", "psd", "k3"])
+def test_panel_factors_match_a_direct_block_solve(structured_models, name):
+    # k = 1 takes the per-operator closed form, k = 2 and 3 the LAPACK
+    # solve; the reference solves each panel's block of the dense matrix
+    op = discretize(structured_models[name], 64)
+    a, kmap, q = op.matrix, op.channel_map, 2 * op.k
+    for z in SWEEP_ZS:
+        got = triangular._panel_factors(op, z)
+        assert got.shape == (op.m, op.m, op.nodes.size // 2)
+        for p in range(got.shape[-1]):
+            rows = slice(p * q, (p + 1) * q)
+            solved = np.linalg.solve(a[rows, rows] - z * np.eye(q), kmap[rows])
+            want = np.eye(op.m) - 1j * op.J @ kmap[rows].conj().T @ solved
+            assert fro(got[..., p] - want) <= 1e-14 * fro(want)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("stack", [(), (5,), (3, 4)])
 def test_shifted_solve_matches_lapack(k, stack):
+    # one-node panels make k x k diagonal blocks: k = 2 takes the shifted
+    # closed form, k = 1 and 3 the LAPACK route.  The stack shape gives
+    # the number of panels, 1, 5 and 12.
+    n = int(np.prod(stack))
     rng = np.random.default_rng(10 * k + len(stack))
-    shape = stack + (k, k)
-    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 3.0 * np.eye(k)
-    rhs = rng.normal(size=stack + (k, 2)) + 1j * rng.normal(size=stack + (k, 2))
+    shape = (n + 1, k, 2)
+    beta = 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    model = TriangularModel(interval=(0.0, 1.0), J=J_OFF,
+                            x=np.linspace(0.0, 1.0, n + 1), beta=beta)
+    op = midpoint(model, n)
+    a, kmap = op.matrix, op.channel_map
     z = 0.3 - 0.7j
-    # the solve takes and returns entries-leading stacks, (k, k, ...)
-    got = np.moveaxis(_shifted_solve(np.moveaxis(blocks, (-2, -1), (0, 1)), z,
-                                     np.moveaxis(rhs, (-2, -1), (0, 1))), (0, 1), (-2, -1))
-    expected = np.linalg.solve(blocks - z * np.eye(k), rhs)
-    assert got.shape == expected.shape
-    assert fro(got - expected) <= 1e-13 * fro(expected)
+    got = triangular._panel_factors(op, z)
+    assert got.shape == (2, 2, n)
+    for p in range(n):
+        rows = slice(p * k, (p + 1) * k)
+        solved = np.linalg.solve(a[rows, rows] - z * np.eye(k), kmap[rows])
+        want = np.eye(2) - 1j * op.J @ kmap[rows].conj().T @ solved
+        assert fro(got[..., p] - want) <= 1e-13 * fro(want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [0.0, 1e-160])
 @pytest.mark.parametrize("k", [1, 2])
-def test_shifted_solve_raises_instead_of_warning(k, scale):
-    # a zero determinant (with a nonzero adjugate) must raise before any
-    # division; a subnormal one makes the quotient overflow, which must
-    # raise rather than return inf
-    blocks = np.zeros((k, k, 4), dtype=complex)  # entries-leading
-    blocks[...] = np.eye(k)[..., None]
-    blocks[..., 2] = scale * np.eye(k) + np.eye(k, k=1)
-    rhs = np.full((k, 2, 4), 1e300, dtype=complex)
+def test_char_fn_raises_instead_of_warning(k, scale):
+    # beta J beta* = 0 makes every block diagonal, x_i I.  At z = x_i its
+    # determinant is zero (k = 1, closed form) or LAPACK meets an exact
+    # zero pivot (k = 2); a distance of 1e-160 makes the factor overflow
+    # for beta of size 1e150.  Each must raise rather than warn or
+    # return inf.
+    beta = 1e150 * np.array([[1.0, 1j], [2.0, 2j]])[:k]
+    model = TriangularModel.from_constant_beta(beta, (0.0, 1.0), J_OFF)
+    op = discretize(model, 8)
     with pytest.raises(SingularMatrixError, match="resolvent singular"):
-        _shifted_solve(blocks, 0.0, rhs)
+        char_fn(op, op.nodes[2] + 1j * scale)
+
+
+@pytest.mark.parametrize("name", ["non_degenerate", "psd", "k3"])
+def test_two_node_identity_is_exact(structured_models, name):
+    # the Gauss tableau meets a_ij + a_ji = 1/2 (b_i = 1/2): A - A* = i K J K*
+    # holds to rounding for k = 1, 2 and 3
+    model = structured_models[name]
+    assert discretize(model, 64).node_identity_defect() <= 1e-14
+    # a tableau that breaks the condition, a_12 = a_21 = 1/4 + sqrt(3)/6,
+    # breaks the identity
+    c, a = _GAUSS2
+    broken = _discretize(model, 64, (c, np.array([[a[0, 0], a[1, 0]], a[1]])))
+    assert broken.node_identity_defect() > 1e-4
+
+
+def _smooth_beta(t):
+    # beta J beta* != 0 for J = J_OFF, and H(x) = beta* beta turns with x
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return np.concatenate([np.exp(0.5 * t) + 0j,
+                           0.5 + 1j * (1.0 + 0.5 * np.sin(3.0 * t))], axis=-1)
+
+
+def test_char_fn_converges_at_fourth_order_on_a_callable_beta():
+    x = np.linspace(0.0, 1.0, 5)
+    model = TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=_smooth_beta(x),
+                            beta_fn=_smooth_beta)
+    z = 0.5 + 0.3j
+    ref = fundamental_solution(model.canonical_system(), z, grid=np.array([1.0]),
+                               tol=1e-13).values[0]
+    panels = np.array([16, 32, 64, 128])
+
+    def rates(tableau):
+        errors = np.array([fro(char_fn(_discretize(model, 2 * p, tableau), z).value - ref)
+                           for p in panels])
+        return np.log2(errors[:-1] / errors[1:])
+
+    assert np.all((rates(_GAUSS2) >= 3.9) & (rates(_GAUSS2) <= 4.1))
+    # swapping a_12 and a_21 keeps a_12 + a_21 = 1/2, so the node identity
+    # cannot see it; the order falls to two
+    c, a = _GAUSS2
+    assert np.all(rates((c, a.T)) <= 2.1)
 
 
 def test_char_fn_reuses_operator_data_exactly(structured_models):
@@ -431,20 +555,20 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models):
         ("psd", report.max_imag, report.inside_fraction),
         ("dressed", report.transformed_max_imag, report.transformed_inside_fraction),
     ):
-        eigs = np.linalg.eigvals(discretize(structured_models[name], 64).matrix)
+        eigs = np.linalg.eigvals(midpoint(structured_models[name], 64).matrix)
         assert max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
         assert inside == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
         assert 0.0 < inside < 1.0
 
 
 def test_dense_view_has_a_size_guard(rank_one_model, structured_models):
-    op = discretize(rank_one_model, MAX_DENSE_ROWS + 1)
+    op = discretize(rank_one_model, MAX_DENSE_ROWS + 2)
     with pytest.raises(ValueError, match="char_fn and similarity_probe"):
         op.matrix
     assert fro(char_fn(op, 1e6 + 0.0j).value - np.eye(2)) <= 1e-4
     # the guard counts rows N k, not nodes
     with pytest.raises(ValueError, match="MAX_DENSE_ROWS"):
-        discretize(structured_models["psd"], MAX_DENSE_ROWS // 2 + 1).matrix
+        discretize(structured_models["psd"], MAX_DENSE_ROWS // 2 + 2).matrix
 
 
 def test_structured_layer_memory_is_linear_in_n():
@@ -464,8 +588,9 @@ def test_structured_layer_memory_is_linear_in_n():
 
 
 def test_resolvent_identity_refinement_non_degenerate():
-    # unlike the rank-one kernel, beta J beta* = 1 leaves a midpoint-rule
-    # residual well above rounding, which must fall at second order
+    # unlike the rank-one kernel, beta J beta* = 1 leaves a residual at the
+    # Gauss nodes well above rounding, which must fall at least at second
+    # order (it falls about 8x per doubling)
     model = _non_degenerate_model()
     residuals = [
         resolvent_identity_check(discretize(model, n), model, 2j, tol=1e-11).max_residual
