@@ -333,14 +333,6 @@ def _entry_columns(rows, cols):
     return names
 
 
-def _matrix_cells(mat):
-    """repr of the re and im parts of every entry, row-major: one tolist()
-    of the re/im-interleaved float view, as one repr(float) per cell would
-    give."""
-    return list(map(repr, np.ascontiguousarray(mat, dtype=complex).view(float)
-                    .ravel().tolist()))
-
-
 def _table(key_names, keys, mats):
     """CSV header and rows: the key columns, then re/im of every entry of
     the row's matrix (``keys`` holds one value or one tuple per row)."""
@@ -533,8 +525,7 @@ class _Runner:
     def run_rh_jump(self, x, s):
         generator = self._constant_degenerate_generator()
         xi = self.system.xi
-        rows = []
-        worst_jump, v_sup = 0.0, 0.0
+        reports = []
         for point in s:
             try:
                 rep = boundary_values(self.system, x, point, tol=self.ode_tol)
@@ -542,15 +533,19 @@ class _Runner:
                 raise NumericalFailure("rh-jump", f"s = {point}: {exc}") from exc
             if rep.divergent:
                 raise NumericalFailure("rh-jump", f"cut limits divergent at s = {point}")
-            v_sup = max(v_sup, fro(rep.v))
-            cells = [repr(point)] + _matrix_cells(rep.jump) + [repr(fro(rep.v))]
+            reports.append(rep)
+        header, rows = _table(["s"], s, [rep.jump for rep in reports])
+        header.append("norm_v")
+        worst_jump, v_sup = 0.0, 0.0
+        for point, rep, cells in zip(s, reports, rows):
+            norm_v = fro(rep.v)
+            v_sup = max(v_sup, norm_v)
+            cells.append(repr(norm_v))
             if generator is not None:
                 sigma = (xi < point < x) - (x < point < xi)
                 err = fro(rep.jump - (np.eye(self.system.m) + sigma * generator))
                 worst_jump = max(worst_jump, err)
                 cells.append(repr(err))
-            rows.append(cells)
-        header = ["s"] + _entry_columns(self.system.m, self.system.m) + ["norm_v"]
         if generator is not None:
             header.append("jump_error")
         self.emit("rh_jump.csv", header, rows)

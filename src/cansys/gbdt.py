@@ -20,23 +20,25 @@ and its z -> infinity limit w0(x) produce the dressed system: the
 Hamiltonian transforms by the congruence H~ = w0* H w0 and the dressed
 fundamental solution is W~(x, z) = v(x, z) W(x, z) v(xi, z)^{-1} with
 v = w0^{-1} w_A.  A(x) is never integrated; the closed-form resolvent is
-used everywhere (once per right-hand side evaluation of the evolution),
-and S^{-1} is never formed (linear solves only).  :func:`evolve` solves
-for (Pi, S, K) with the eighth-order Dormand-Prince pair DOP853, restarted
-at every kink of interpolated H data.
+used everywhere (once per right-hand side evaluation of the evolution).
+:func:`evolve` solves for (Pi, S, K) with the eighth-order Dormand-Prince
+pair DOP853, restarted at every kink of interpolated H data.
 
-:func:`transfer`, :func:`w0_at` and :func:`g0_eval` take arrays of x
-(and z) and evaluate them as one batch.  They all read (Pi, S) with one
-dense-output call for the whole stack and check S in one place: one
-stacked SVD, raising :class:`~cansys.linalg.SingularMatrixError` at the
-first x, in order, where S(x) is singular to working tolerance, and one
-stacked solve.  :func:`transformed_hamiltonian` passes the grid samples
+:func:`transfer` is the one evaluator of w_A, w0, w0^{-1} and v: every
+dressed object takes its v from it.  It, :func:`w0_at` and
+:func:`g0_eval` take arrays of x (and z) and evaluate them as one batch.
+They all read (Pi, S) through one frame: one dense-output call for the
+whole stack, one stacked SVD that raises
+:class:`~cansys.linalg.SingularMatrixError` at the first x, in order,
+where S(x) is singular to working tolerance, and one stacked solve
+against S.  :func:`transformed_hamiltonian` passes the grid samples
 :func:`evolve` stored, and already checked, through the same solve alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -364,11 +366,13 @@ class TransferEval:
     """Transfer-matrix data at (x, z), or at every pair of broadcast
     arrays x and z (fields then carry the broadcast shape in front).
 
-    ``j_defect`` measures the J-relation w_A(x, conj(z))* J w_A(x, z) = J;
     ``w0_inv`` comes from the exact formula
-    w0^{-1} = I + i J Pi* (B* - x)^{-1 adj} S^{-1} Pi rather than from a
-    numerical inverse, and ``w0_inv_residual`` records how well the pair
-    multiplies to the identity.
+    w0^{-1} = I + i J Pi* (B* - x) S^{-1} Pi rather than from a numerical
+    inverse.  The two diagnostics are formed on first read, so a caller
+    that reads only ``v`` pays for neither: ``j_defect`` measures the
+    J-relation w_A(x, conj(z))* J w_A(x, z) = J, at the cost of one more
+    resolvent solve, and ``w0_inv_residual`` records how well w0 and
+    ``w0_inv`` multiply to the identity.
     """
 
     x: float
@@ -377,33 +381,38 @@ class TransferEval:
     w0: np.ndarray
     w0_inv: np.ndarray
     v: np.ndarray
-    j_defect: float
-    w0_inv_residual: float
+    _j: np.ndarray = field(repr=False)
+    _w_a_at: object = field(repr=False)
+
+    @cached_property
+    def j_defect(self):
+        J = self._j
+        w_a_conj = self._w_a_at(np.conj(self.z))
+        return np.linalg.norm(_adj(w_a_conj) @ J @ self.w_a - J, axis=(-2, -1))[()]
+
+    @cached_property
+    def w0_inv_residual(self):
+        eye = np.eye(self.w0.shape[-1])
+        return np.linalg.norm(self.w0 @ self.w0_inv - eye, axis=(-2, -1))[()]
 
 
-def _read_state(traj, x):
-    """x as an array, with Pi(x) and S(x) from one dense-output call for
-    the whole stack."""
-    x = np.asarray(x, dtype=float)
-    system._require_finite("x", x)
-    pi, s, _ = traj.state_at(x)
-    return x, pi, s
+def _frame(traj, x, pi=None, s=None):
+    """Pi(x), S^{-1} (B - x) and S^{-1} Pi at every point of the float
+    array x: the one place where S is solved against, one stacked solve.
 
-
-def _solve(traj, x, pi, s):
-    """B - x, S^{-1} (B - x) and S^{-1} Pi at every point of x: the single
-    place where S is solved against, one stacked solve, with S unchecked.
-    Only the grid samples :func:`evolve` checked come here directly."""
+    Without samples, x must be finite, and (Pi, S) come from one
+    dense-output call for the whole stack, with S checked by one stacked
+    SVD (see :func:`_check_s`) at the trajectory's S scale.  Only the grid
+    samples :func:`evolve` stored, and checked at that scale, are passed
+    in as ``pi`` and ``s``.
+    """
+    if s is None:
+        system._require_finite("x", x)
+        pi, s, _ = traj.state_at(x)
+        _check_s(x, s, traj.s_scale)
     bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
     sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
-    return bx, sol[..., : traj.n], sol[..., traj.n :]
-
-
-def _solve_state(traj, x, pi, s):
-    """:func:`_solve` on (Pi, S) read from the dense output, checked first:
-    one stacked SVD (see :func:`_check_s`) at the trajectory's S scale."""
-    _check_s(x, s, traj.s_scale)
-    return _solve(traj, x, pi, s)
+    return pi, sol[..., : traj.n], sol[..., traj.n :]
 
 
 def _w0(traj, pi, s_bx):
@@ -419,73 +428,54 @@ def w0_at(traj, x):
     :class:`~cansys.linalg.SingularMatrixError` at the first x where
     S(x) is singular to working tolerance.
     """
-    x, pi, s = _read_state(traj, x)
-    return _w0(traj, pi, _solve_state(traj, x, pi, s)[1])
+    pi, s_bx, _ = _frame(traj, np.asarray(x, dtype=float))
+    return _w0(traj, pi, s_bx)
 
 
-def _transfer_core(traj, x, z):
-    """The checked points and the x-only pieces of the transfer matrix.
+def transfer(traj, x, z):
+    """Evaluate w_A, w0, w0^{-1} and v = w0^{-1} w_A at (x, z): the one
+    evaluator of the dressing multiplier.
 
-    Returns x, z broadcast to the common shape, Pi(x), the core
-    J Pi* S^{-1} (B - x) and w0^{-1}(x).  The state depends on x alone: it
-    is read once per x, not per (x, z) pair.
+    x and z broadcast against each other; scalars give one m x m
+    evaluation.  Every z and conj(z) must avoid the spectrum of B; x may
+    sit anywhere in the trajectory's range (dense interpolation between
+    grid samples), and S(x) is checked as in :func:`w0_at`.  (Pi, S) and
+    the solves against S depend on x alone: they are formed once per x,
+    not per (x, z) pair, and w_A costs one resolvent solve
+    (B - z)^{-1} Pi for the whole stack.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
     system._require_finite("z", z)
     z = np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape))
-    eigs = np.linalg.eigvals(traj.params.B)
+    B = traj.params.B
+    eigs = np.linalg.eigvals(B)
     near = np.abs(z[..., None] - np.append(eigs, eigs.conj())).min(axis=-1) < 1e-10
     if near.any():
         raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
-    x, pi, s = _read_state(traj, x)
-    bx, s_bx, s_pi = _solve_state(traj, x, pi, s)
+    pi, s_bx, s_pi = _frame(traj, x)
+    eye_m, eye_n = np.eye(traj.m), np.eye(traj.n)
     j_pi = traj.system.J @ _adj(pi)
-    w0_inv = np.eye(traj.m) + 1j * j_pi @ _adj(bx) @ s_pi
-    return x, z, pi, j_pi @ s_bx, w0_inv
+    core = j_pi @ s_bx
+    w0_inv = eye_m + 1j * j_pi @ _adj(B - x[..., None, None] * eye_n) @ s_pi
 
+    def w_a_at(zs):
+        """w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi."""
+        zz = zs[..., None, None]
+        resolvent_pi = np.linalg.solve(B - zz * eye_n, pi)
+        return eye_m - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
 
-def _w_a(traj, x, z, pi, core):
-    """w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi from the
-    core of :func:`_transfer_core`, at every z of a stack behind x's shape."""
-    zz = z[..., None, None]
-    resolvent_pi = np.linalg.solve(traj.params.B - zz * np.eye(traj.n), pi)
-    return np.eye(traj.m) - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
-
-
-def _v(traj, x, z):
-    """v = w0^{-1} w_A at (x, z), as :func:`transfer` forms it, without
-    the conj(z) half, w0 and the diagnostics."""
-    x, z, pi, core, w0_inv = _transfer_core(traj, x, z)
-    return w0_inv @ _w_a(traj, x, z, pi, core)
-
-
-def transfer(traj, x, z):
-    """Evaluate w_A, w0, v = w0^{-1} w_A at (x, z).
-
-    x and z broadcast against each other; scalars give one m x m
-    evaluation.  Every z and conj(z) must avoid the spectrum of B; x may
-    sit anywhere in the trajectory's range (dense interpolation between
-    grid samples), and S(x) is checked as in :func:`w0_at`.  Callers that
-    read only v take the private core :func:`_v`, which forms the same v
-    without the conj(z) half and the diagnostics.
-    """
-    x, z, pi, core, w0_inv = _transfer_core(traj, x, z)
-    J = traj.system.J
-    eye_m = np.eye(traj.m)
-    w0 = eye_m - 1j * core @ pi
-    residual = np.linalg.norm(w0 @ w0_inv - eye_m, axis=(-2, -1))
-    w_a, w_a_conj = _w_a(traj, x, np.stack([z, z.conj()]), pi, core)
+    w_a = w_a_at(z)
     shape, mm = z.shape, (traj.m, traj.m)
     return TransferEval(
         x=np.broadcast_to(x, shape)[()],
         z=z[()],
         w_a=w_a,
-        w0=np.broadcast_to(w0, shape + mm).copy(),
+        w0=np.broadcast_to(_w0(traj, pi, s_bx), shape + mm).copy(),
         w0_inv=np.broadcast_to(w0_inv, shape + mm).copy(),
         v=w0_inv @ w_a,
-        j_defect=np.linalg.norm(_adj(w_a_conj) @ J @ w_a - J, axis=(-2, -1))[()],
-        w0_inv_residual=np.broadcast_to(residual, shape)[()],
+        _j=traj.system.J,
+        _w_a_at=w_a_at,
     )
 
 
@@ -503,7 +493,7 @@ def transformed_hamiltonian(traj):
     """
     spec = traj.system.hamiltonian
     grid = traj.grid
-    w0_grid = _w0(traj, traj.pi, _solve(traj, grid, traj.pi, traj.s)[1])
+    w0_grid = _w0(traj, *_frame(traj, grid, traj.pi, traj.s)[:2])
     if spec.is_factored:
         def dressed_beta(x):
             return spec.beta_at(x) @ w0_at(traj, x)
@@ -526,16 +516,16 @@ def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
 
     ``z`` may be a 1-D array of points: the base W is then one stacked RK45
     solve (each point held at least as tightly as alone; ``panels`` counts
-    the joint solve's steps), v one call over (x, z) of :func:`transfer`'s
-    core, which forms v at the given z alone, without the conj(z) half and
-    the diagnostics, and ``values`` stacks (len(z), len(grid), m, m).
+    the joint solve's steps), v the ``v`` of one :func:`transfer` call over
+    (x, z), which forms no diagnostics, and ``values`` stacks
+    (len(z), len(grid), m, m).
     """
     sys = traj.system
     if grid is None:
         grid = traj.grid
     base = fundamental_solution(sys, z, grid=grid, tol=tol, method="rk45")
     x = np.append(sys.xi, base.grid)
-    v = _v(traj, x[:, None] if np.ndim(base.z) else x, base.z)
+    v = transfer(traj, x[:, None] if np.ndim(base.z) else x, base.z).v
     v = np.moveaxis(v, 0, -3)  # a batch's (x, z) stack to (z, x)
     return FundamentalSolution(
         z=base.z,
@@ -557,8 +547,8 @@ def g0_eval(traj, x):
 
     ``x`` may be an array of points, as for :func:`w0_at`.
     """
-    x, pi, s = _read_state(traj, x)
-    _, _, s_pi = _solve_state(traj, x, pi, s)
+    x = np.asarray(x, dtype=float)
+    pi, _, s_pi = _frame(traj, x)
     J = traj.system.J
     h = traj.system.hamiltonian.hamiltonian(x.ravel()).reshape(x.shape + J.shape)
     core = _adj(pi) @ s_pi
@@ -589,7 +579,7 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
         sys.J, sys.interval, transformed_hamiltonian(traj), xi=sys.xi
     )
     direct = boundary_values(dressed, x, s, tol=tol)
-    v = _v(traj, [x, sys.xi], s)
+    v = transfer(traj, [x, sys.xi], s).v
     v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
     w_plus = v_x @ base.w_plus @ v_xi_inv
     w_minus = v_x @ base.w_minus @ v_xi_inv

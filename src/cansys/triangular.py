@@ -61,6 +61,10 @@ from .system import (
 #: Largest dense view, in rows N k, that DiscretizedOperator.matrix assembles.
 MAX_DENSE_ROWS = 4096
 
+#: similarity_probe counts an eigenvalue inside when its real part lies in
+#: the interval widened by this much on either side.
+PROBE_BAND = 1e-2
+
 
 @dataclass
 class TriangularModel:
@@ -445,10 +449,10 @@ class SimilarityReport:
     Linear similarity itself is an infinite-dimensional statement; the
     probe reports the largest |Im| eigenvalue and the fraction of
     eigenvalues whose real part falls inside the interval widened by
-    ``band``.  The probe discretises by the midpoint rule, whose operator
-    is block lower triangular with the diagonal blocks
-    x_j + (i w_j / 2) beta_j J beta_j*, so for J = I the spectrum is the
-    union of the spectra of x_j + (i w_j / 2) beta_j^2: the
+    ``PROBE_BAND`` on either side.  The probe discretises by the midpoint
+    rule, whose operator is block lower triangular with the diagonal
+    blocks x_j + (i w_j / 2) beta_j J beta_j*, so for J = I the spectrum
+    is the union of the spectra of x_j + (i w_j / 2) beta_j^2: the
     discretisation alone fixes these numbers (max_imag =
     max w_j |beta_j|^2 / 2, which falls like 1/N for any bounded beta),
     and they cannot tell a model similar to multiplication from one that
@@ -477,7 +481,7 @@ def _block_eigvals(blocks):
     return np.linalg.eigvals(blocks.transpose(2, 0, 1))
 
 
-def similarity_probe(model, num_nodes, traj=None, band=1e-2):
+def similarity_probe(model, num_nodes, traj=None):
     """Eigenvalue probe for the multiplication-similarity regime.
 
     The operator is the one-node midpoint discretisation, built by the
@@ -486,9 +490,11 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
     eigenvalues are those of its N diagonal blocks D_j
     (:func:`_block_eigvals`, closed form for k <= 2);
     :class:`SimilarityReport` says what they can and cannot show.
-    Preconditions: J = I, square beta with beta(x) PSD at the sample
-    points.  When a dressing trajectory is supplied the
-    conjugated model beta~ = w0* beta w0 is probed alongside the original.
+    An eigenvalue counts as inside when its real part lies within
+    ``PROBE_BAND`` of the interval.  Preconditions: J = I, square beta
+    with beta(x) PSD at the sample points.  When a dressing trajectory is
+    supplied the conjugated model beta~ = w0* beta w0 is probed alongside
+    the original.
     """
     if fro(model.J - np.eye(model.m)) > 1e-12:
         raise ValueError("similarity probe requires J = I")
@@ -501,7 +507,7 @@ def similarity_probe(model, num_nodes, traj=None, band=1e-2):
     def probe(mod):
         eigs = _block_eigvals(_discretize(mod, num_nodes, _MIDPOINT).diag_blocks)
         a, b = mod.interval
-        inside = np.mean((eigs.real > a - band) & (eigs.real < b + band))
+        inside = np.mean((eigs.real > a - PROBE_BAND) & (eigs.real < b + PROBE_BAND))
         return float(np.abs(eigs.imag).max()), float(inside)
 
     max_imag, inside = probe(model)

@@ -777,4 +777,3 @@ def test_table_cells_match_per_cell_repr(real):
     assert header[:4] == ["re_z", "im_z", "re_00", "im_00"] and len(header) == 14
     int_keys = np.arange(40)  # integer keys print as floats
     assert cli._table(["x"], int_keys, mats)[1] == per_cell_table(["x"], int_keys, mats)
-    assert cli._matrix_cells(mats[3]) == per_cell_table(["x"], [0.0], mats[3:4])[0][1:]

@@ -21,6 +21,8 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # the warning policy of pytest (pyproject.toml) and of the CI bundled run
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,

@@ -332,15 +332,59 @@ def traj_n2(unit_system):
     return evolve(sample_params(3, unit_system, n=2), unit_system, tol=1e-10)
 
 
+# transformed_fundamental's stack (xi, then a grid, against a batch of z),
+# one point, and the pair x = xi, 0.7 of a dressed cut limit at z = 0.5
+TRANSFER_CASES = [
+    (np.append(0.0, np.linspace(0.0, 1.0, 51))[:, None],
+     np.array([-0.5 + 1.5j, 1.5j, 0.25 + 1.5j, 1.0 + 1.5j, 2j, 2.0 - 1.0j])),
+    (0.3, 2j),
+    ([0.0, 0.7], 0.5 - 0.0j),
+]
+
+
 @pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
-def test_v_core_is_transfers_v_bitwise(request, name):
-    # transformed_fundamental's stack: xi, then a grid, against a batch of z
+def test_transformed_fundamental_is_transfers_v_around_rk45_bitwise(request, name):
     traj = request.getfixturevalue(name)
-    x = np.append(0.0, np.linspace(0.0, 1.0, 51))[:, None]
-    z = np.array([-0.5 + 1.5j, 1.5j, 0.25 + 1.5j, 1.0 + 1.5j, 2j, 2.0 - 1.0j])
-    assert np.array_equal(gbdt._v(traj, x, z), transfer(traj, x, z).v)
-    for x, z in ((0.3, 2j), ([0.0, 0.7], 0.5 - 0.0j)):
-        assert np.array_equal(gbdt._v(traj, x, z), transfer(traj, x, z).v)
+    z = np.array([1.5j, 0.25 + 1.5j, 2.0 - 1.0j])
+    grid = np.linspace(0.0, 1.0, 9)
+    got = transformed_fundamental(traj, z, grid=grid)
+    base = fundamental_solution(traj.system, z, grid=grid, tol=system.ODE_TOL,
+                                method="rk45")
+    v = transfer(traj, np.append(traj.system.xi, grid)[:, None], z).v
+    v = np.moveaxis(v, 0, 1)  # (x, z) to (z, x)
+    assert np.array_equal(got.values, v[:, 1:] @ base.values @ np.linalg.inv(v[:, :1]))
+
+
+@pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
+def test_j_defect_is_the_conj_z_j_relation_bitwise(request, name):
+    traj = request.getfixturevalue(name)
+    J = traj.system.J
+    for x, z in TRANSFER_CASES:
+        te = transfer(traj, x, z)
+        w_a_conj = transfer(traj, x, np.conj(z)).w_a
+        expected = np.linalg.norm(_adj(w_a_conj) @ J @ te.w_a - J, axis=(-2, -1))
+        assert np.array_equal(te.j_defect, expected)
+
+
+@pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
+def test_transfer_forms_its_diagnostics_on_first_read(request, name, monkeypatch):
+    # v costs the frame's solve against S and one resolvent solve; j_defect
+    # adds the conj(z) resolvent solve once, and the residual adds none
+    traj = request.getfixturevalue(name)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for x, z in TRANSFER_CASES:
+        calls.clear()
+        te = transfer(traj, x, z)
+        assert te.v.shape[-2:] == (traj.m, traj.m) and len(calls) == 2
+        assert np.all(np.isfinite(te.j_defect)) and np.all(np.isfinite(te.w0_inv_residual))
+        assert te.j_defect is te.j_defect and len(calls) == 3
 
 
 @pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])

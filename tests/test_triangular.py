@@ -546,11 +546,11 @@ def test_block_eigvals_closed_form_matches_lapack():
     assert np.array_equal(_block_eigvals(tall), np.linalg.eigvals(tall.transpose(2, 0, 1)))
 
 
-def test_similarity_probe_matches_dense_eigenvalues(structured_models):
+def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypatch):
     # a negative band shrinks the interval, so the inside fraction is not 1
     band = -0.25
-    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"],
-                              band=band)
+    monkeypatch.setattr(triangular, "PROBE_BAND", band)
+    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"])
     for name, max_imag, inside in (
         ("psd", report.max_imag, report.inside_fraction),
         ("dressed", report.transformed_max_imag, report.transformed_inside_fraction),
