@@ -58,6 +58,7 @@ from .system import (
     CanonicalSystem,
     FundamentalSolution,
     HamiltonianSpec,
+    _require_count,
     boundary_values,
     fundamental_solution,
     integrate_matrix_ode,
@@ -609,8 +610,10 @@ def sample_params(seed, sys, n, positive=True):
     A(xi) = (M/2 + tau H) S0^{-1} with a small Hermitian tilt H, then read
     off B = xi I + A(xi)^{-1}.  Draws whose pole spectrum comes closer to
     the interval than ``SAMPLE_MARGIN`` of its length are rejected and
-    retried, at most ``SAMPLE_TRIES`` times.
+    retried, at most ``SAMPLE_TRIES`` times.  ``n`` must be a positive
+    integer.
     """
+    _require_count("n", n)
     rng = np.random.default_rng(seed)
     a, b = sys.interval
     m = sys.m

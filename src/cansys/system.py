@@ -73,6 +73,7 @@ of matrices other than 2 x 2.  The Magnus routes of m = 2 systems
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,13 @@ def _require_finite(name, value):
     """Raise ValueError naming the argument unless every entry is finite."""
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(name, value):
+    """Raise ValueError naming the argument unless it is a positive integer
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _require_tol(tol):
@@ -231,6 +239,7 @@ class HamiltonianSpec:
         self.x = np.asarray(x, dtype=float)
         if self.x.ndim != 1 or self.x.size < 2:
             raise ValueError("sample grid must be 1-D with at least 2 points")
+        _require_finite("sample grid", self.x)
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("sample grid must be strictly increasing")
         if h is None and beta is None:
@@ -588,27 +597,18 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
     )
 
 
-def _trace_split(omega):
-    """tau, p and delta^2 of an entries-leading (2, 2, ...) stack, with
-    Omega = tau I + N, N = [[p, q], [r, -p]] traceless and
-    N^2 = delta^2 I, delta^2 = p^2 + q r = -det N; the eigenvalues of
-    Omega are tau +/- delta."""
-    tau = 0.5 * (omega[0, 0] + omega[1, 1])
-    p = 0.5 * (omega[0, 0] - omega[1, 1])
-    return tau, p, p * p + omega[0, 1] * omega[1, 0]
-
-
 def _expm_small(omega):
     """exp of an entries-leading (m, m, ...) stack of m x m matrices, in
     closed form for m = 2.
 
-    Omega = tau I + N with tau = tr Omega / 2 leaves N traceless, so
-    N^2 = delta^2 I with delta^2 = -det N, and Cayley-Hamilton gives
-    exp(Omega) = e^tau (cosh delta I + (sinh delta / delta) N) (Moler &
-    Van Loan 2003).  Both coefficients are even in delta, so the branch of
-    the square root does not matter; below |delta| = 1e-4 their Taylor
-    series to delta^2 replace the quotient (the delta^4 terms are below
-    2^-53 there).  Other sizes go to scipy.linalg.expm.
+    Omega = tau I + N with tau = tr Omega / 2 leaves N = [[p, q], [r, -p]]
+    traceless, so N^2 = delta^2 I with delta^2 = p^2 + q r = -det N, and
+    Cayley-Hamilton gives exp(Omega) = e^tau (cosh delta I +
+    (sinh delta / delta) N) (Moler & Van Loan 2003).  Both coefficients
+    are even in delta, so the branch of the square root does not matter;
+    below |delta| = 1e-4 their Taylor series to delta^2 replace the
+    quotient (the delta^4 terms are below 2^-53 there).  Other sizes go
+    to scipy.linalg.expm.
     """
     omega = np.asarray(omega, dtype=complex)
     if omega.shape[0] != 2:
@@ -616,7 +616,9 @@ def _expm_small(omega):
 
         expm = scipy.linalg.expm(np.moveaxis(omega, (0, 1), (-2, -1)))
         return np.moveaxis(expm, (-2, -1), (0, 1))
-    tau, p, d2 = _trace_split(omega)
+    tau = 0.5 * (omega[0, 0] + omega[1, 1])
+    p = 0.5 * (omega[0, 0] - omega[1, 1])
+    d2 = p * p + omega[0, 1] * omega[1, 0]
     delta = np.sqrt(d2)
     small = np.abs(delta) < 1e-4
     delta = np.where(small, 1.0, delta)  # the series replaces these entries

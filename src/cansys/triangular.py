@@ -15,13 +15,12 @@ coincides with the fundamental solution W(b, z) of the canonical system
 with H = beta* beta.  This module discretises A by Gauss-Legendre
 collocation on uniform panels (symmetrised so the discrete adjoint
 matches the continuous one) and keeps only its blocks: two nodes per
-panel for characteristic functions, whose error then falls like N^-4 on
-smooth beta, and the one-node midpoint rule for the similarity probe.
-Both tableaux are symplectic, so the discrete node identity holds
+panel, so the characteristic function's error falls like N^-4 on smooth
+beta.  The tableau is symplectic, so the discrete node identity holds
 exactly (Sanz-Serna 1988).  The discrete operator is block lower
 triangular with a rank-m separable part below the panels' diagonal
-blocks (Eidelman & Gohberg 1999), so both applications work on the
-blocks in O(N) memory:
+blocks (Eidelman & Gohberg 1999), so both uses of that structure need
+O(N) memory:
 
 * characteristic functions are a forward sweep through (A - z), the
   total of an ordered product of m x m panel factors, taken by pairwise
@@ -30,8 +29,9 @@ blocks in O(N) memory:
   once per discretised operator; per z a 2 x 2 block (k = 1) leaves one
   closed-form combination of two stored m x m stacks, and a larger block
   a LAPACK solve;
-* the discrete spectrum is the union of the diagonal blocks' spectra,
-  in closed form for blocks of size <= 2.
+* the similarity probe's one-node midpoint discretisation has the
+  spectrum of its diagonal blocks, which for J = I it forms from the
+  samples of beta at the nodes alone, with no operator.
 
 The dense matrix is assembled only on demand, for the node-identity and
 resolvent-identity diagnostics, which check the sweep independently.
@@ -40,7 +40,6 @@ Dressing applies at the operator level.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,9 +51,9 @@ from .system import (
     CanonicalSystem,
     HamiltonianSpec,
     _mul,
+    _require_count,
     _require_finite,
     _total_product,
-    _trace_split,
     fundamental_solution,
 )
 
@@ -119,12 +118,11 @@ class TriangularModel:
                                hamiltonian=self.spec, xi=self.interval[0])
 
 
-#: Gauss-Legendre collocation tableaux (c, a): the nodes c_i of a panel,
-#: as fractions of its width h, and the coefficients a_ij of its blocks.
-#: Both weigh every node by h / s (s the number of stages) and meet the
-#: symplectic condition b_i a_ij + b_j a_ji = b_i b_j (Sanz-Serna 1988),
-#: which makes the discrete node identity exact.
-_MIDPOINT = (np.array([0.5]), np.array([[0.5]]))
+#: The two-stage Gauss-Legendre collocation tableau (c, a): the nodes c_i
+#: of a panel, as fractions of its width h, and the coefficients a_ij of
+#: its blocks.  It weighs every node by h / 2 and meets the symplectic
+#: condition b_i a_ij + b_j a_ji = b_i b_j (Sanz-Serna 1988), which makes
+#: the discrete node identity exact.
 _ROOT3_6 = np.sqrt(3.0) / 6.0
 _GAUSS2 = (np.array([0.5 - _ROOT3_6, 0.5 + _ROOT3_6]),
            np.array([[0.25, 0.25 - _ROOT3_6], [0.25 + _ROOT3_6, 0.25]]))
@@ -152,10 +150,10 @@ class DiscretizedOperator:
     diagonal carries the half weight w / 2.
 
     Only the nodes, the weights, the (N, k, m) stack of beta_i, J and the
-    tableau are given.  The z-independent data of :func:`char_fn` and
-    :func:`similarity_probe` are built from them once, as read-only
-    stacks in the entries-leading layout of the small-matrix kernel of
-    :mod:`cansys.system`, panel index last, with q = s k rows per panel:
+    tableau are given.  The z-independent data of :func:`char_fn` are
+    built from them once, as read-only stacks in the entries-leading
+    layout of the small-matrix kernel of :mod:`cansys.system`, panel
+    index last, with q = s k rows per panel:
     ``diag_blocks`` of the D_p, (q, q, N / s), ``left_factor`` of
     -i w J beta_i*, (m, q, N / s), and ``right_factor`` of the beta_i,
     (q, m, N / s).  ``sweep`` holds what :func:`char_fn` reads besides,
@@ -248,8 +246,7 @@ class DiscretizedOperator:
         if n * k > MAX_DENSE_ROWS:
             raise ValueError(
                 f"dense operator of {n * k} rows exceeds MAX_DENSE_ROWS = "
-                f"{MAX_DENSE_ROWS}; char_fn and similarity_probe work on the "
-                "blocks at any size"
+                f"{MAX_DENSE_ROWS}; char_fn works on the blocks at any size"
             )
         # full weight below the panels' diagonal blocks, h a_ij = s w a_ij in them
         weights = np.tri(n, k=-1)
@@ -274,8 +271,7 @@ class DiscretizedOperator:
 def _discretize(model, num_nodes, tableau):
     """Nystrom discretisation on num_nodes / s uniform panels with the
     s-stage collocation tableau (c, a)."""
-    if not isinstance(num_nodes, numbers.Integral) or num_nodes < 1:
-        raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
+    _require_count("num_nodes", num_nodes)
     c, a = tableau
     if num_nodes % c.size:
         raise ValueError(f"num_nodes must be even, two Gauss nodes per panel; "
@@ -449,12 +445,12 @@ class SimilarityReport:
     Linear similarity itself is an infinite-dimensional statement; the
     probe reports the largest |Im| eigenvalue and the fraction of
     eigenvalues whose real part falls inside the interval widened by
-    ``PROBE_BAND`` on either side.  The probe discretises by the midpoint
-    rule, whose operator is block lower triangular with the diagonal
-    blocks x_j + (i w_j / 2) beta_j J beta_j*, so for J = I the spectrum
-    is the union of the spectra of x_j + (i w_j / 2) beta_j^2: the
+    ``PROBE_BAND`` on either side.  The probe's midpoint discretisation
+    is block lower triangular with the diagonal blocks
+    x_j + (i w / 2) beta_j J beta_j*, so for J = I the spectrum is the
+    union of the spectra of x_j + (i w / 2) beta_j beta_j*: the
     discretisation alone fixes these numbers (max_imag =
-    max w_j |beta_j|^2 / 2, which falls like 1/N for any bounded beta),
+    max w |beta_j|^2 / 2, which falls like 1/N for any bounded beta),
     and they cannot tell a model similar to multiplication from one that
     is not.  A probe that can fail, the growth of |Im z| |(A_N - z)^{-1}|
     as N doubles, is still open.
@@ -467,34 +463,19 @@ class SimilarityReport:
     transformed_inside_fraction: float | None = None
 
 
-def _block_eigvals(blocks):
-    """Eigenvalues of an entries-leading (k, k, N) stack of blocks, (N, k):
-    for k <= 2 in closed form, tau +/- delta by the split of
-    :func:`cansys.system._trace_split`; larger k go to LAPACK ``eigvals``."""
-    k = blocks.shape[0]
-    if k == 1:
-        return blocks[0].T
-    if k == 2:
-        tau, _, d2 = _trace_split(blocks)
-        delta = np.sqrt(d2)
-        return np.stack([tau + delta, tau - delta], axis=-1)
-    return np.linalg.eigvals(blocks.transpose(2, 0, 1))
-
-
 def similarity_probe(model, num_nodes, traj=None):
     """Eigenvalue probe for the multiplication-similarity regime.
 
-    The operator is the one-node midpoint discretisation, built by the
-    code of :func:`discretize` with the one-stage tableau; its blocks are
-    formed, the data of the characteristic-function sweep are not.  The
-    eigenvalues are those of its N diagonal blocks D_j
-    (:func:`_block_eigvals`, closed form for k <= 2);
-    :class:`SimilarityReport` says what they can and cannot show.
-    An eigenvalue counts as inside when its real part lies within
-    ``PROBE_BAND`` of the interval.  Preconditions: J = I, square beta
-    with beta(x) PSD at the sample points.  When a dressing trajectory is
-    supplied the conjugated model beta~ = w0* beta w0 is probed alongside
-    the original.
+    The spectrum is that of the one-node midpoint discretisation on N
+    uniform panels, nodes x_j = a + (j + 1/2) w with w = (b - a) / N: the
+    eigenvalues x_j + (i w / 2) lambda of its diagonal blocks, lambda
+    those of beta(x_j) beta(x_j)*, from one stacked Hermitian eigensolve.
+    No operator is built; :class:`SimilarityReport` says what these
+    numbers can and cannot show.  An eigenvalue counts as inside when its
+    real part lies within ``PROBE_BAND`` of the interval.  Preconditions:
+    J = I, square beta with beta(x) PSD at the sample points.  When a
+    dressing trajectory is supplied the conjugated model
+    beta~ = w0* beta w0 is probed alongside the original.
     """
     if fro(model.J - np.eye(model.m)) > 1e-12:
         raise ValueError("similarity probe requires J = I")
@@ -503,11 +484,15 @@ def similarity_probe(model, num_nodes, traj=None):
     bad = psd_defect(model.beta) > PSD_TOL
     if bad.any():
         raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
+    _require_count("num_nodes", num_nodes)
+    lo, hi = model.interval
+    step = (hi - lo) / num_nodes
+    nodes = lo + (np.arange(num_nodes) + 0.5) * step
 
     def probe(mod):
-        eigs = _block_eigvals(_discretize(mod, num_nodes, _MIDPOINT).diag_blocks)
-        a, b = mod.interval
-        inside = np.mean((eigs.real > a - PROBE_BAND) & (eigs.real < b + PROBE_BAND))
+        beta = mod.beta_at(nodes)
+        eigs = nodes[:, None] + 0.5j * step * np.linalg.eigvalsh(beta @ _adj(beta))
+        inside = np.mean((eigs.real > lo - PROBE_BAND) & (eigs.real < hi + PROBE_BAND))
         return float(np.abs(eigs.imag).max()), float(inside)
 
     max_imag, inside = probe(model)

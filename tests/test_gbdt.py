@@ -727,6 +727,12 @@ def test_sample_params_indefinite_mode(unit_system):
     assert validate_params(params, unit_system).ok
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
+def test_sample_params_rejects_bad_n(unit_system, n):
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        sample_params(0, unit_system, n=n)
+
+
 def test_dressing_varying_degenerate_base():
     # dressing a varying degenerate factor keeps degeneracy and a finite
     # kernel bound (the Lipschitz-transfer property on non-constant data)

@@ -215,6 +215,17 @@ def test_hamiltonian_spec_rejects_bad_samples():
         HamiltonianSpec.from_grid(x, bad)
 
 
+@pytest.mark.parametrize("x", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                               [-np.inf, 0.5, 1.0]], ids=["nan", "inf", "-inf"])
+def test_hamiltonian_spec_rejects_non_finite_grid(x):
+    # NaN and infinite spacings pass the strictly-increasing test
+    x = np.array(x)
+    with pytest.raises(ValueError, match="^sample grid must be finite"):
+        HamiltonianSpec.from_grid(x, np.stack([np.eye(2)] * 3))
+    with pytest.raises(ValueError, match="^sample grid must be finite"):
+        HamiltonianSpec.from_beta_grid(x, np.ones((3, 1, 2)))
+
+
 # -- constant data -------------------------------------------------------------
 
 #: A 1 x 2 factor whose interpolation (1 - w) beta + w beta need not round

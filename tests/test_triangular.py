@@ -5,15 +5,13 @@ import pytest
 
 from cansys import rank_one, triangular
 from cansys.gbdt import evolve, sample_params, transfer, w0_at
-from cansys.linalg import SingularMatrixError, fro
+from cansys.linalg import SingularMatrixError, _adj, fro
 from cansys.system import CanonicalSystem, HamiltonianSpec, fundamental_solution
 from cansys.triangular import (
     _GAUSS2,
-    _MIDPOINT,
     MAX_DENSE_ROWS,
     DiscretizedOperator,
     TriangularModel,
-    _block_eigvals,
     _discretize,
     char_fn,
     char_fn_via_fundamental,
@@ -35,8 +33,12 @@ def rank_one_model():
 # -- discretisation -----------------------------------------------------------
 
 
+#: The one-stage Gauss-Legendre tableau (c, a), the midpoint rule.
+_MIDPOINT = (np.array([0.5]), np.array([[0.5]]))
+
+
 def midpoint(model, num_nodes):
-    """The one-node midpoint operator that similarity_probe reads."""
+    """The one-node midpoint operator whose spectrum similarity_probe forms."""
     return _discretize(model, num_nodes, _MIDPOINT)
 
 
@@ -253,14 +255,18 @@ def test_similarity_probe_identity_beta_refinement():
     assert all(r.inside_fraction == 1.0 for r in reports)
 
 
-def test_similarity_probe_builds_no_sweep_data(monkeypatch):
-    # the probe reads the midpoint blocks alone
-    def no_sweep(op):
-        raise AssertionError("similarity_probe built the char_fn sweep")
+def test_similarity_probe_builds_no_operator(monkeypatch, structured_models):
+    # the probe forms the midpoint spectrum from the samples alone
+    def no_operator(op):
+        raise AssertionError("a DiscretizedOperator was built")
 
-    monkeypatch.setattr(DiscretizedOperator, "sweep", property(no_sweep))
+    monkeypatch.setattr(DiscretizedOperator, "__post_init__", no_operator)
     model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
+    with pytest.raises(AssertionError, match="DiscretizedOperator"):
+        midpoint(model, 8)
     assert similarity_probe(model, 64).max_imag == 0.5 / 64
+    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"])
+    assert report.transformed_max_imag > 0.0
 
 
 def test_similarity_probe_rejects_bad_inputs():
@@ -275,8 +281,9 @@ def test_similarity_probe_rejects_bad_inputs():
     with pytest.raises(ValueError, match="PSD"):
         similarity_probe(model, 16)
     model = TriangularModel.from_constant_beta(np.eye(2), (0.0, 1.0), np.eye(2))
-    with pytest.raises(ValueError, match="^num_nodes must be a positive integer"):
-        similarity_probe(model, 2.5)
+    for num_nodes in (2.5, 0, True):
+        with pytest.raises(ValueError, match="^num_nodes must be a positive integer"):
+            similarity_probe(model, num_nodes)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -527,23 +534,15 @@ def test_char_fn_large_n_matches_fundamental_solution():
     assert fro(got - ref) <= 10.0 / n**2 * fro(ref)
 
 
-def test_block_eigvals_closed_form_matches_lapack():
-    # k = 2 blocks of widely spread scales, shifted like x_j I
-    rng = np.random.default_rng(2024)
-    n = 4096
-    blocks = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    blocks *= 10.0 ** rng.uniform(-4.0, 4.0, size=(n, 1, 1))
-    blocks += rng.uniform(0.0, 1.0, size=(n, 1, 1)) * np.eye(2)
-    got = _block_eigvals(blocks.transpose(1, 2, 0).copy())
-    want = np.linalg.eigvals(blocks)
-    # the pairing of the two eigenvalues of a block is arbitrary
-    err = np.minimum(np.abs(got - want).max(axis=1), np.abs(got - want[:, ::-1]).max(axis=1))
-    assert np.all(err <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
-    # k = 1 is the entry itself, and k = 3 still goes to LAPACK
-    assert np.array_equal(_block_eigvals(blocks[:, :1, :1].transpose(1, 2, 0)),
-                          blocks[:, :1, 0])
-    tall = rng.normal(size=(3, 3, 5)) + 0j
-    assert np.array_equal(_block_eigvals(tall), np.linalg.eigvals(tall.transpose(2, 0, 1)))
+def _square_psd_model(k):
+    """J = I and a square PSD factor beta(x) = G(x) G(x)*, not diagonal for
+    k > 1, and |beta| < 1: much larger blocks overlap the node spacing and
+    leave the dense eigensolve of the reference, not the probe, inexact."""
+    rng = np.random.default_rng(k)
+    g0, g1 = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for _ in range(2))
+    x = np.linspace(0.0, 1.0, 65)
+    g = (g0 + np.sin(3.0 * x)[:, None, None] * g1) / (2.0 * k)
+    return TriangularModel(interval=(0.0, 1.0), J=np.eye(k), x=x, beta=g @ _adj(g))
 
 
 def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypatch):
@@ -551,11 +550,17 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypat
     band = -0.25
     monkeypatch.setattr(triangular, "PROBE_BAND", band)
     report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"])
-    for name, max_imag, inside in (
-        ("psd", report.max_imag, report.inside_fraction),
-        ("dressed", report.transformed_max_imag, report.transformed_inside_fraction),
-    ):
-        eigs = np.linalg.eigvals(midpoint(structured_models[name], 64).matrix)
+    cases = [
+        (structured_models["psd"], report.max_imag, report.inside_fraction),
+        (structured_models["dressed"], report.transformed_max_imag,
+         report.transformed_inside_fraction),
+    ]
+    for k in (1, 3):
+        model = _square_psd_model(k)
+        report = similarity_probe(model, 64)
+        cases.append((model, report.max_imag, report.inside_fraction))
+    for model, max_imag, inside in cases:
+        eigs = np.linalg.eigvals(midpoint(model, 64).matrix)
         assert max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
         assert inside == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
         assert 0.0 < inside < 1.0
@@ -563,7 +568,7 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypat
 
 def test_dense_view_has_a_size_guard(rank_one_model, structured_models):
     op = discretize(rank_one_model, MAX_DENSE_ROWS + 2)
-    with pytest.raises(ValueError, match="char_fn and similarity_probe"):
+    with pytest.raises(ValueError, match="char_fn works on the blocks"):
         op.matrix
     assert fro(char_fn(op, 1e6 + 0.0j).value - np.eye(2)) <= 1e-4
     # the guard counts rows N k, not nodes
