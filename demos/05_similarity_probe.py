@@ -18,12 +18,11 @@ similar to multiplication.
 import numpy as np
 
 from cansys import (
-    CanonicalSystem,
-    HamiltonianSpec,
+    TriangularModel,
+    conjugate_transform_model,
     evolve,
     sample_params,
     similarity_probe,
-    TriangularModel,
 )
 
 interval = (0.0, 1.0)
@@ -37,16 +36,14 @@ for num in (64, 128, 256):
           f"inside fraction = {report.inside_fraction:.3f}")
 
 # a varying PSD factor plus dressing: conjugating each block by the
-# unitary w0 leaves its spectrum as it is, so the two columns agree
+# unitary w0 leaves its spectrum as it is, so the two columns agree.
+# The model is the canonical system with H = beta* beta and base point a,
+# so it is also the system the dressing evolves along
 x = np.linspace(*interval, 65)
 beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) for xx in x]).astype(complex)
-system = CanonicalSystem(
-    J=np.eye(2), interval=interval,
-    hamiltonian=HamiltonianSpec.from_beta_grid(x, beta),
-)
-traj = evolve(sample_params(42, system, n=2), system, tol=1e-10)
 varying = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
+traj = evolve(sample_params(42, varying, n=2), varying, tol=1e-10)
+dressed = conjugate_transform_model(varying, traj)
 for num in (64, 128):
-    report = similarity_probe(varying, num, traj=traj)
-    print(f"N = {num:4d}: plain max |Im| = {report.max_imag:.3e}, "
-          f"dressed max |Im| = {report.transformed_max_imag:.3e}")
+    print(f"N = {num:4d}: plain max |Im| = {similarity_probe(varying, num).max_imag:.3e}, "
+          f"dressed max |Im| = {similarity_probe(dressed, num).max_imag:.3e}")

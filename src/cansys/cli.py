@@ -231,7 +231,8 @@ def _build_system(block):
         or not all(_is_number(e) for e in interval)
         or not interval[0] < interval[1]
     ):
-        raise ConfigError("'interval' must be [a, b] with a < b", key=(*at, "interval"))
+        raise ConfigError("'interval' must be [a, b] of finite numbers with a < b",
+                          key=(*at, "interval"))
     ham, at_ham = block["hamiltonian"], (*at, "hamiltonian")
     if not isinstance(ham, dict) or "type" not in ham:
         raise ConfigError("'hamiltonian' must carry a 'type'", key=at_ham)
@@ -496,9 +497,9 @@ class _Runner:
             self.emit("transformed_beta.csv", *_table(["x"], traj.grid, dressed.beta))
 
     def run_charfn(self, N, z):
-        model = TriangularModel.from_hamiltonian(
-            self.system.hamiltonian, self.system.interval, self.system.J
-        )
+        spec = self.system.hamiltonian
+        model = TriangularModel(interval=self.system.interval, J=self.system.J,
+                                x=spec.x, beta=spec.beta, beta_fn=spec.beta_fn)
         op = discretize(model, N)
         values = [char_fn(op, point).value for point in z]
         # one stacked RK45 solve for every z: the reference shares no route

@@ -216,6 +216,8 @@ def _constant_at(value, xq):
 class HamiltonianSpec:
     """Hamiltonian data: an H-grid, a factored beta-grid, or a callable.
 
+    H samples and factored data (beta samples or ``beta_fn``) exclude
+    each other: the factor would take precedence and drop the H samples.
     Grids are interpolated piecewise-linearly entrywise.  Interpolated H
     samples are projected back onto Hermitian matrices; factored data
     H = beta* beta is Hermitian PSD by construction.  Exact callables may
@@ -244,6 +246,8 @@ class HamiltonianSpec:
             raise ValueError("sample grid must be strictly increasing")
         if h is None and beta is None:
             raise ValueError("need H samples or beta samples")
+        if h is not None and (beta is not None or beta_fn is not None):
+            raise ValueError("H samples cannot join factored data (beta samples or beta_fn)")
         self.h = None if h is None else np.asarray(h, dtype=complex)
         self.beta = None if beta is None else np.asarray(beta, dtype=complex)
         for name, arr in (("h", self.h), ("beta", self.beta)):
@@ -335,8 +339,8 @@ class HamiltonianSpec:
 
 @dataclass
 class CanonicalSystem:
-    """System data: signature J, interval [a, b], base point xi in [a, b]
-    (default a), Hamiltonian."""
+    """System data: signature J, finite interval [a, b], base point xi in
+    [a, b] (default a), Hamiltonian."""
 
     J: np.ndarray
     interval: tuple
@@ -346,6 +350,7 @@ class CanonicalSystem:
     def __post_init__(self):
         self.J = ascomplex(self.J, "J", square=True)
         a, b = float(self.interval[0]), float(self.interval[1])
+        _require_finite("interval", (a, b))
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         self.interval = (a, b)

@@ -12,15 +12,17 @@ the node identity A - A* = i K J K*, and its characteristic function
     W(z) = I_m - i J K* (A - z I)^{-1} K
 
 coincides with the fundamental solution W(b, z) of the canonical system
-with H = beta* beta.  This module discretises A by Gauss-Legendre
-collocation on uniform panels (symmetrised so the discrete adjoint
-matches the continuous one) and keeps only its blocks: two nodes per
-panel, so the characteristic function's error falls like N^-4 on smooth
-beta.  The tableau is symplectic, so the discrete node identity holds
-exactly (Sanz-Serna 1988).  The discrete operator is block lower
-triangular with a rank-m separable part below the panels' diagonal
-blocks (Eidelman & Gohberg 1999), so both uses of that structure need
-O(N) memory:
+with H = beta* beta and base point a (Sakhnovich 1999).
+:class:`TriangularModel` is that system, so every route of
+:mod:`cansys.system` takes a model as it is.  This module discretises A
+by Gauss-Legendre collocation on uniform panels (symmetrised so the
+discrete adjoint matches the continuous one) and keeps only its blocks:
+two nodes per panel, so the characteristic function's error falls like
+N^-4 on smooth beta.  The tableau is symplectic, so the discrete node
+identity holds exactly (Sanz-Serna 1988).  The discrete operator is
+block lower triangular with a rank-m separable part below the panels'
+diagonal blocks (Eidelman & Gohberg 1999), so both uses of that
+structure need O(N) memory:
 
 * characteristic functions are a forward sweep through (A - z), the
   total of an ordered product of m x m panel factors, taken by pairwise
@@ -35,7 +37,8 @@ O(N) memory:
 
 The dense matrix is assembled only on demand, for the node-identity and
 resolvent-identity diagnostics, which check the sweep independently.
-Dressing applies at the operator level.
+Dressing applies at the operator level: a dressed model is a model, and
+every function here takes it as it takes the original.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import PSD_TOL, SingularMatrixError, _adj, ascomplex, fro, psd_defect
+from .linalg import PSD_TOL, SingularMatrixError, _adj, fro, psd_defect
 from .system import (
     ODE_TOL,
     CanonicalSystem,
@@ -65,57 +68,45 @@ MAX_DENSE_ROWS = 4096
 PROBE_BAND = 1e-2
 
 
-@dataclass
-class TriangularModel:
-    """Kernel data of the model operator: interval, signature J, factor beta."""
+class TriangularModel(CanonicalSystem):
+    """The canonical system with H = beta* beta and base point a, built
+    from the kernel data of the model operator: the interval, the
+    signature J and samples ``beta`` of the k x m factor on the grid
+    ``x``, with an exact callable ``beta_fn`` taking precedence over
+    them.  :class:`CanonicalSystem` checks J and the interval; the model
+    adds that beta has as many columns as J has rows."""
 
-    interval: tuple
-    J: np.ndarray
-    x: np.ndarray
-    beta: np.ndarray
-    beta_fn: object = field(default=None, repr=False)
-    spec: HamiltonianSpec = field(init=False, repr=False)
+    def __init__(self, interval, J, x, beta, beta_fn=None):
+        super().__init__(J=J, interval=interval,
+                         hamiltonian=HamiltonianSpec.from_beta_grid(x, beta, beta_fn=beta_fn))
+        if self.hamiltonian.m != self.m:
+            raise ValueError(f"beta has {self.hamiltonian.m} columns, J is "
+                             f"{self.m} x {self.m}")
 
-    def __post_init__(self):
-        self.J = ascomplex(self.J, "J", square=True)
-        a, b = float(self.interval[0]), float(self.interval[1])
-        if not a < b:
-            raise ValueError("interval must satisfy a < b")
-        self.interval = (a, b)
-        # the spec checks the samples and interpolates beta for every reader
-        self.spec = HamiltonianSpec.from_beta_grid(self.x, self.beta, beta_fn=self.beta_fn)
-        self.x, self.beta = self.spec.x, self.spec.beta
+    @property
+    def x(self):
+        return self.hamiltonian.x
+
+    @property
+    def beta(self):
+        return self.hamiltonian.beta
+
+    @property
+    def beta_fn(self):
+        return self.hamiltonian.beta_fn
 
     @property
     def k(self):
         return self.beta.shape[1]
-
-    @property
-    def m(self):
-        return self.beta.shape[2]
 
     @classmethod
     def from_constant_beta(cls, beta, interval, J):
         spec = HamiltonianSpec.from_constant_beta(beta, interval)
         return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
 
-    @classmethod
-    def from_hamiltonian(cls, spec, interval, J):
-        """Adopt the factor samples, and callable if any, of a Hamiltonian
-        specification."""
-        if spec.beta is None:
-            raise ValueError("model needs a factored Hamiltonian")
-        return cls(interval=interval, J=J, x=spec.x, beta=spec.beta,
-                   beta_fn=spec.beta_fn)
-
     def beta_at(self, x):
         """beta(x), or a stack of them for an array of points."""
-        return self.spec.beta_at(x)
-
-    def canonical_system(self):
-        """The canonical system with H = beta* beta and base point a."""
-        return CanonicalSystem(J=self.J, interval=self.interval,
-                               hamiltonian=self.spec, xi=self.interval[0])
+        return self.hamiltonian.beta_at(x)
 
 
 #: The two-stage Gauss-Legendre collocation tableau (c, a): the nodes c_i
@@ -370,9 +361,8 @@ def char_fn_via_fundamental(model, z, tol=ODE_TOL):
     (each point held at least as tightly as alone); ``value`` then stacks
     (len(z), m, m).
     """
-    sys = model.canonical_system()
     sol = fundamental_solution(
-        sys, z, grid=np.array([model.interval[1]]), tol=tol, method="rk45"
+        model, z, grid=np.array([model.interval[1]]), tol=tol, method="rk45"
     )
     return CharFnSample(z=sol.z, value=sol.values[..., 0, :, :],
                         method="fundamental_solution")
@@ -397,8 +387,7 @@ def resolvent_identity_check(op, model, z, tol=ODE_TOL):
     z = complex(z)
     a = op.matrix
     lhs = np.linalg.solve(a - z * np.eye(a.shape[0]), op.channel_map)
-    sys = model.canonical_system()
-    sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol, method="rk45")
+    sol = fundamental_solution(model, z, grid=op.nodes, tol=tol, method="rk45")
     x = op.nodes
     expected = model.beta_at(x) @ sol.values / (x - z)[:, None, None]
     got = lhs.reshape(x.size, op.k, op.m) / np.sqrt(op.weights)[:, None, None]
@@ -453,17 +442,16 @@ class SimilarityReport:
     max w |beta_j|^2 / 2, which falls like 1/N for any bounded beta),
     and they cannot tell a model similar to multiplication from one that
     is not.  A probe that can fail, the growth of |Im z| |(A_N - z)^{-1}|
-    as N doubles, is still open.
+    as N doubles, is still open.  A dressed model is probed as any other,
+    ``similarity_probe(conjugate_transform_model(model, traj), N)``.
     """
 
     num_nodes: int
     max_imag: float
     inside_fraction: float
-    transformed_max_imag: float | None = None
-    transformed_inside_fraction: float | None = None
 
 
-def similarity_probe(model, num_nodes, traj=None):
+def similarity_probe(model, num_nodes):
     """Eigenvalue probe for the multiplication-similarity regime.
 
     The spectrum is that of the one-node midpoint discretisation on N
@@ -473,9 +461,7 @@ def similarity_probe(model, num_nodes, traj=None):
     No operator is built; :class:`SimilarityReport` says what these
     numbers can and cannot show.  An eigenvalue counts as inside when its
     real part lies within ``PROBE_BAND`` of the interval.  Preconditions:
-    J = I, square beta with beta(x) PSD at the sample points.  When a
-    dressing trajectory is supplied the conjugated model
-    beta~ = w0* beta w0 is probed alongside the original.
+    J = I, square beta with beta(x) PSD at the sample points.
     """
     if fro(model.J - np.eye(model.m)) > 1e-12:
         raise ValueError("similarity probe requires J = I")
@@ -488,21 +474,8 @@ def similarity_probe(model, num_nodes, traj=None):
     lo, hi = model.interval
     step = (hi - lo) / num_nodes
     nodes = lo + (np.arange(num_nodes) + 0.5) * step
-
-    def probe(mod):
-        beta = mod.beta_at(nodes)
-        eigs = nodes[:, None] + 0.5j * step * np.linalg.eigvalsh(beta @ _adj(beta))
-        inside = np.mean((eigs.real > lo - PROBE_BAND) & (eigs.real < hi + PROBE_BAND))
-        return float(np.abs(eigs.imag).max()), float(inside)
-
-    max_imag, inside = probe(model)
-    t_imag = t_inside = None
-    if traj is not None:
-        t_imag, t_inside = probe(conjugate_transform_model(model, traj))
-    return SimilarityReport(
-        num_nodes=num_nodes,
-        max_imag=max_imag,
-        inside_fraction=inside,
-        transformed_max_imag=t_imag,
-        transformed_inside_fraction=t_inside,
-    )
+    beta = model.beta_at(nodes)
+    eigs = nodes[:, None] + 0.5j * step * np.linalg.eigvalsh(beta @ _adj(beta))
+    inside = np.mean((eigs.real > lo - PROBE_BAND) & (eigs.real < hi + PROBE_BAND))
+    return SimilarityReport(num_nodes=num_nodes, max_imag=float(np.abs(eigs.imag).max()),
+                            inside_fraction=float(inside))

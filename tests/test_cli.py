@@ -254,6 +254,19 @@ def test_beta_grid_system_end_to_end(tmp_path):
     assert "transformed_beta.csv" in results["artifacts"]
 
 
+def test_charfn_model_has_base_point_a_whatever_the_system_xi(tmp_path):
+    # the characteristic function is W(b, z) from base point a: the
+    # system's xi changes no byte of charfn.csv
+    texts = []
+    for xi in (0.5, 0.0):
+        config = without_gbdt(tasks=[{"task": "charfn", "N": 16, "z": [[0.5, 0.5], [2, 0]]}])
+        config["system"].update(hamiltonian=VARYING_BETA, xi=xi)
+        out = tmp_path / f"out-{xi}"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        texts.append((out / "charfn.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_validate_catches_non_hermitian_h_samples(tmp_path):
     # I plus a skew part 0.5 at both nodes: the samples, not their
     # Hermitian part, must be checked
@@ -437,6 +450,8 @@ BAD_VALUES = {
     "g_not_a_list": (with_blocks(gbdt={"g": 5}), ("gbdt", "g")),
     "system_without_m": (with_blocks(system={"m": None}), ("system",)),
     "interval_reversed": (with_blocks(system={"interval": [1.0, 0.0]}),
+                          ("system", "interval")),
+    "interval_infinite": (with_blocks(system={"interval": [0, float("inf")]}),
                           ("system", "interval")),
     "hamiltonian_without_type": (with_blocks(hamiltonian={"type": None}),
                                  ("system", "hamiltonian")),

@@ -226,6 +226,23 @@ def test_hamiltonian_spec_rejects_non_finite_grid(x):
         HamiltonianSpec.from_beta_grid(x, np.ones((3, 1, 2)))
 
 
+@pytest.mark.parametrize("factored", [{"beta": np.ones((2, 1, 2))},
+                                      {"beta_fn": lambda t: np.ones(np.shape(t) + (1, 2))}],
+                         ids=["beta", "beta_fn"])
+def test_hamiltonian_spec_rejects_h_samples_with_factored_data(factored):
+    # the factor would take precedence and drop H = 5 I unseen
+    with pytest.raises(ValueError, match="^H samples cannot join factored data"):
+        HamiltonianSpec(np.array([0.0, 1.0]), h=5.0 * np.stack([np.eye(2)] * 2), **factored)
+
+
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)],
+                         ids=["inf", "-inf", "nan"])
+def test_canonical_system_rejects_a_non_finite_interval(interval):
+    spec = HamiltonianSpec.from_constant_beta(np.eye(2), (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"^interval must be finite"):
+        CanonicalSystem(J=np.eye(2), interval=interval, hamiltonian=spec)
+
+
 # -- constant data -------------------------------------------------------------
 
 #: A 1 x 2 factor whose interpolation (1 - w) beta + w beta need not round

@@ -6,7 +6,12 @@ import pytest
 from cansys import rank_one, triangular
 from cansys.gbdt import evolve, sample_params, transfer, w0_at
 from cansys.linalg import SingularMatrixError, _adj, fro
-from cansys.system import CanonicalSystem, HamiltonianSpec, fundamental_solution
+from cansys.system import (
+    CanonicalSystem,
+    HamiltonianSpec,
+    fundamental_solution,
+    validate_system,
+)
 from cansys.triangular import (
     _GAUSS2,
     MAX_DENSE_ROWS,
@@ -104,6 +109,46 @@ def test_model_rejects_non_increasing_samples():
     beta = np.stack([np.array([[1.0, 1j * xx]]) for xx in x])
     with pytest.raises(ValueError, match="increasing"):
         TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=beta)
+
+
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0)], ids=["inf", "-inf"])
+def test_model_rejects_a_non_finite_interval(interval):
+    # an infinite end would give similarity_probe a NaN max_imag and discretize NaN nodes
+    beta = np.stack([np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="^interval must be finite"):
+        TriangularModel(interval=interval, J=np.eye(2), x=np.array([0.0, 1.0]), beta=beta)
+
+
+def test_model_rejects_a_signature_of_another_size():
+    # a J of another size would fail later, inside discretize with an IndexError
+    # and inside char_fn_via_fundamental with a matmul error
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="^beta has 2 columns, J is 3 x 3"):
+        TriangularModel(interval=(0.0, 1.0), J=np.eye(3), x=x, beta=np.ones((5, 1, 2)))
+
+
+def test_model_is_the_canonical_system_with_base_point_a(structured_models):
+    # the system routes take the model itself, and agree bitwise with the
+    # plain system of the same data
+    model = structured_models["psd"]
+    plain = CanonicalSystem(J=model.J, interval=model.interval,
+                            hamiltonian=HamiltonianSpec.from_beta_grid(model.x, model.beta))
+    assert isinstance(model, CanonicalSystem) and model.xi == 0.0
+    assert validate_system(model).ok
+    for z in (0.5 + 0.2j, 2j):
+        assert np.array_equal(fundamental_solution(model, z).values,
+                              fundamental_solution(plain, z).values)
+    traj = evolve(sample_params(42, model, n=2, positive=True), model, tol=1e-10)
+    want = structured_models["traj"]
+    for name in ("grid", "s", "pi", "k", "q"):
+        assert np.array_equal(getattr(traj, name), getattr(want, name))
+
+
+def test_char_fn_via_fundamental_is_the_models_rk45_solution(structured_models):
+    model = structured_models["non_degenerate"]
+    for z in (0.5 + 0.2j, np.array([2j, 0.5 + 1e-2j])):
+        want = fundamental_solution(model, z, grid=[1.0], method="rk45").values[..., 0, :, :]
+        assert np.array_equal(char_fn_via_fundamental(model, z).value, want)
 
 
 # -- characteristic functions ---------------------------------------------------
@@ -265,8 +310,8 @@ def test_similarity_probe_builds_no_operator(monkeypatch, structured_models):
     with pytest.raises(AssertionError, match="DiscretizedOperator"):
         midpoint(model, 8)
     assert similarity_probe(model, 64).max_imag == 0.5 / 64
-    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"])
-    assert report.transformed_max_imag > 0.0
+    dressed = conjugate_transform_model(structured_models["psd"], structured_models["traj"])
+    assert similarity_probe(dressed, 64).max_imag > 0.0
 
 
 def test_similarity_probe_rejects_bad_inputs():
@@ -315,11 +360,12 @@ def test_similarity_probe_transformed_comparable():
     assert fro(w0 @ w0.conj().T - np.eye(2)) < 1e-8
 
     model = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
-    reports = [similarity_probe(model, n, traj=traj) for n in (64, 128)]
-    for rep in reports:
-        assert rep.transformed_max_imag <= 2.0 * rep.max_imag + 1e-3
-        assert rep.transformed_inside_fraction >= 0.99
-    assert reports[1].transformed_max_imag < reports[0].transformed_max_imag
+    dressed = conjugate_transform_model(model, traj)
+    reports = [(similarity_probe(model, n), similarity_probe(dressed, n)) for n in (64, 128)]
+    for rep, dressed_rep in reports:
+        assert dressed_rep.max_imag <= 2.0 * rep.max_imag + 1e-3
+        assert dressed_rep.inside_fraction >= 0.99
+    assert reports[1][1].max_imag < reports[0][1].max_imag
 
 
 def test_conjugate_transform_distinct_from_right_transform(rank_one_model, traj_n1):
@@ -496,8 +542,7 @@ def test_char_fn_converges_at_fourth_order_on_a_callable_beta():
     model = TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=_smooth_beta(x),
                             beta_fn=_smooth_beta)
     z = 0.5 + 0.3j
-    ref = fundamental_solution(model.canonical_system(), z, grid=np.array([1.0]),
-                               tol=1e-13).values[0]
+    ref = fundamental_solution(model, z, grid=np.array([1.0]), tol=1e-13).values[0]
     panels = np.array([16, 32, 64, 128])
 
     def rates(tableau):
@@ -549,21 +594,15 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypat
     # a negative band shrinks the interval, so the inside fraction is not 1
     band = -0.25
     monkeypatch.setattr(triangular, "PROBE_BAND", band)
-    report = similarity_probe(structured_models["psd"], 64, traj=structured_models["traj"])
-    cases = [
-        (structured_models["psd"], report.max_imag, report.inside_fraction),
-        (structured_models["dressed"], report.transformed_max_imag,
-         report.transformed_inside_fraction),
-    ]
-    for k in (1, 3):
-        model = _square_psd_model(k)
+    models = [structured_models["psd"],
+              conjugate_transform_model(structured_models["psd"], structured_models["traj"]),
+              _square_psd_model(1), _square_psd_model(3)]
+    for model in models:
         report = similarity_probe(model, 64)
-        cases.append((model, report.max_imag, report.inside_fraction))
-    for model, max_imag, inside in cases:
         eigs = np.linalg.eigvals(midpoint(model, 64).matrix)
-        assert max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
-        assert inside == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
-        assert 0.0 < inside < 1.0
+        assert report.max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
+        assert report.inside_fraction == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
+        assert 0.0 < report.inside_fraction < 1.0
 
 
 def test_dense_view_has_a_size_guard(rank_one_model, structured_models):
