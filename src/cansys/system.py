@@ -42,22 +42,23 @@ This module provides
   Hamiltonians H = beta* beta.
 
 Every Magnus call is one pass of one kernel: :func:`_magnus_exponents`
-builds the exponents of all the breakpoint arrays the call needs at its
-z (the first two refinement levels of :func:`fundamental_solution` or of
-:func:`boundary_values`, the partition of :func:`product_integral` and
-its halving) from one H call on their nodes and midpoints, and the
-Cayley-Hamilton 2 x 2 exponential :func:`_expm_small` takes them in one
-call.  :func:`_log_weight_product` multiplies out each array of the
-fundamental solution with the work-efficient scan
-:func:`_ordered_product`; :func:`product_integral` first multiplies its
-halving's factors in pairs, and the cut limits need only the total
-products on either side of the straddling panel (:func:`_cut_limits`).
-The kernel holds m x m stacks entries-leading, as (m, m, n), so every
-elementwise operation runs over the panel axis; public outputs keep
-their (..., m, m) shapes.  Its stacked products, and
-those of the triangular model's forward sweep, whose total
-:func:`_total_product` takes by pairwise halving, are all :func:`_mul`,
-a sum over the inner index.
+builds the exponents of all the levels the call needs at its z from one
+H call on their panel ends and midpoints, and the Cayley-Hamilton 2 x 2
+exponential :func:`_expm_small` takes them in one call.  A panel set
+and its halving (the first two refinement levels of
+:func:`fundamental_solution`, the partition of :func:`product_integral`
+and its halving) are nested: H is taken once at their 4P + 1 distinct
+points, P the panels, and :func:`_level_products` multiplies the
+halving's factors in pairs, then both levels out in one batched
+work-efficient scan :func:`_ordered_product`.  The two gradings of the
+first pass of :func:`boundary_values` are not nested; they share the H
+call, and the cut limits need only the total products on either side
+of the straddling panel (:func:`_cut_limits`).  The kernel holds m x m
+stacks entries-leading, as (m, m, n), so every elementwise operation
+runs over the panel axis; public outputs keep their (..., m, m) shapes.
+Its stacked products, and those of the triangular model's forward
+sweep, whose total :func:`_total_product` takes by pairwise halving,
+are all :func:`_mul`, a sum over the inner index.
 
 Constant Hamiltonian data is one stored, read-only matrix (see
 :class:`HamiltonianSpec`): the adaptive right-hand sides, which pass
@@ -509,8 +510,10 @@ def fundamental_solution(sys, z, grid=None, tol=ODE_TOL, method="magnus"):
         "magnus" reads W off one ordered product of the Magnus factors of
         :func:`_magnus_exponents` over panels that hold the grid, the
         sample nodes and xi and are graded towards Re z with ratio 1/2
-        (see :func:`_log_weight_product`).  Every panel is halved (the
-        first two levels in one pass of the kernel) until two successive
+        (see :func:`_log_weight_product`).  Every panel is halved at its
+        midpoint (the first two levels in one pass of the kernel, which
+        takes H once at their 4P + 1 distinct points and multiplies both
+        out in one scan) until two successive
         products differ by at most ``tol`` at every grid
         point or a product has more than ``MAX_CUT_PANELS`` factors;
         ``error_estimate`` is that last difference plus the rounding floor
@@ -660,21 +663,24 @@ def _mul(a, b):
 
 
 def _ordered_product(factors):
-    """Partial products F_j ... F_0 of an entries-leading (m, m, n) stack
-    of factors.
+    """Partial products F_j ... F_0 of an entries-leading (m, m, ..., n)
+    stack of factors, any batch axes between the entries and the factor
+    axis scanned side by side.
 
-    Later factors multiply from the left.  Returns the (m, m, n + 1) stack
-    that starts with the identity.  This one scan serves the Magnus
+    Later factors multiply from the left.  Returns the (m, m, ..., n + 1)
+    stack that starts with the identity.  This one scan serves the Magnus
     products (factors exp(Omega_j)).  It is the work-efficient scan of
     Blelloch ("Prefix sums and their applications", 1990), in place over
     strided views: the up-sweep leaves in slot i the product of the p
     factors ending there, p the largest power of two dividing i + 1, and
     the down-sweep completes each remaining slot from the finished prefix
-    before it; about 2n products in 2 log2 n calls of :func:`_mul`.
+    before it; about 2n products in 2 log2 n calls of :func:`_mul`, each
+    over the whole batch.  Every product is elementwise over the batch,
+    so each batch gets the bits of its own scan.
     """
     m, n = factors.shape[0], factors.shape[-1]
-    out = np.empty((m, m, n + 1), dtype=complex)
-    out[..., 0] = np.eye(m)
+    out = np.empty(factors.shape[:-1] + (n + 1,), dtype=complex)
+    out[..., 0] = np.eye(m).reshape((m, m) + (1,) * (factors.ndim - 3))
     acc = out[..., 1:]
     acc[...] = factors
     d = 1
@@ -711,10 +717,12 @@ def product_integral(sys, z, partition):
     multiplying from the left, realises the curved-arrow product; each
     factor is exact when the values of H commute on its panel (constant
     or scalar-profile H).  The error estimate comes from one partition
-    halving, whose factors come from the same pass of the kernel: it is
-    compared only at the partition, so each panel's two half-panel
-    factors are multiplied first, and its scan runs over as many factors
-    as the partition's.
+    halving, in the same pass of the kernel (:func:`_level_products`): H
+    is taken once at the 4n + 1 distinct ends and midpoints of both, and
+    since the halving is compared only at the partition, each panel's two
+    half-panel factors are multiplied first and one scan multiplies out
+    both.  A panel an ulp wide halves into itself and a zero-width half,
+    whose factor is I.
     """
     z = complex(z)
     _require_finite("z", z)
@@ -732,15 +740,9 @@ def product_integral(sys, z, partition):
     if partition[-1] > b + 1e-12:
         raise ValueError(f"partition must lie within [{a}, {b}]")
 
-    fine_partition = np.sort(
-        np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])])
-    )
-    omega, _, (count, _) = _magnus_exponents(sys, z, [partition, fine_partition])
-    factors = _expm_small(omega)
-    values = _ordered_product(factors[..., :count])
-    # the halving's products at the partition: each panel's two halves as one factor
-    fine = factors[..., count:]
-    fine = _ordered_product(_mul(fine[..., 1::2], fine[..., ::2]))
+    products = _level_products(sys, z, partition, (0, 1))
+    values = products[:, :, 0]
+    fine = products[:, :, 1]
     fine -= values
     # halving difference times the order->=1 Richardson safety factor
     err = 2.0 * float(np.max(np.linalg.norm(fine, axis=(0, 1))))
@@ -824,12 +826,31 @@ def _log1p(w):
     )
 
 
-def _magnus_exponents(sys, z, sets):
-    """Fourth-order Magnus exponents Omega_j of the panels [t_j, t_j+1] of
-    every breakpoint array t of ``sets``, from one H call on all their
-    nodes and midpoints; returns the exponents of all sets side by side,
-    as one entries-leading (m, m, P) stack, H at the panel midpoints as
-    another, and the list of each set's panel counts.
+def _halved(t):
+    """The breakpoints t with each panel's midpoint 0.5 (t0 + t1) between
+    its ends: a panel set and its halving, or a panel set's ends and
+    midpoints in the order :func:`_magnus_exponents` reads them."""
+    out = np.empty(2 * t.size - 1)
+    out[::2] = t
+    out[1::2] = 0.5 * (t[:-1] + t[1:])
+    return out
+
+
+def _magnus_exponents(sys, z, points, levels):
+    """Fourth-order Magnus exponents Omega_j of the panels of every level
+    of ``levels``, from one H call on ``points``; returns the exponents of
+    all levels side by side, as one entries-leading (m, m, P) stack, H at
+    the panel midpoints as another, and the list of each level's panel
+    counts.
+
+    A level is a slice of ``points`` that runs t_0, mid_0, t_1, ..., t_n:
+    the ends of its n panels with each panel's midpoint between them (see
+    :func:`_halved`).  So a panel set and its halving share one array, the
+    ends and midpoints of the halving, of which the panel set reads every
+    other point, and each level's H(t0), H(mid) and H(t1) are strided
+    views of the one H stack.  The views are read once, into the
+    quadratic's coefficients and H(mid) of all levels, and H is released.
+    A half of a panel an ulp wide can have zero width; its Omega is 0.
 
     Omega_j is i J int H(t) / (z - t) dt, integrated exactly for the
     quadratic through H at the panel's ends and midpoint (exact for
@@ -854,27 +875,33 @@ def _magnus_exponents(sys, z, sets):
     """
     spec, J = sys.hamiltonian, sys.J[..., None]
     z = complex(z)
-    nodes = np.concatenate(sets)
-    sizes = [t.size for t in sets]
-    first = np.delete(np.arange(nodes.size), np.cumsum(sizes) - 1)  # left ends
-    t0, t1 = nodes[first], nodes[first + 1]
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    # H is (points, m, m); the kernel takes it entries-leading, contiguous
-    h = spec.hamiltonian(np.concatenate([nodes, mid])).transpose(1, 2, 0).copy()
-    hm = h[..., nodes.size:].copy()  # returned: no view that keeps h alive
-    h0, h1 = h[..., first], h[..., first + 1]
-    del h
+    runs = [points[level] for level in levels]
+    counts = [run.size // 2 for run in runs]
+    t0 = np.concatenate([run[:-1:2] for run in runs])
+    mid = np.concatenate([run[1::2] for run in runs])
+    t1 = np.concatenate([run[2::2] for run in runs])
+    # H is (points, m, m); the kernel reads it entries-leading, through views
+    h = spec.hamiltonian(points).transpose(1, 2, 0)
+    hm = np.empty(h.shape[:2] + (t0.size,), dtype=complex)
+    c1, c2 = np.empty_like(hm), np.empty_like(hm)
+    start = 0
+    for level, count in zip(levels, counts):
+        at, into = h[..., level], slice(start, start + count)
+        hm[..., into] = at[..., 1::2]
+        np.subtract(at[..., 2::2], at[..., :-1:2], out=c1[..., into])
+        np.add(at[..., 2::2], at[..., :-1:2], out=c2[..., into])
+        start += count
+    del h, at
     # H = hm + c1 tau + c2 tau^2 in tau = (t - mid) / half, and
     # int tau^k / (zeta - tau) dtau over [-1, 1] gives, with
     # log = ln((zeta + 1) / (zeta - 1)) = ln((z - t0) / (z - t1)):
     # int H / (z - t) dt = H(zeta) log - 2 q, q = c1 + c2 zeta
-    c1 = h1 - h0
     c1 *= 0.5
-    c2 = h1
-    c2 += h0
-    del h0, h1
     c2 *= 0.5
     c2 -= hm
+    half = 0.5 * (t1 - t0)
+    empty = np.flatnonzero(half == 0.0)
+    half[empty] = np.inf  # zeta = 0 keeps the arithmetic finite; Omega = 0 below
     zeta = (z - mid) / half
     log = _log1p((t1 - t0) / (z - t1))
     if z.imag == 0.0:  # the principal value on a panel holding z
@@ -903,18 +930,55 @@ def _magnus_exponents(sys, z, sets):
     m_diff *= sqrt3 / (3.0 * zeta * zeta - 1.0)  # c (M - M*)
     weighted *= 1j
     weighted -= m_diff
-    return _mul(J, weighted), hm, [size - 1 for size in sizes]
+    omega = _mul(J, weighted)
+    omega[..., empty] = 0.0
+    return omega, hm, counts
+
+
+def _level_products(sys, z, t, levels):
+    """Partial products of the Magnus factors at the breakpoints t, for
+    each level of ``levels`` (every panel of t halved ``level`` times at
+    its midpoint), from one pass of :func:`_magnus_exponents`: an
+    entries-leading (m, m, len(levels), t.size) stack, each level's
+    starting with the identity.
+
+    One H call takes the ends and midpoints of the finest level's panels,
+    every coarser level reading every other point of the next (a panel
+    set and its halving: 4P + 1 points for P panels).  Each level's
+    factors are multiplied in pairs down to one factor per panel of t,
+    and one :func:`_ordered_product` scans all levels.  Read at t, that
+    is the level's own scan bit for bit: the first ``level`` steps of its
+    up-sweep are these pairings, and the rest fill the slots at t as the
+    scan over the paired factors does.
+    """
+    finest = levels[-1]
+    points = t
+    for _ in range(finest + 1):
+        points = _halved(points)
+    omega, _, counts = _magnus_exponents(
+        sys, z, points, [slice(None, None, 2 ** (finest - level)) for level in levels]
+    )
+    factors = _expm_small(omega)
+    paired = np.empty(factors.shape[:2] + (len(levels), t.size - 1), dtype=complex)
+    start = 0
+    for i, (level, count) in enumerate(zip(levels, counts)):
+        f = factors[..., start:start + count]
+        for _ in range(level):  # each panel's two halves as one factor
+            f = _mul(f[..., 1::2], f[..., ::2])
+        paired[:, :, i] = f
+        start += count
+    return _ordered_product(paired)
 
 
 def _log_weight_product(sys, x, z, levels):
     """W(x, z) at a point or an array of points x, and its panel count,
     for each level of ``levels`` (every panel of the grading towards Re z
-    with ratio 1/2 split into 2^level equal parts), from one pass of
-    :func:`_magnus_exponents`.
+    with ratio 1/2 halved ``level`` times), from one pass of the kernel
+    (:func:`_level_products`).
 
-    The breakpoints hold x, xi and the sample nodes, so with P the partial
-    products from the leftmost of them, W(x) = P(x) P(xi)^{-1}, read off
-    the entries-leading products of :func:`_ordered_product` with
+    The graded breakpoints hold x, xi and the sample nodes, so with P the
+    partial products from the leftmost of them, W(x) = P(x) P(xi)^{-1},
+    read off every level's products at the graded breakpoints with
     :func:`_mul`.
     """
     z = complex(z)
@@ -925,17 +989,14 @@ def _log_weight_product(sys, x, z, levels):
         return [(np.zeros(x.shape + (sys.m, sys.m), dtype=complex) + np.eye(sys.m), 0)
                 for _ in levels]
     t = _graded_breakpoints(np.concatenate([sys.hamiltonian.x, ends]), lo, hi, z, 0.5)
-    # unique: splitting a panel a few ulps wide repeats its ends
-    sets = [np.unique(np.append(
-        t[:-1, None] + np.diff(t)[:, None] * np.arange(2**level) / 2**level, hi
-    )) for level in levels]
-    omega, _, counts = _magnus_exponents(sys, z, sets)
-    factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
+    products = _level_products(sys, z, t, levels)
+    index = np.searchsorted(t, ends)
     out = []
-    for t, f in zip(sets, factors):
-        at = _ordered_product(f)[..., np.searchsorted(t, ends)]
+    for i, level in enumerate(levels):
+        at = products[:, :, i][..., index]
         w = _mul(at[..., :-1], np.linalg.inv(at[..., -1])[..., None])
-        out.append((w.transpose(2, 0, 1).reshape(x.shape + w.shape[:2]), t.size - 1))
+        out.append((w.transpose(2, 0, 1).reshape(x.shape + w.shape[:2]),
+                    (t.size - 1) * 2**level))
     return out
 
 
@@ -963,7 +1024,11 @@ def _cut_limits(sys, x, s, levels):
     sets = [t[t != s] for t in (
         _graded_breakpoints(nodes, lo, hi, complex(s), 0.5 ** (level + 1)) for level in levels
     )]
-    omega, h_mid, counts = _magnus_exponents(sys, s, sets)
+    bounds = np.cumsum([0] + [2 * t.size - 1 for t in sets])
+    omega, h_mid, counts = _magnus_exponents(
+        sys, s, np.concatenate([_halved(t) for t in sets]),
+        [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
+    )
     starts = np.cumsum([0] + counts[:-1])
     inside = lo < s < hi
     if inside:  # the straddling panels get the + limit; the - limits go last
@@ -992,7 +1057,9 @@ def _refine(product, tol):
     ``levels``: W on a grid for :func:`fundamental_solution`, the stacked
     pair of cut limits for :func:`boundary_values`.  Levels 0 and 1, which
     every refinement needs, come from one call, which the callers serve
-    with one pass of the kernel; later levels come one call each, until
+    with one pass of the kernel (a panel set and its halving for the
+    first, two gradings that share one H call for the second); later
+    levels come one call each, until
     two successive values differ by at most ``tol`` in
     Frobenius norm at every point, a product has more than
     ``MAX_CUT_PANELS`` factors, or the difference is not finite (it never

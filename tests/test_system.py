@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from cansys.system import (
     _cut_limits,
     _expm_small,
     _graded_breakpoints,
+    _halved,
+    _level_products,
     _log1p,
     _log_weight_product,
     _magnus_exponents,
@@ -584,7 +587,7 @@ def test_expm_small_large_imaginary_tau():
 def test_expm_small_on_near_cut_magnus_exponents(varying_system):
     z = 0.5037 + 1e-5j
     t = _graded_breakpoints(varying_system.hamiltonian.x, 0.0, 1.0, z, 1 / 16)
-    omega, _, _ = _magnus_exponents(varying_system, z, [t])
+    omega, _, _ = _magnus_exponents(varying_system, z, _halved(t), [slice(None)])
     assert _rel(_trail(_expm_small(omega)), scipy.linalg.expm(_trail(omega))) <= 1e-14
 
 
@@ -630,6 +633,20 @@ def test_ordered_product_matches_a_matmul_loop(n, m):
     got = _ordered_product(_lead(factors))
     assert got.shape == (m, m, n + 1)
     assert _rel(_trail(got), expected) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 64, 65, 1000])
+def test_ordered_product_scans_each_batch_as_alone(n, m):
+    # a batch axis between the entries and the factors: each batch is
+    # scanned as it would be alone, bit for bit
+    factors, expected = _factors_and_loop(n, m)
+    stack = np.stack([_lead(factors) ** (k + 1) for k in range(3)], axis=2)
+    got = _ordered_product(stack)
+    assert got.shape == (m, m, 3, n + 1)
+    for k in range(3):
+        assert np.array_equal(got[:, :, k], _ordered_product(stack[:, :, k]))
+    assert _rel(_trail(got[:, :, 0]), expected) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1050,10 +1067,17 @@ def test_rk45_error_estimate_bounds_the_error_on_a_kinked_profile(s, eta):
 # -- one kernel pass per call -------------------------------------------------
 
 
-def _products(sys, z, sets):
-    """The partial products of the Magnus factors over each breakpoint
-    array of ``sets``, from one exponent build and one exponential call."""
-    omega, _, counts = _magnus_exponents(sys, z, sets)
+def _products(sys, z, t, levels):
+    """The partial products of the Magnus factors of each level of
+    ``levels`` (every panel of t halved ``level`` times), each level's own
+    scan over all of its factors, from one exponent build and one
+    exponential call."""
+    points = t
+    for _ in range(levels[-1] + 1):
+        points = _halved(points)
+    omega, _, counts = _magnus_exponents(
+        sys, z, points, [slice(None, None, 2 ** (levels[-1] - level)) for level in levels]
+    )
     factors = np.split(_expm_small(omega), np.cumsum(counts)[:-1], axis=-1)
     return [_ordered_product(f) for f in factors]
 
@@ -1077,13 +1101,32 @@ def test_one_pass_equals_separate_passes(varying_system, which, s):
         assert np.array_equal(w, alone) and panels == alone_panels
     # a partition and its halving, as product_integral takes them
     partition = np.linspace(0.0, 1.0, 65)
-    fine = np.linspace(0.0, 1.0, 129)
     z = s + 0.4j
-    coarse_p, fine_p = _products(sys, z, [partition, fine])
-    [alone] = _products(sys, z, [partition])
+    coarse_p, fine_p = _products(sys, z, partition, (0, 1))
+    [alone] = _products(sys, z, partition, (0,))
     assert np.array_equal(coarse_p, alone)
-    [alone] = _products(sys, z, [fine])
+    [alone] = _products(sys, z, _halved(partition), (0,))
     assert np.array_equal(fine_p, alone)
+    # the halves multiplied in pairs and both levels in one scan: at the
+    # partition, each level's own scan
+    paired = _level_products(sys, z, partition, (0, 1))
+    assert np.array_equal(paired[:, :, 0], coarse_p)
+    assert np.array_equal(paired[:, :, 1], fine_p[..., ::2])
+
+
+def _counting(sys):
+    """sys with H behind a callable that records the points of each call."""
+    spec = sys.hamiltonian
+    points = []
+
+    def counting(t):
+        points.append(np.size(t))
+        return spec.hamiltonian(t)
+
+    counted = CanonicalSystem(J=sys.J, interval=sys.interval, xi=sys.xi,
+                              hamiltonian=HamiltonianSpec(spec.x, beta=spec.beta,
+                                                          h_fn=counting))
+    return counted, points
 
 
 @pytest.mark.parametrize("s", [0.5, 0.5037])  # on a sample node, and between two
@@ -1092,14 +1135,7 @@ def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
     # at their nodes and midpoints, not per limit, and the Gauss values
     # come from the panel quadratic
     spec = varying_system.hamiltonian
-    points = []
-
-    def counting(t):
-        points.append(np.size(t))
-        return spec.hamiltonian(t)
-
-    sys = CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
-                          hamiltonian=HamiltonianSpec(spec.x, beta=spec.beta, h_fn=counting))
+    sys, points = _counting(varying_system)
     report = boundary_values(sys, 1.0, s, tol=1e-7)
     nodes = np.concatenate([spec.x, [0.0, 1.0]])
     sizes = []  # breakpoints of each level, s dropped
@@ -1109,6 +1145,37 @@ def test_cut_limits_evaluate_h_once_per_point_of_each_level(varying_system, s):
     assert sizes[-1] - 1 == report.panels and len(sizes) >= 3
     assert sum(points) == sum(2 * n - 1 for n in sizes)
     assert len(points) == len(sizes) - 1  # levels 0 + 1 share one pass
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.3j, 2j])
+def test_a_panel_set_and_its_halving_evaluate_h_once_per_distinct_point(varying_system, z):
+    # P panels and their halving have 4P + 1 distinct points: the ends, the
+    # midpoints and the midpoints of the halves, taken in one H call
+    sys, points = _counting(varying_system)
+    product_integral(sys, z, np.linspace(0.0, 1.0, 257))
+    assert points == [4 * 256 + 1]
+    points.clear()
+    sol = fundamental_solution(sys, z)  # converges at level 1: one pass
+    assert sol.converged
+    assert points == [4 * (sol.panels // 2) + 1]
+
+
+ULP_PANEL = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0])
+
+
+def test_an_ulp_wide_panel_halves_into_the_identity_and_itself():
+    # the panel [0.5, 0.5 + ulp] has its midpoint at one of its ends, so
+    # one of its halves has zero width: its factor is I, with no warning
+    z = 0.3 + 0.5j
+    ref = np.stack([rank_one.fundamental_matrix(x, z) for x in ULP_PANEL])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product = product_integral(rank_one.make_system(1.0), z, ULP_PANEL)
+        solution = fundamental_solution(rank_one.make_system(1.0), z, grid=ULP_PANEL)
+    assert np.isfinite(product.error_estimate) and product.error_estimate <= 1e-14
+    assert np.isfinite(solution.error_estimate) and solution.converged
+    for sol in (product, solution):
+        assert np.max(np.linalg.norm(sol.values - ref, axis=(1, 2))) <= 1e-14
 
 
 # -- the exponents, the halving and the memory of a pass --------------------------
@@ -1140,7 +1207,7 @@ def test_exponents_match_the_explicit_commutator(varying_system, which, z):
     # Hermitian; on panels graded towards Re z, near the cut and off it
     sys = varying_system if which == "varying" else callable_system()
     t = _graded_breakpoints(sys.hamiltonian.x, 0.0, 1.0, z, 0.5)
-    omega, _, _ = _magnus_exponents(sys, z, [t])
+    omega, _, _ = _magnus_exponents(sys, z, _halved(t), [slice(None)])
     assert _rel(_trail(omega), _trail(_explicit_exponents(sys, z, t))) <= 1e-14
 
 
@@ -1152,9 +1219,9 @@ def test_product_integral_estimate_is_the_halving_difference(varying_system, whi
     # difference from the unmerged scan of the halving at the partition
     sys = varying_system if which == "varying" else callable_system()
     partition = np.linspace(0.0, 1.0, 65)
-    halving = np.sort(np.concatenate([partition, 0.5 * (partition[:-1] + partition[1:])]))
+    halving = _halved(partition)
     sol = product_integral(sys, z, partition)
-    coarse, fine = (_trail(p) for p in _products(sys, z, [partition, halving]))
+    coarse, fine = (_trail(p) for p in _products(sys, z, partition, (0, 1)))
     assert np.array_equal(sol.values, coarse)
     expected = 2.0 * np.max(np.linalg.norm(fine[::2] - coarse, axis=(1, 2)))
     floor = (ROUNDING_GROWTH * 0.5 * np.finfo(float).eps * (halving.size - 1)
@@ -1168,12 +1235,13 @@ def test_product_integral_estimate_is_the_halving_difference(varying_system, whi
 ], ids=["near-cut-w", "product-integral"])
 def test_a_magnus_pass_holds_few_stacks(monkeypatch, call):
     # the largest pass's exponents fill one complex (m, m, P) stack; the
-    # call peaks at 9.6 of them, 17.9 when no stack is released early
+    # calls peak at 9.4 and 9.3 of them, H read through views and released
+    # once the quadratic's coefficients hold it
     sys = profile_system()
     panels = []
 
-    def recording(sys, z, sets):
-        out = _magnus_exponents(sys, z, sets)
+    def recording(sys, z, points, levels):
+        out = _magnus_exponents(sys, z, points, levels)
         panels.append(sum(out[2]))
         return out
 
