@@ -28,7 +28,8 @@ pair DOP853, restarted at every kink of interpolated H data.
 dressed object takes its v from it.  It, :func:`w0_at` and
 :func:`g0_eval` take arrays of x (and z) and evaluate them as one batch.
 They all read (Pi, S) through one frame: one dense-output call for the
-whole stack, one stacked SVD that raises
+whole stack, which evaluates the points of each piece of the trajectory
+in one stacked pass, one stacked SVD (|S| for n = 1) that raises
 :class:`~cansys.linalg.SingularMatrixError` at the first x, in order,
 where S(x) is singular to working tolerance, and one stacked solve
 against S.  :func:`transformed_hamiltonian` passes the grid samples
@@ -176,9 +177,11 @@ def _check_s(x, s, s_scale=None):
     singular value when none is given).
 
     One stacked SVD gives both measures: cond2 and the condition relative
-    to the trajectory's S scale, which catches 1x1 zero crossings.
+    to the trajectory's S scale, which catches 1x1 zero crossings.  A 1 x 1
+    S is its own singular value up to phase: |S| replaces the SVD, which
+    would cost some 0.7 us per point.
     """
-    sv = np.linalg.svd(s, compute_uv=False)
+    sv = np.abs(s[..., 0]) if s.shape[-1] == 1 else np.linalg.svd(s, compute_uv=False)
     if s_scale is None:
         s_scale = max(float(np.max(sv[..., 0])), 1e-300)
     with np.errstate(divide="ignore"):
@@ -235,6 +238,66 @@ class GbdtTrajectory:
         return self.state_at(x)[2]
 
 
+def _evolve_rhs(params, J, spec):
+    """The right-hand side of :func:`evolve`'s flat joint state (Pi, S, K).
+
+    For n = 1, A and the rows of S and K are formed in scalar arithmetic.
+    Pi J, u = (Pi J) H and A u stay the products of the matrix form, whose
+    BLAS rounding scalar arithmetic does not reproduce, and S's u (Pi J)*
+    is ``np.vdot``, which rounds as that form's product does: the
+    trajectory keeps the matrix form's bits.
+    """
+    n, m = params.n, params.m
+    n_pi, n_s = n * m, n * m + n * n  # ends of the Pi and S blocks of the state
+    if n == 1:
+        # A = 1/(b - x) with no factorisation: validate_params keeps the
+        # pole b a margin away from [a, b]
+        pole = complex(params.B[0, 0])
+
+        def rhs(x, y):
+            a = 1.0 / (pole - x)
+            pj = y[:m] @ J  # Pi J, shared by both sources as u = (Pi J) H and u (Pi J)*
+            u = pj @ spec.hamiltonian(x)
+            s, k = y[m:].tolist()
+            out = np.empty_like(y)
+            au = np.array([[a]]) @ u[None]
+            au *= -1j
+            out[:m] = au[0]
+            out[m:] = np.vdot(pj, u) - (a * s + s * a.conjugate()), k * a
+            return out
+
+        return rhs
+
+    if n == 2:
+        # A = adj(B - x) / det(B - x), free of inv's per-call wrapper
+        (b00, b01), (b10, b11) = params.B.tolist()
+
+        def resolvent(x):
+            d00, d11 = b00 - x, b11 - x
+            return np.array([[d11, -b01], [-b10, d00]]) / (d00 * d11 - b01 * b10)
+    else:
+        B, eye_n = params.B, np.eye(n)
+
+        def resolvent(x):
+            return np.linalg.inv(B - x * eye_n)
+
+    def rhs(x, y):
+        pi = y[:n_pi].reshape(n, m)
+        s = y[n_pi:n_s].reshape(n, n)
+        a = resolvent(x)
+        pj = pi @ J  # Pi J, shared by both sources as u = (Pi J) H and u (Pi J)*
+        u = pj @ spec.hamiltonian(x)
+        au = a @ u
+        au *= -1j
+        out = np.empty_like(y)
+        out[:n_pi] = au.ravel()
+        out[n_pi:n_s] = (u @ pj.conj().T - (a @ s + s @ a.conj().T)).ravel()
+        out[n_s:] = (y[n_s:].reshape(n, n) @ a).ravel()
+        return out
+
+    return rhs
+
+
 def evolve(params, sys, grid=None, tol=ODE_TOL):
     """Evolve (Pi, S, K) jointly with one adaptive controller.
 
@@ -243,15 +306,16 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     than RK45 at the tight tolerances used here, and each direction
     restarts at the kinks of the data (see
     :func:`~cansys.system.integrate_matrix_ode`).  A(x) = (B - x)^{-1} is
-    formed once per right-hand side evaluation: for n = 1 directly as
-    1/(b - x), with no factorisation and no check per call
-    (:func:`validate_params` keeps the pole SPECTRUM_MARGIN away from the
-    interval), otherwise by ``np.linalg.inv``.  Pi J is formed once for
-    both sources, as u = (Pi J) H and u (Pi J)*, and -i A u is scaled in
-    place.  K stays in the joint state: its error takes part in
-    the step control, and without it the controller takes fewer, longer
-    steps that leave the identity residual about ten times larger.  The
-    joint state keeps the displacement-identity residual coherent with the
+    formed once per right-hand side evaluation, with no check per call
+    (:func:`validate_params` keeps the poles SPECTRUM_MARGIN away from the
+    interval): for n = 1 as 1/(b - x), in a right-hand side that forms
+    the rows of S and K in scalar arithmetic (see :func:`_evolve_rhs`),
+    for n = 2 as adj(B - x) / det(B - x), otherwise by ``np.linalg.inv``.
+    Pi J is formed once for both sources, as u = (Pi J) H and u (Pi J)*,
+    and -i A u is scaled in place.  K stays in the joint state: its error
+    takes part in the step control, and without it the controller takes
+    fewer, longer steps that leave the identity residual about ten times
+    larger.  The joint state keeps the displacement-identity residual coherent with the
     integration error.  Raises :class:`~cansys.linalg.SingularMatrixError`
     if S(x) passes the singularity threshold anywhere on the grid; a
     ``tol`` that is not a positive finite number, or a grid that is not
@@ -265,29 +329,7 @@ def evolve(params, sys, grid=None, tol=ODE_TOL):
     n, m = params.n, params.m
     J = sys.J
     spec = sys.hamiltonian
-    B, eye_n = params.B, np.eye(n)
-    pole = complex(B[0, 0])  # B itself when n = 1
-    n_pi, n_s = n * m, n * m + n * n  # ends of the Pi and S blocks of the state
-
-    def rhs(x, y):
-        pi = y[:n_pi].reshape(n, m)
-        s = y[n_pi:n_s].reshape(n, n)
-        if n == 1:
-            # A = 1/(b - x) with no factorisation: validate_params keeps the
-            # pole b a margin away from [a, b]
-            a = np.array([[1.0 / (pole - x)]])
-        else:
-            a = np.linalg.inv(B - x * eye_n)
-        pj = pi @ J  # Pi J, shared by both sources as u = (Pi J) H and u (Pi J)*
-        u = pj @ spec.hamiltonian(x)
-        au = a @ u
-        au *= -1j
-        out = np.empty_like(y)
-        out[:n_pi] = au.ravel()
-        out[n_pi:n_s] = (u @ pj.conj().T - (a @ s + s @ a.conj().T)).ravel()
-        out[n_s:] = (y[n_s:].reshape(n, n) @ a).ravel()
-        return out
-
+    rhs = _evolve_rhs(params, J, spec)
     y0 = np.concatenate(
         [params.Pi0.ravel(), params.S0.ravel(), np.eye(n, dtype=complex).ravel()]
     )

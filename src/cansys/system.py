@@ -428,6 +428,57 @@ class FundamentalSolution:
     converged: bool
 
 
+def _stacked_steps(sol, method):
+    """One piece's dense output, from its steps' interpolants stacked.
+
+    Reads ``t_old``, ``h``, ``y_old`` and the coefficients, ``F`` for DOP853
+    and ``Q`` for RK45, of the step interpolants of the ``OdeSolution``
+    ``sol``, and stacks them.  A point takes its step by the OdeSolution's
+    rule: a search of the sorted step ends, taking the step of lower index at
+    a step end.  Scipy's interpolant formula (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6 and II.10) then gives scipy's values bit for bit.
+    DOP853's nested form is evaluated once over the stack.  RK45's is one
+    BLAS product of Q with the powers of the step's points, which rounds as
+    a fused multiply-add chain that no stacked numpy product reproduces, so
+    it keeps scipy's one product per step that has points.  Returns the
+    evaluator, which maps a 1-D array of points to a (points, states) array.
+    """
+    steps = sol.interpolants
+    last = len(steps) - 1
+    ts, ascending = sol.ts_sorted, sol.ascending
+    side = "left" if ascending else "right"
+    t_old = np.array([step.t_old for step in steps])
+    h = np.array([step.h for step in steps])
+    y_old = np.array([step.y_old for step in steps])
+    dop853 = method == "DOP853"
+    coef = np.array([step.F if dop853 else step.Q for step in steps])
+
+    def evaluate(t):
+        seg = np.clip(ts.searchsorted(t, side) - 1, 0, last)
+        if not ascending:
+            seg = last - seg
+        x = ((t - t_old[seg]) / h[seg])[:, None]
+        if dop853:
+            # sum_k F_k x^(floor(k/2) + 1) (1 - x)^ceil(k/2), nested from k = 6 down
+            f = coef[seg]
+            y = np.zeros(f[:, 0].shape, dtype=f.dtype)
+            for i in range(f.shape[1]):
+                y += f[:, -1 - i]
+                y *= x if i % 2 == 0 else 1 - x
+        else:
+            # h Q (x, x^2, x^3, x^4), one product per step as scipy makes it
+            powers = np.cumprod(np.repeat(x.T, coef.shape[2], axis=0), axis=0)
+            y = np.empty((coef.shape[1], t.size), dtype=coef.dtype)
+            for j in np.unique(seg):
+                at = np.flatnonzero(seg == j)
+                y[:, at] = h[j] * np.dot(coef[j], powers[:, at])
+            y = y.T
+        y += y_old[seg]
+        return y
+
+    return evaluate
+
+
 def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol, method, kinks):
     """Integrate a flat complex ODE both directions from xi over a grid.
 
@@ -438,12 +489,15 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol, method, kinks):
     pays no rejected steps there.  Returns (values_at_grid,
     dense_evaluator, total_steps), the steps counting every attempted step
     of every piece; the dense evaluator takes a point or an array of
-    points.
+    points.  It keeps no ``OdeSolution``: each piece keeps the ``t_old``,
+    ``h``, ``y_old`` and ``F`` (DOP853) or ``Q`` (RK45) of its step
+    interpolants as stacked arrays, and evaluates all its points at once
+    (see :func:`_stacked_steps`).
     """
     grid = np.asarray(grid, dtype=float)
     kinks = np.asarray(kinks, dtype=float)
     per_step, per_dense_step = RHS_EVALS_PER_STEP[method]
-    pieces = []  # (hi, dense output) of each piece, both directions
+    pieces = []  # (hi, stacked dense output) of each piece, both directions
     steps = 0
     for sign in (-1.0, 1.0):
         ahead = sign * (grid - xi) > 1e-15
@@ -459,7 +513,7 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol, method, kinks):
             if not sol.success:
                 raise RuntimeError(f"integrator failed: {sol.message}")
             y = sol.y[:, -1]
-            pieces.append((max(t0, t1), sol.sol))
+            pieces.append((max(t0, t1), _stacked_steps(sol.sol, method)))
             # one evaluation at t0, one choosing the first step, per_step per
             # attempted step and per_dense_step per accepted (dense) step
             accepted = len(sol.sol.ts) - 1
@@ -485,7 +539,7 @@ def integrate_matrix_ode(rhs, xi, y0, grid, rtol, atol, method, kinks):
             which = np.minimum(his.searchsorted(t), his.size - 1)
             for j in np.unique(which):
                 sel = which == j
-                out[todo[sel]] = pieces[j][1](t[sel]).T
+                out[todo[sel]] = pieces[j][1](t[sel])
         return out.reshape(x.shape + y0.shape)
 
     return dense(grid), dense, steps

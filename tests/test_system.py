@@ -1350,6 +1350,61 @@ def test_scalar_z_rounds_as_the_one_point_solve(unit_system, which):
         assert one.values.shape == (1, 11, 2, 2) and np.array_equal(one.values[0], values)
 
 
+def recorded_solves(monkeypatch):
+    """Wrap the solver cansys.system calls; returns the list of the
+    (t_span, OdeSolution) of every solve made after the call."""
+    solves = []
+    solve_ivp = system.solve_ivp
+
+    def recording(fun, t_span, *args, **kwargs):
+        sol = solve_ivp(fun, t_span, *args, **kwargs)
+        solves.append((t_span, sol.sol))
+        return sol
+
+    monkeypatch.setattr(system, "solve_ivp", recording)
+    return solves
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("which", ["unit", "kinked"])
+def test_stacked_dense_output_is_scipys_bit_for_bit(unit_system, monkeypatch, method, which):
+    # xi inside, so pieces run both ways; the kinked profile restarts at
+    # each of its 31 interior nodes
+    base = unit_system if which == "unit" else profile_system()
+    sys = CanonicalSystem(base.J, base.interval, base.hamiltonian, xi=0.4)
+    J, spec, z = sys.J, sys.hamiltonian, 0.5 + 0.3j
+
+    def rhs(x, y):
+        return (1j / (z - x) * (J @ spec.hamiltonian(x) @ y.reshape(2, 2))).ravel()
+
+    y0 = np.eye(2, dtype=complex).ravel()
+    solves = recorded_solves(monkeypatch)
+    _, dense, _ = system.integrate_matrix_ode(
+        rhs, sys.xi, y0, np.linspace(0.0, 1.0, 11), 1e-8, 1e-10, method, spec.kinks,
+    )
+    assert len(solves) == (2 if which == "unit" else 33)
+    rng = np.random.default_rng(7)
+    points, expected = [], []
+    for (t0, t1), sol in solves:
+        lo, hi = min(t0, t1), max(t0, t1)
+        # random points and every step end; a piece end that is not xi
+        # belongs to the piece below it, and only the lowest piece has lo
+        t = np.concatenate([rng.uniform(lo, hi, 40), sol.ts])
+        t = t[((t > lo) | (lo == 0.0)) & (t != sys.xi)]
+        assert t.size > 40
+        points.append(t)
+        expected.append(sol(t).T)
+        # one point alone, which scipy's RK45 multiplies out by another BLAS call
+        assert all(np.array_equal(dense(x), sol(x)) for x in t[::7])
+    points, expected = np.concatenate(points), np.concatenate(expected)
+    assert np.isin(spec.kinks, points).all()
+    assert np.array_equal(dense(points), expected)
+    assert np.array_equal(dense(sys.xi), y0)
+    for outside in (-1e-3, 1.0 + 1e-3):
+        with pytest.raises(ValueError, match="outside the integrated range"):
+            dense(np.array([0.5, outside]))
+
+
 def test_each_z_of_a_batch_is_within_the_estimate(unit_system):
     grid = np.linspace(0.0, 1.0, 11)
     sol = fundamental_solution(unit_system, BATCH_Z, grid=grid, tol=1e-10,
