@@ -14,7 +14,8 @@ import numpy as np
 #: Condition estimate above which a linear system is treated as singular.
 SINGULAR_COND = 1e12
 
-#: Slack for "positive semidefinite" checks on eigenvalues.
+#: Slack for "positive semidefinite" checks on eigenvalues; psd_bound scales
+#: it by the size of the matrix.
 PSD_TOL = 1e-10
 
 
@@ -70,11 +71,19 @@ def hermitian_part(matrix):
 def psd_defect(matrix):
     """Distance from Hermitian PSD of a matrix or of every matrix in a stack:
     the larger of |M - M*| (Frobenius) and minus the least eigenvalue of
-    (M + M*)/2, and 0 for a Hermitian PSD matrix.  With the one threshold
-    ``PSD_TOL`` it is the Hermitian-PSD test of every caller."""
+    (M + M*)/2, and 0 for a Hermitian PSD matrix."""
     asymmetry = np.linalg.norm(matrix - _adj(matrix), axis=(-2, -1))
     negativity = -np.linalg.eigvalsh(hermitian_part(matrix))[..., 0]
     return np.maximum(np.maximum(asymmetry, negativity), 0.0)
+
+
+def psd_bound(matrix):
+    """The largest :func:`psd_defect` of a Hermitian PSD matrix, or of each
+    matrix in a stack: ``PSD_TOL`` max(1, |M|_F).  Rounding alone puts the
+    defect near u |M|, so an absolute bound would reject PSD data of size
+    1e6; the input checks of ``validate_system`` and ``similarity_probe``
+    use this one."""
+    return PSD_TOL * np.maximum(1.0, np.linalg.norm(matrix, axis=(-2, -1)))
 
 
 def cond2(matrix):

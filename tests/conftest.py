@@ -4,6 +4,14 @@ import pytest
 from cansys import rank_one
 
 
+def assert_bits(got, expected):
+    """Assert that two arrays are the same bits: equal dtype, shape and raw
+    bytes.  Unlike ``np.array_equal``, this tells 0.0 from -0.0."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.fixture(scope="session")
 def unit_system():
     """The constant rank-one scenario system on [0, 1]."""

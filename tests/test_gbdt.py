@@ -26,6 +26,8 @@ from cansys.system import (
 )
 from cansys.triangular import TriangularModel, conjugate_transform_model, transform_model
 
+from conftest import assert_bits
+
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -245,7 +247,7 @@ def test_order_one_rhs_is_the_matrix_form_bit_for_bit(rhs_system):
     params = sample_params(5, sys, n=1)
     rhs, expected = gbdt._evolve_rhs(params, sys.J, sys.hamiltonian), matrix_rhs(params, sys)
     for x, y in random_states(11, sys.m + 2, 1000):
-        assert np.array_equal(rhs(x, y), expected(x, y))
+        assert_bits(rhs(x, y), expected(x, y))
 
 
 def test_order_two_rhs_adjugate_is_the_inverse_to_rounding(rhs_system):
@@ -426,7 +428,7 @@ def test_transformed_fundamental_is_transfers_v_around_rk45_bitwise(request, nam
                                 method="rk45")
     v = transfer(traj, np.append(traj.system.xi, grid)[:, None], z).v
     v = np.moveaxis(v, 0, 1)  # (x, z) to (z, x)
-    assert np.array_equal(got.values, v[:, 1:] @ base.values @ np.linalg.inv(v[:, :1]))
+    assert_bits(got.values, v[:, 1:] @ base.values @ np.linalg.inv(v[:, :1]))
 
 
 @pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
@@ -437,7 +439,7 @@ def test_j_defect_is_the_conj_z_j_relation_bitwise(request, name):
         te = transfer(traj, x, z)
         w_a_conj = transfer(traj, x, np.conj(z)).w_a
         expected = np.linalg.norm(_adj(w_a_conj) @ J @ te.w_a - J, axis=(-2, -1))
-        assert np.array_equal(te.j_defect, expected)
+        assert_bits(te.j_defect, expected)
 
 
 @pytest.mark.parametrize("name", ["bundled_traj", "traj_n2"])
@@ -466,7 +468,7 @@ def test_transformed_beta_samples_are_the_dense_dressing_bitwise(request, name):
     traj = request.getfixturevalue(name)
     grid = traj.grid
     expected = traj.system.hamiltonian.beta_at(grid) @ w0_at(traj, grid)
-    assert np.array_equal(transformed_hamiltonian(traj).beta, expected)
+    assert_bits(transformed_hamiltonian(traj).beta, expected)
 
 
 def test_transformed_h_samples_are_the_dense_congruence_bitwise(diag_n1):
@@ -478,7 +480,7 @@ def test_transformed_h_samples_are_the_dense_congruence_bitwise(diag_n1):
     traj = evolve(diag_n1.to_gbdt_params(), sys_grid, tol=1e-10)
     w0 = w0_at(traj, traj.grid)
     expected = hermitian_part(_adj(w0) @ sys_grid.hamiltonian.hamiltonian(traj.grid) @ w0)
-    assert np.array_equal(transformed_hamiltonian(traj).h, expected)
+    assert_bits(transformed_hamiltonian(traj).h, expected)
 
 
 def _nearly_singular_trajectory(unit_system):

@@ -34,6 +34,7 @@ from cansys.system import (
     validate_system,
 )
 
+from conftest import assert_bits
 from rk45_reference import extrapolate_eta_sequence, limit_samples
 
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -81,6 +82,24 @@ def test_validate_rejects_non_hermitian_h_samples():
     assert report.min_h_eig == 1.0
 
 
+@pytest.mark.parametrize("size", [1.0, 1e6, 1e8])
+def test_validate_psd_check_scales_with_the_data(size):
+    # rounding puts the PSD defect of PSD data near u |H|, so large PSD
+    # grids pass, and a least eigenvalue of -1e-6 |H| fails at any size
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    x = np.linspace(0.0, 1.0, 9)
+    h = size * a @ _adj(a)
+    for spec in (HamiltonianSpec.from_grid(x, h),
+                 HamiltonianSpec.from_beta_grid(x, np.sqrt(size) * a[:, :1])):
+        assert validate_system(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
+                                               hamiltonian=spec)).ok
+    h[4] -= (np.linalg.eigvalsh(h[4])[0] + 1e-6 * np.linalg.norm(h[4])) * np.eye(2)
+    report = validate_system(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
+                                             hamiltonian=HamiltonianSpec.from_grid(x, h)))
+    assert report.violations == [f"H not PSD Hermitian at x_4 = {x[4]}"]
+
+
 def test_validate_rejects_a_hamiltonian_of_another_size():
     spec = HamiltonianSpec.from_constant_beta(np.ones((1, 3)), (0.0, 1.0))
     report = validate_system(CanonicalSystem(J=J_OFF, interval=(0.0, 1.0),
@@ -110,28 +129,46 @@ def _interp_stack_reference(xgrid, values, xq):
     return (1.0 - w)[:, None, None] * values[j - 1] + w[:, None, None] * values[j]
 
 
-@pytest.mark.parametrize("kind", ["beta", "h"])
+def _interpolation_cases(kind, x, rng):
+    """(samples, evaluate, spec) triples: a spec's beta or H samples at
+    m = 2, or for "shapes" (k, m) beta stacks with zero and -0.0 samples,
+    interpolated by _interp_stack itself."""
+    if kind == "shapes":
+        cases = []
+        for shape in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+            samples = _complex_stack(rng, (x.size,) + shape)
+            samples[[3, 8]] = 0.0
+            samples[[4, 9]] = complex(-0.0, -0.0)
+            samples[5, 0] = complex(-0.0, 0.0)
+            cases.append((samples, lambda t, s=samples: system._interp_stack(x, s, t),
+                          HamiltonianSpec(x, beta=samples)))
+        return cases
+    samples = _complex_stack(rng, (x.size, 2, 2))
+    spec = HamiltonianSpec(x, **{kind: samples})
+    if kind == "beta":
+        return [(samples, spec.beta_at, spec)]
+    return [(spec.h, lambda t: system._interp_stack(spec.x, spec.h, t), spec)]
+
+
+@pytest.mark.parametrize("kind", ["beta", "h", "shapes"])
 def test_interpolation_is_bit_identical_to_the_clip_formula(kind):
     rng = np.random.default_rng(11)
     x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]])
-    samples = rng.standard_normal((x.size, 2, 2)) + 1j * rng.standard_normal((x.size, 2, 2))
-    spec = HamiltonianSpec(x, **{kind: samples})
-    stack = samples if kind == "beta" else spec.h
-    evaluate = spec.beta_at if kind == "beta" else (
-        lambda t: system._interp_stack(spec.x, spec.h, t))
+    cases = _interpolation_cases(kind, x, rng)
     # outside [x_0, x_N] (where the end values hold), inside, and on nodes
     points = np.concatenate([[-0.3, 1.25, 0.37], rng.uniform(-0.2, 1.2, 500), x])
-    ref = _interp_stack_reference(x, stack, points)
-    assert np.array_equal(evaluate(points), ref)
-    assert np.array_equal(evaluate(points[:520].reshape(26, 20)),
-                          ref[:520].reshape(26, 20, 2, 2))
-    for i in (0, 1, 2, 503, 519):  # the first three, x_0 and x_N
-        assert np.array_equal(evaluate(float(points[i])), ref[i])
-        assert np.array_equal(evaluate(np.asarray(points[i])), ref[i])
-    # H at one point is the matching entry of the stacked evaluation
-    stacked = spec.hamiltonian(points)
-    assert all(np.array_equal(spec.hamiltonian(float(t)), h)
-               for t, h in zip(points, stacked))
+    for stack, evaluate, spec in cases:
+        ref = _interp_stack_reference(x, stack, points)
+        assert_bits(evaluate(points), ref)
+        assert_bits(evaluate(points[:520].reshape(26, 20)),
+                    ref[:520].reshape((26, 20) + stack.shape[1:]))
+        for i in (0, 1, 2, 503, 519):  # the first three, x_0 and x_N
+            assert_bits(evaluate(float(points[i])), ref[i])
+            assert_bits(evaluate(np.asarray(points[i])), ref[i])
+        # H at one point is the matching entry of the stacked evaluation
+        stacked = spec.hamiltonian(points)
+        for t, h in zip(points, stacked):
+            assert_bits(spec.hamiltonian(float(t)), h)
 
 
 def _interpolated_specs():
@@ -347,7 +384,7 @@ def test_constant_h_is_its_formula_bitwise_at_every_shape(kind):
     for point in (0.4, np.float64(0.4), np.asarray(0.4), points):
         h = spec.hamiltonian(point)
         assert h.shape == np.shape(point) + (2, 2)
-        assert np.array_equal(h, np.broadcast_to(expected, h.shape))
+        assert_bits(h, np.broadcast_to(expected, h.shape))
 
 
 # -- fundamental solutions ---------------------------------------------------
@@ -575,6 +612,45 @@ def _traceless(delta):
 ], ids=["nilpotent", "below-1e-4", "above-1e-4", "3e-3", "large-delta", "imag-tau"])
 def test_expm_small_matches_scipy(omega):
     assert _rel(_expm_small(omega), scipy.linalg.expm(omega)) <= 1e-14
+
+
+def _expm_small_everywhere(omega):
+    """The 2 x 2 closed form with cosh and sinh of every entry, the series
+    put in by np.where below |delta| = 1e-4."""
+    omega = np.asarray(omega, dtype=complex)
+    tau = 0.5 * (omega[0, 0] + omega[1, 1])
+    p = 0.5 * (omega[0, 0] - omega[1, 1])
+    d2 = p * p + omega[0, 1] * omega[1, 0]
+    delta = np.sqrt(d2)
+    small = np.abs(delta) < 1e-4
+    delta = np.where(small, 1.0, delta)
+    cosh = np.where(small, 1.0 + 0.5 * d2, np.cosh(delta))
+    sinhc = np.where(small, 1.0 + d2 / 6.0, np.sinh(delta) / delta)
+    scale = np.exp(tau)
+    cosh, sinhc = scale * cosh, scale * sinhc
+    out = np.empty_like(omega)
+    out[0, 0] = cosh + sinhc * p
+    out[1, 1] = cosh - sinhc * p
+    out[0, 1] = sinhc * omega[0, 1]
+    out[1, 0] = sinhc * omega[1, 0]
+    return out
+
+
+def test_expm_small_is_the_where_form_bitwise():
+    # exponents of delta from 1e-8 to 3 on either side of the switch
+    rng = np.random.default_rng(13)
+    deltas = np.concatenate([10.0 ** rng.uniform(-8, np.log10(0.99e-4), 40),
+                             10.0 ** rng.uniform(np.log10(1.01e-4), 0.5, 40)])
+    deltas = deltas * np.exp(1j * rng.uniform(0, 2 * np.pi, deltas.size))
+    tau = 0.3 * _complex_stack(rng, deltas.size)
+    omega = np.moveaxis(np.stack([t * np.eye(2) + _traceless(d)
+                                  for t, d in zip(tau, deltas)]), 0, -1)
+    mixed = rng.permutation(deltas.size)
+    for stack in (omega[..., :40], omega[..., 40:], omega[..., mixed],
+                  omega[..., mixed].reshape(2, 2, 8, 10), omega[..., :0]):
+        assert_bits(_expm_small(stack), _expm_small_everywhere(stack))
+    for j in (0, 39, 40, 79):  # one 2 x 2 matrix, small and large
+        assert_bits(_expm_small(omega[..., j]), _expm_small_everywhere(omega[..., j]))
 
 
 def test_expm_small_large_imaginary_tau():
@@ -1395,11 +1471,12 @@ def test_stacked_dense_output_is_scipys_bit_for_bit(unit_system, monkeypatch, me
         points.append(t)
         expected.append(sol(t).T)
         # one point alone, which scipy's RK45 multiplies out by another BLAS call
-        assert all(np.array_equal(dense(x), sol(x)) for x in t[::7])
+        for x in t[::7]:
+            assert_bits(dense(x), sol(x))
     points, expected = np.concatenate(points), np.concatenate(expected)
     assert np.isin(spec.kinks, points).all()
-    assert np.array_equal(dense(points), expected)
-    assert np.array_equal(dense(sys.xi), y0)
+    assert_bits(dense(points), expected)
+    assert_bits(dense(sys.xi), y0)
     for outside in (-1e-3, 1.0 + 1e-3):
         with pytest.raises(ValueError, match="outside the integrated range"):
             dense(np.array([0.5, outside]))

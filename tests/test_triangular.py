@@ -27,6 +27,8 @@ from cansys.triangular import (
     transform_model,
 )
 
+from conftest import assert_bits
+
 J_OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -579,11 +581,12 @@ def test_char_fn_large_n_matches_fundamental_solution():
     assert fro(got - ref) <= 10.0 / n**2 * fro(ref)
 
 
-def _square_psd_model(k):
+def _square_psd_model(k, seed=None):
     """J = I and a square PSD factor beta(x) = G(x) G(x)*, not diagonal for
     k > 1, and |beta| < 1: much larger blocks overlap the node spacing and
-    leave the dense eigensolve of the reference, not the probe, inexact."""
-    rng = np.random.default_rng(k)
+    leave the dense eigensolve of the reference, not the probe, inexact.
+    The generator is seeded by k unless a seed is given."""
+    rng = np.random.default_rng(k if seed is None else (k, seed))
     g0, g1 = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for _ in range(2))
     x = np.linspace(0.0, 1.0, 65)
     g = (g0 + np.sin(3.0 * x)[:, None, None] * g1) / (2.0 * k)
@@ -603,6 +606,56 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypat
         assert report.max_imag == pytest.approx(np.abs(eigs.imag).max(), rel=1e-10)
         assert report.inside_fraction == np.mean((eigs.real > -band) & (eigs.real < 1.0 + band))
         assert 0.0 < report.inside_fraction < 1.0
+
+
+def _probe_by_eigensolve(model, num_nodes):
+    """(max_imag, inside_fraction) from the whole midpoint spectrum: every
+    eigenvalue x_j + (i w / 2) lambda of one stacked Hermitian eigensolve."""
+    lo, hi = model.interval
+    step = (hi - lo) / num_nodes
+    nodes = lo + (np.arange(num_nodes) + 0.5) * step
+    beta = model.beta_at(nodes)
+    eigs = nodes[:, None] + 0.5j * step * np.linalg.eigvalsh(beta @ _adj(beta))
+    band = triangular.PROBE_BAND
+    inside = np.mean((eigs.real > lo - band) & (eigs.real < hi + band))
+    return float(np.abs(eigs.imag).max()), float(inside)
+
+
+@pytest.mark.parametrize("band", [triangular.PROBE_BAND, -0.25])
+def test_similarity_probe_is_the_eigensolve_bitwise_but_for_the_m2_top(band, monkeypatch):
+    # m = 2 takes the top eigenvalue in closed form, which may move by
+    # rounding; the inside fraction, and every m = 1, 3 report, are the bits
+    # of the whole spectrum
+    monkeypatch.setattr(triangular, "PROBE_BAND", band)
+    roundoff = np.finfo(float).eps / 2
+    for k in (1, 2, 3):
+        for seed in range(4):
+            model = _square_psd_model(k, seed)
+            for n in (16, 64, 256):
+                report = similarity_probe(model, n)
+                max_imag, inside = _probe_by_eigensolve(model, n)
+                assert_bits(report.inside_fraction, inside)
+                if k == 2:
+                    assert abs(report.max_imag - max_imag) <= 4 * roundoff * max_imag
+                else:
+                    assert_bits(report.max_imag, max_imag)
+            if k == 2:  # Gram matrices far from diagonal: the top needs |g01|
+                gram = model.beta @ _adj(model.beta)
+                assert np.all(np.abs(gram[:, 0, 1]) > 0.1 * np.abs(gram[:, 0, 0]))
+
+
+@pytest.mark.parametrize("size", [1.0, 1e6, 1e8])
+def test_similarity_probe_psd_check_scales_with_beta(size):
+    # rounding puts the PSD defect of PSD data near u |beta|, so large PSD
+    # grids pass, and a least eigenvalue of -1e-6 |beta| fails at any size
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    beta = size * a @ _adj(a)
+    x = np.linspace(0.0, 1.0, 9)
+    assert similarity_probe(TriangularModel((0.0, 1.0), np.eye(2), x, beta), 16).max_imag > 0
+    beta[4] -= (np.linalg.eigvalsh(beta[4])[0] + 1e-6 * np.linalg.norm(beta[4])) * np.eye(2)
+    with pytest.raises(ValueError, match=f"beta not PSD Hermitian at sample x = {x[4]}"):
+        similarity_probe(TriangularModel((0.0, 1.0), np.eye(2), x, beta), 16)
 
 
 def test_dense_view_has_a_size_guard(rank_one_model, structured_models):
