@@ -11,14 +11,13 @@ against direct integration of the dressed system.
 import numpy as np
 
 from cansys import (
-    CanonicalSystem,
     evolve,
     fundamental_solution,
     positivity_report,
     sample_params,
     transfer,
     transformed_fundamental,
-    transformed_hamiltonian,
+    transformed_system,
     validate_params,
 )
 from cansys import rank_one
@@ -36,8 +35,10 @@ print("displacement-identity residual along the grid:", traj.identity_residual)
 print("evolved S(0.5) vs closed form:",
       abs(traj.s_at(0.5)[0, 0] - diag.s_at(0.5)[0, 0]))
 
-# the dressed Hamiltonian keeps the factored, degenerate structure
-dressed = transformed_hamiltonian(traj)
+# the dressed system keeps the factored, degenerate structure: with base
+# point a it is a triangular model
+dressed = transformed_system(traj)
+print("dressed system:", type(dressed).__name__)
 print("dressed factor at x = 0.5:", np.round(dressed.beta_at(0.5), 6))
 
 # transfer matrices: J-property and the closed-form inverse of w0
@@ -48,10 +49,7 @@ print("w0 w0^{-1} - I:", te.w0_inv_residual)
 # dressed fundamental solution vs direct integration of the dressed system
 grid = np.linspace(0.0, 1.0, 21)
 via_multiplier = transformed_fundamental(traj, 2j, grid=grid, tol=1e-11)
-direct = fundamental_solution(
-    CanonicalSystem(J=system.J, interval=system.interval, hamiltonian=dressed),
-    2j, grid=grid, tol=1e-11, method="rk45",
-)
+direct = fundamental_solution(dressed, 2j, grid=grid, tol=1e-11, method="rk45")
 gap = max(fro(a - b) for a, b in zip(via_multiplier.values, direct.values))
 print("multiplier route vs direct integration:", gap)
 

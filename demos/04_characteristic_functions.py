@@ -23,7 +23,7 @@ from cansys import (
     evolve,
     resolvent_identity_check,
     transfer,
-    transform_model,
+    transformed_system,
     TriangularModel,
 )
 from cansys import rank_one
@@ -49,13 +49,13 @@ for num in (16, 32, 64, 128, 32768):
 check = resolvent_identity_check(discretize(model, 256), model, z)
 print("resolvent identity residual:", check.max_residual)
 
-# dressing the kernel factor conjugates the characteristic function by
-# the multiplier v: W~ = v(b, z) W v(a, z)^{-1}
+# the dressed system of the same data is a model with the kernel factor
+# beta w0, and its characteristic function is W~ = v(b, z) W v(a, z)^{-1}
 traj = evolve(
     rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0]).to_gbdt_params(),
     rank_one.make_system(1.0), grid=np.linspace(0, 1, 201), tol=1e-11,
 )
-dressed = transform_model(model, traj)
+dressed = transformed_system(traj)
 w_t = char_fn(discretize(dressed, 1024), z).value
 v_b = transfer(traj, 1.0, z).v
 v_a_inv = np.linalg.inv(transfer(traj, 0.0, z).v)

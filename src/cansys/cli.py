@@ -38,7 +38,9 @@ tolerance a config sets is ``ode_tol`` (default ``gbdt.ODE_TOL``), the
 accuracy every solve of the run aims for, the trajectory's included;
 every check has a fixed bound, tabled at the bound constants below.
 
-The ``transform`` task dresses the trajectory's stored grid samples.  Its
+The ``transform`` task writes the samples of ``gbdt.transformed_system``:
+the dense-output dressing on the trajectory grid plus the kinks of the
+base data.  Its
 ``transformed_kernel_bound_finite`` check is the degeneracy test that
 :func:`~cansys.system.kernel_bound` applies before it returns +inf
 (``system._degeneracy``): identical to ``kernel_bound(...).finite`` on
@@ -71,7 +73,7 @@ from .gbdt import (
     positivity_report,
     transfer,
     transformed_fundamental,
-    transformed_hamiltonian,
+    transformed_system,
     validate_params,
 )
 from .linalg import PSD_TOL, SingularMatrixError, _adj, fro, hermitian_part, psd_defect
@@ -477,12 +479,12 @@ class _Runner:
 
     def run_transform(self):
         traj = self.trajectory()
-        # dressed H on the trajectory grid, from the samples it stores
-        dressed = transformed_hamiltonian(traj)
+        # dressed H on the trajectory grid plus the base kinks
+        dressed = transformed_system(traj).hamiltonian
         h = dressed.h if dressed.beta is None else _adj(dressed.beta) @ dressed.beta
         self.check("transform", "transformed_psd_defect", np.max(psd_defect(h)),
                    PSD_TOL * 100)
-        self.emit("transformed_hamiltonian.csv", *_table(["x"], traj.grid, h))
+        self.emit("transformed_hamiltonian.csv", *_table(["x"], dressed.x, h))
         if dressed.is_factored:
             # kernel_bound's degeneracy test, without its O(N^2) supremum
             _, base_diag, base_degenerate = _degeneracy(self.system.hamiltonian,
@@ -494,7 +496,7 @@ class _Runner:
             if base_degenerate:
                 self.check("transform", "transformed_kernel_bound_finite",
                            0.0 if degenerate else 1.0, 0.0)
-            self.emit("transformed_beta.csv", *_table(["x"], traj.grid, dressed.beta))
+            self.emit("transformed_beta.csv", *_table(["x"], dressed.x, dressed.beta))
 
     def run_charfn(self, N, z):
         spec = self.system.hamiltonian

@@ -32,8 +32,9 @@ whole stack, which evaluates the points of each piece of the trajectory
 in one stacked pass, one stacked SVD (|S| for n = 1) that raises
 :class:`~cansys.linalg.SingularMatrixError` at the first x, in order,
 where S(x) is singular to working tolerance, and one stacked solve
-against S.  :func:`transformed_hamiltonian` passes the grid samples
-:func:`evolve` stored, and already checked, through the same solve alone.
+against S.  :func:`transformed_system` is the one builder of the
+dressed system: one :func:`w0_at` call on the trajectory grid plus the
+kinks of the base data gives its samples.
 """
 
 from __future__ import annotations
@@ -439,20 +440,16 @@ class TransferEval:
         return np.linalg.norm(self.w0 @ self.w0_inv - eye, axis=(-2, -1))[()]
 
 
-def _frame(traj, x, pi=None, s=None):
-    """Pi(x), S^{-1} (B - x) and S^{-1} Pi at every point of the float
-    array x: the one place where S is solved against, one stacked solve.
-
-    Without samples, x must be finite, and (Pi, S) come from one
-    dense-output call for the whole stack, with S checked by one stacked
-    SVD (see :func:`_check_s`) at the trajectory's S scale.  Only the grid
-    samples :func:`evolve` stored, and checked at that scale, are passed
-    in as ``pi`` and ``s``.
+def _frame(traj, x):
+    """Pi(x), S^{-1} (B - x) and S^{-1} Pi at every point of the finite
+    float array x: the one place where S is solved against, one stacked
+    solve.  (Pi, S) come from one dense-output call for the whole stack,
+    with S checked by one stacked SVD (see :func:`_check_s`) at the
+    trajectory's S scale.
     """
-    if s is None:
-        system._require_finite("x", x)
-        pi, s, _ = traj.state_at(x)
-        _check_s(x, s, traj.s_scale)
+    system._require_finite("x", x)
+    pi, s, _ = traj.state_at(x)
+    _check_s(x, s, traj.s_scale)
     bx = traj.params.B - x[..., None, None] * np.eye(traj.n)
     sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
     return pi, sol[..., : traj.n], sol[..., traj.n :]
@@ -522,35 +519,44 @@ def transfer(traj, x, z):
     )
 
 
-def transformed_hamiltonian(traj):
-    """Dressed Hamiltonian H~ = w0* H w0 on the trajectory grid.
+def transformed_system(traj):
+    """The dressed canonical system, H~ = w0* H w0, on the base system's
+    J, interval and base point.
 
-    For factored input the dressed factor beta~ = beta w0 is emitted
-    (grid samples plus an exact callable along the trajectory); otherwise
-    an H-grid with an exact callable is returned.  Both callables take a
-    point or an array of points.  The grid samples dress the (Pi, S) that
-    :func:`evolve` stored there, which are the dense output at the grid
-    bit for bit, so w0 at the grid costs no second dense-output call, and
-    no second check of S: :func:`evolve` checked these samples at the same
-    scale.
+    Its samples sit on the trajectory grid plus the kinks of the base
+    data inside the grid's span, so the routes that break at sample
+    nodes meet the kinks H~ inherits, and they come from one
+    :func:`w0_at` call (on the grid, the dressing of the samples
+    :func:`evolve` stored, bit for bit).  Factored data give the dressed
+    factor beta~ = beta w0, and with base point a the result is a
+    :class:`~cansys.triangular.TriangularModel`; other data give an
+    H-grid of the congruence.  An exact callable along the trajectory,
+    taking a point or an array of points, takes precedence over the
+    samples.
     """
-    spec = traj.system.hamiltonian
-    grid = traj.grid
-    w0_grid = _w0(traj, *_frame(traj, grid, traj.pi, traj.s)[:2])
+    from .triangular import TriangularModel
+
+    sys = traj.system
+    spec = sys.hamiltonian
+    grid, kinks = traj.grid, spec.kinks
+    x = np.union1d(grid, kinks[(kinks > grid.min()) & (kinks < grid.max())])
+    w0 = w0_at(traj, x)
     if spec.is_factored:
-        def dressed_beta(x):
-            return spec.beta_at(x) @ w0_at(traj, x)
+        def dressed_beta(t):
+            return spec.beta_at(t) @ w0_at(traj, t)
 
-        return HamiltonianSpec.from_beta_grid(
-            grid, spec.beta_at(grid) @ w0_grid, beta_fn=dressed_beta
-        )
+        beta = spec.beta_at(x) @ w0
+        if sys.xi == sys.interval[0]:
+            return TriangularModel(sys.interval, sys.J, x, beta, beta_fn=dressed_beta)
+        dressed = HamiltonianSpec.from_beta_grid(x, beta, beta_fn=dressed_beta)
+    else:
+        def dressed_h(t):
+            w = w0_at(traj, t)
+            return _adj(w) @ spec.hamiltonian(t) @ w
 
-    def dressed_h(x):
-        w0 = w0_at(traj, x)
-        return _adj(w0) @ spec.hamiltonian(x) @ w0
-
-    h = _adj(w0_grid) @ spec.hamiltonian(grid) @ w0_grid
-    return HamiltonianSpec(grid, h=hermitian_part(h), h_fn=dressed_h)
+        h = _adj(w0) @ spec.hamiltonian(x) @ w0
+        dressed = HamiltonianSpec(x, h=hermitian_part(h), h_fn=dressed_h)
+    return CanonicalSystem(sys.J, sys.interval, dressed, xi=sys.xi)
 
 
 def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
@@ -604,12 +610,12 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
     Primary route: W~(x, s +/- i0) = v(x, s) W+-(x, s) v(xi, s)^{-1},
     built from the base-system limits of :func:`boundary_values`.  As an
     independent check, :func:`boundary_values` also runs on the dressed
-    system itself, with the Hamiltonian of :func:`transformed_hamiltonian`;
-    the larger Frobenius difference of the two routes over the + and -
-    limits is reported as ``cross_check_error``.  The report is
-    ``converged`` only when both refinements converged, and ``divergent``
-    when either diverged: a cross-check that stopped at the panel cap
-    leaves its error unconfirmed.
+    system itself, :func:`transformed_system`, whose samples hold the
+    kinks of the base data; the larger Frobenius difference of the two
+    routes over the + and - limits is reported as ``cross_check_error``.
+    The report is ``converged`` only when both refinements converged, and
+    ``divergent`` when either diverged: a cross-check that stopped at the
+    panel cap leaves its error unconfirmed.
     """
     sys = traj.system
     eigs = np.linalg.eigvals(traj.params.B)
@@ -618,10 +624,7 @@ def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):
     if np.abs(eigs - s).min() < spectrum_margin:
         raise ValueError(f"s = {s} within the spectrum margin of sigma(B)")
     base = boundary_values(sys, x, s, tol=tol)
-    dressed = CanonicalSystem(
-        sys.J, sys.interval, transformed_hamiltonian(traj), xi=sys.xi
-    )
-    direct = boundary_values(dressed, x, s, tol=tol)
+    direct = boundary_values(transformed_system(traj), x, s, tol=tol)
     v = transfer(traj, [x, sys.xi], s).v
     v_x, v_xi_inv = v[0], np.linalg.inv(v[1])
     w_plus = v_x @ base.w_plus @ v_xi_inv

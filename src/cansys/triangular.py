@@ -37,8 +37,10 @@ structure need O(N) memory:
 
 The dense matrix is assembled only on demand, for the node-identity and
 resolvent-identity diagnostics, which check the sweep independently.
-Dressing applies at the operator level: a dressed model is a model, and
-every function here takes it as it takes the original.
+Dressing applies at the operator level: :func:`cansys.gbdt.transformed_system`
+dresses a model into the model with kernel factor beta w0, and
+:func:`conjugate_transform_model` into the one with w0* beta w0 (J = I);
+every function here takes either as it takes the original.
 """
 
 from __future__ import annotations
@@ -394,21 +396,6 @@ def resolvent_identity_check(op, model, z, tol=ODE_TOL):
     res = np.linalg.norm(got - expected, axis=(1, 2))
     j = int(np.argmax(res))
     return ResolventCheck(z=z, max_residual=float(res[j]), argmax_node=float(x[j]))
-
-
-def transform_model(model, traj):
-    """Dress the kernel factor: beta~ = beta w0 along the trajectory.
-
-    The characteristic functions of the two models are then connected by
-    W~(z) = v(b, z) W(z) v(a, z)^{-1}.
-    """
-    from .gbdt import w0_at
-
-    def dressed(x):
-        return model.beta_at(x) @ w0_at(traj, x)
-
-    return TriangularModel(interval=model.interval, J=model.J, x=model.x,
-                           beta=dressed(model.x), beta_fn=dressed)
 
 
 def conjugate_transform_model(model, traj):

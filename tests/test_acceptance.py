@@ -19,12 +19,11 @@ from cansys.gbdt import (
     sample_params,
     transfer,
     transformed_fundamental,
-    transformed_hamiltonian,
+    transformed_system,
 )
 from cansys.linalg import cond2, fro
 from cansys.scenarios import scenario_path
 from cansys.system import (
-    CanonicalSystem,
     boundary_values,
     fundamental_solution,
     kernel_bound,
@@ -35,7 +34,6 @@ from cansys.triangular import (
     char_fn_via_fundamental,
     discretize,
     similarity_probe,
-    transform_model,
 )
 
 ODE_TOL = 1e-9
@@ -87,11 +85,7 @@ def test_criterion_2_transform_consistency(scenario_system):
     for seed in range(20):
         params = sample_params(seed, scenario_system, n=1 + seed % 4)
         traj = evolve(params, scenario_system, grid=grid, tol=1e-10)
-        dressed_sys = CanonicalSystem(
-            J=scenario_system.J,
-            interval=scenario_system.interval,
-            hamiltonian=transformed_hamiltonian(traj),
-        )
+        dressed_sys = transformed_system(traj)
         poles = np.linalg.eigvals(params.B)
         picked = []
         while len(picked) < 5:
@@ -263,7 +257,7 @@ def test_criterion_8_transformed_characteristic(scenario_system):
     model = TriangularModel.from_constant_beta(
         rank_one.BETA, scenario_system.interval, scenario_system.J
     )
-    dressed = transform_model(model, traj)
+    dressed = transformed_system(traj)
     worst = 0.0
     for z in (2j, 1.5 + 1.0j, -0.8 + 0.9j):
         w_t = char_fn(discretize(dressed, 1024), z).value
@@ -283,8 +277,8 @@ def test_criterion_9_kernel_bound_transfer(scenario_system, seed_suite):
     assert base.finite and base.sup_bound == 0.0
     worst = 0.0
     for traj in trajectories:
-        dressed = transformed_hamiltonian(traj)
-        report = kernel_bound(dressed, scenario_system.J)
+        dressed = transformed_system(traj)
+        report = kernel_bound(dressed.hamiltonian, scenario_system.J)
         ok_one = report.finite
         worst = max(worst, report.sup_bound if ok_one else np.inf)
         if not ok_one:

@@ -8,7 +8,7 @@ from cansys import cli, system
 from cansys.cli import main
 from cansys.gbdt import GbdtTrajectory
 from cansys.scenarios import scenario_path
-from cansys.system import HamiltonianSpec
+from cansys.triangular import TriangularModel
 
 #: The example-n1 checks and their fixed bounds.
 N1_BOUNDS = {"n1_s_residual": 1e-8, "n1_beta_residual": 1e-8, "n1_wa_residual": 1e-9,
@@ -701,10 +701,11 @@ def test_example_n1_checks_fail_on_a_perturbed_trajectory(tmp_path, monkeypatch)
 def test_transform_checks_fail_on_a_non_degenerate_dressed_factor(tmp_path, monkeypatch):
     # beta~ = [1, 1] has beta~ J beta~* = 2: the degeneracy test must see it
     def non_degenerate(traj):
-        return HamiltonianSpec.from_beta_grid(
-            traj.grid, np.ones((traj.grid.size, 1, 2), dtype=complex))
+        sys = traj.system
+        return TriangularModel(sys.interval, sys.J, traj.grid,
+                               np.ones((traj.grid.size, 1, 2), dtype=complex))
 
-    monkeypatch.setattr(cli, "transformed_hamiltonian", non_degenerate)
+    monkeypatch.setattr(cli, "transformed_system", non_degenerate)
     path = write_config(tmp_path, bundled_config(["transform"]))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 1

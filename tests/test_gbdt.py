@@ -11,7 +11,7 @@ from cansys.gbdt import (
     transfer,
     transformed_boundary_values,
     transformed_fundamental,
-    transformed_hamiltonian,
+    transformed_system,
     validate_params,
     w0_at,
 )
@@ -24,7 +24,7 @@ from cansys.system import (
     j_monotonicity_defect,
     kernel_bound,
 )
-from cansys.triangular import TriangularModel, conjugate_transform_model, transform_model
+from cansys.triangular import TriangularModel, conjugate_transform_model
 
 from conftest import assert_bits
 
@@ -468,7 +468,7 @@ def test_transformed_beta_samples_are_the_dense_dressing_bitwise(request, name):
     traj = request.getfixturevalue(name)
     grid = traj.grid
     expected = traj.system.hamiltonian.beta_at(grid) @ w0_at(traj, grid)
-    assert_bits(transformed_hamiltonian(traj).beta, expected)
+    assert_bits(transformed_system(traj).hamiltonian.beta, expected)
 
 
 def test_transformed_h_samples_are_the_dense_congruence_bitwise(diag_n1):
@@ -480,7 +480,7 @@ def test_transformed_h_samples_are_the_dense_congruence_bitwise(diag_n1):
     traj = evolve(diag_n1.to_gbdt_params(), sys_grid, tol=1e-10)
     w0 = w0_at(traj, traj.grid)
     expected = hermitian_part(_adj(w0) @ sys_grid.hamiltonian.hamiltonian(traj.grid) @ w0)
-    assert_bits(transformed_hamiltonian(traj).h, expected)
+    assert_bits(transformed_system(traj).hamiltonian.h, expected)
 
 
 def _nearly_singular_trajectory(unit_system):
@@ -493,28 +493,11 @@ def _nearly_singular_trajectory(unit_system):
 
 def test_w0_and_dressed_hamiltonian_check_s(unit_system):
     traj = _nearly_singular_trajectory(unit_system)
-    dressed = transformed_hamiltonian(traj)
+    dressed = transformed_system(traj).hamiltonian
     for evaluate in (lambda: w0_at(traj, 0.5), lambda: dressed.hamiltonian(0.5)):
         with pytest.raises(SingularMatrixError) as excinfo:
             evaluate()
         assert excinfo.value.location == pytest.approx(0.5)
-
-
-def test_grid_dressing_does_not_recheck_what_evolve_checked(traj_n1, monkeypatch):
-    # evolve checked S on its grid at the scale it took there; the dense
-    # output at any other x is checked once per call
-    calls = []
-    check_s = gbdt._check_s
-
-    def counting(*args):
-        calls.append(args)
-        return check_s(*args)
-
-    monkeypatch.setattr(gbdt, "_check_s", counting)
-    transformed_hamiltonian(traj_n1)
-    assert calls == []
-    w0_at(traj_n1, 0.37)
-    assert len(calls) == 1
 
 
 def test_transfer_names_first_singular_point(unit_system):
@@ -547,19 +530,19 @@ def test_transfer_rejects_spectrum_of_b(traj_n1):
 
 def test_transformed_hamiltonian_trivial(unit_system):
     traj = evolve(trivial_params(), unit_system, tol=1e-10)
-    dressed = transformed_hamiltonian(traj)
+    dressed = transformed_system(traj).hamiltonian
     for x in (0.0, 0.5, 1.0):
         assert fro(dressed.hamiltonian(x) - rank_one.hamiltonian()) < 1e-8
 
 
 def test_transformed_hamiltonian_matches_closed_form(traj_n1, diag_n1):
-    dressed = transformed_hamiltonian(traj_n1)
+    dressed = transformed_system(traj_n1).hamiltonian
     for x in np.linspace(0.0, 1.0, 11):
         assert fro(dressed.hamiltonian(x) - diag_n1.h_t_at(x)) < 1e-8
 
 
 def test_transformed_hamiltonian_preserves_rank(traj_n1):
-    dressed = transformed_hamiltonian(traj_n1)
+    dressed = transformed_system(traj_n1).hamiltonian
     for x in (0.2, 0.7):
         eigs = np.sort(np.linalg.eigvalsh(hermitian_part(dressed.hamiltonian(x))))
         assert abs(eigs[0]) < 1e-10  # still rank one
@@ -567,7 +550,7 @@ def test_transformed_hamiltonian_preserves_rank(traj_n1):
 
 
 def test_transformed_beta_degeneracy_and_kernel_bound(unit_system, traj_n1):
-    dressed = transformed_hamiltonian(traj_n1)
+    dressed = transformed_system(traj_n1).hamiltonian
     assert dressed.is_factored
     report = kernel_bound(dressed, unit_system.J)
     assert report.degeneracy_defect <= 1e-9
@@ -583,7 +566,7 @@ def test_transformed_hamiltonian_grid_fallback(unit_system, diag_n1):
     )
     traj = evolve(diag_n1.to_gbdt_params(), sys_grid,
                   grid=np.linspace(0, 1, 51), tol=1e-11)
-    dressed = transformed_hamiltonian(traj)
+    dressed = transformed_system(traj).hamiltonian
     assert not dressed.is_factored
     for xx in (0.3, 0.8):
         assert fro(dressed.hamiltonian(xx) - diag_n1.h_t_at(xx)) < 1e-7
@@ -599,7 +582,6 @@ def dressed_callables(traj_n1, diag_n1):
     )
     traj_grid = evolve(diag_n1.to_gbdt_params(), sys_grid,
                        grid=np.linspace(0, 1, 51), tol=1e-11)
-    rank_one_model = TriangularModel.from_constant_beta(rank_one.BETA, (0.0, 1.0), J_OFF)
     # J = I with k = m = 2 for the conjugated dressing; its w0 is not Hermitian
     beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) + 0.3j * xx * J_OFF for xx in x])
     sys_id = CanonicalSystem(J=np.eye(2), interval=(0.0, 1.0),
@@ -609,16 +591,15 @@ def dressed_callables(traj_n1, diag_n1):
     assert np.min(np.linalg.norm(w0 - _adj(w0), axis=(1, 2))) > 1e-3
     square_model = TriangularModel(interval=(0.0, 1.0), J=np.eye(2), x=x, beta=beta)
     return {
-        "factored": transformed_hamiltonian(traj_n1).beta_fn,
-        "h-grid": transformed_hamiltonian(traj_grid).h_fn,
-        "transform_model": transform_model(rank_one_model, traj_n1).beta_fn,
+        "factored": transformed_system(traj_n1).beta_fn,
+        "h-grid": transformed_system(traj_grid).hamiltonian.h_fn,
         "conjugate_transform_model":
             conjugate_transform_model(square_model, traj_id).beta_fn,
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["factored", "h-grid", "transform_model", "conjugate_transform_model"]
+    "name", ["factored", "h-grid", "conjugate_transform_model"]
 )
 def test_dressed_callables_take_arrays(dressed_callables, name):
     # one call on an array of points gives the stack of the scalar calls
@@ -638,10 +619,7 @@ def test_transformed_fundamental_normalisation(traj_n1):
 
 def test_transformed_fundamental_vs_direct_integration(unit_system, traj_n1):
     # dress-then-solve against solve-the-dressed-system
-    dressed_spec = transformed_hamiltonian(traj_n1)
-    dressed_sys = CanonicalSystem(
-        J=unit_system.J, interval=unit_system.interval, hamiltonian=dressed_spec
-    )
+    dressed_sys = transformed_system(traj_n1)
     grid = np.linspace(0.0, 1.0, 21)
     for z in (2j, -0.8 + 0.6j):
         via_multiplier = transformed_fundamental(traj_n1, z, grid=grid, tol=1e-11)
@@ -732,7 +710,7 @@ def test_transformed_boundary_values_dressed_system_check(traj_n1, s):
 def test_transformed_boundary_values_cross_check_can_fail(traj_n1, monkeypatch):
     # run the check on the undressed system: the two routes must disagree
     monkeypatch.setattr(
-        gbdt, "transformed_hamiltonian", lambda traj: traj.system.hamiltonian
+        gbdt, "transformed_system", lambda traj: traj.system
     )
     report = transformed_boundary_values(traj_n1, 1.0, 0.5, tol=1e-11)
     assert report.cross_check_error > 1.0
@@ -743,8 +721,7 @@ def test_transformed_boundary_values_need_both_refinements_converged(traj_n1):
     # stops at the panel cap short of tol
     s, tol = 0.7, 1e-10
     sys = traj_n1.system
-    dressed = CanonicalSystem(sys.J, sys.interval, transformed_hamiltonian(traj_n1))
-    direct = boundary_values(dressed, 1.0, s, tol=tol)
+    direct = boundary_values(transformed_system(traj_n1), 1.0, s, tol=tol)
     assert direct.panels > system.MAX_CUT_PANELS and not direct.converged
     assert boundary_values(sys, 1.0, s, tol=tol).converged
     report = transformed_boundary_values(traj_n1, 1.0, s, tol=tol)
@@ -777,6 +754,55 @@ def test_transformed_jump_is_conjugated_base_jump(unit_system, traj_n1):
     v_xi = transfer(traj_n1, 0.0, s).v
     expected = v_xi @ base.jump @ np.linalg.inv(v_xi)
     assert fro(dressed.jump - expected) <= 1e-3
+
+
+def drawn_zigzag_trajectory(seed):
+    """An n = 1 draw evolved on a seeded zigzag profile, with a point s
+    inside a profile panel: beta = c(x) [1, i] on 33 nodes, c a sine of
+    seeded phase plus a zigzag of seeded sign, so every node is a kink."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, 33)
+    zigzag = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(x.size)
+    c = 1.0 + 0.4 * np.sin(2 * np.pi * (x + rng.uniform())) + 0.02 * zigzag
+    sys = CanonicalSystem(
+        J=J_OFF, interval=(0.0, 1.0),
+        hamiltonian=HamiltonianSpec.from_beta_grid(x, c[:, None, None] * rank_one.BETA),
+    )
+    traj = evolve(sample_params(seed, sys, n=1), sys, tol=1e-11)
+    s = x[rng.integers(2, x.size - 3)] + rng.uniform(0.3, 0.7) * (x[1] - x[0])
+    return traj, s
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def kinked(request):
+    return drawn_zigzag_trajectory(request.param)
+
+
+def test_transformed_boundary_values_converge_on_a_kinked_base(kinked):
+    # the dressed system's samples hold the base kinks, so its cut limits
+    # converge and agree with the multiplier route
+    traj, s = kinked
+    report = transformed_boundary_values(traj, 1.0, s, tol=1e-8)
+    assert report.converged
+    assert report.cross_check_error <= 1e-8
+
+
+def test_dressed_system_of_a_kinked_base_keeps_its_kinks(kinked):
+    traj, _ = kinked
+    dressed = transformed_system(traj)
+    assert np.isin(traj.system.hamiltonian.kinks, dressed.x).all()
+    sol = fundamental_solution(dressed, 0.4 + 0.5j, tol=1e-8)
+    assert sol.converged and sol.panels <= system.MAX_CUT_PANELS
+
+
+def test_dressed_system_samples_the_kinks_within_the_grid():
+    # the trajectory covers [0, 0.5] only: kinks past it are not sampled
+    sys = zigzag_system()
+    traj = evolve(sample_params(1, sys, n=1), sys, grid=np.linspace(0.0, 0.5, 11),
+                  tol=1e-10)
+    kinks = sys.hamiltonian.kinks
+    expected = np.union1d(traj.grid, kinks[kinks < 0.5])
+    assert_bits(transformed_system(traj).x, expected)
 
 
 def test_transformed_boundary_values_spectrum_margin(unit_system):
@@ -820,18 +846,15 @@ def test_dressing_varying_degenerate_base():
     )
     params = sample_params(11, sys_var, n=2, positive=True)
     traj = evolve(params, sys_var, grid=np.linspace(0, 1, 101), tol=1e-10)
-    dressed = transformed_hamiltonian(traj)
+    dressed = transformed_system(traj)
     base = kernel_bound(sys_var.hamiltonian, sys_var.J)
-    out = kernel_bound(dressed, sys_var.J)
+    out = kernel_bound(dressed.hamiltonian, sys_var.J)
     assert base.finite and out.finite
     assert out.degeneracy_defect <= 1e-9
     # dressed solution still solves the dressed system
     grid = np.linspace(0.0, 1.0, 9)
     z = 1.1 + 0.9j
-    direct = fundamental_solution(
-        CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=dressed),
-        z, grid=grid, tol=1e-10, method="rk45",
-    )
+    direct = fundamental_solution(dressed, z, grid=grid, tol=1e-10, method="rk45")
     via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-10)
     gap = max(fro(a - b) for a, b in zip(via_multiplier.values, direct.values))
     assert gap <= 1e-6
@@ -849,10 +872,9 @@ def test_interior_base_point_end_to_end():
     assert fro(traj.k_at(0.5) - np.eye(2)) < 1e-12
     grid = np.linspace(0.0, 1.0, 9)
     z = 0.4 + 1.1j
-    dressed_sys = CanonicalSystem(
-        J=J_OFF, interval=(0.0, 1.0),
-        hamiltonian=transformed_hamiltonian(traj), xi=0.5,
-    )
+    dressed_sys = transformed_system(traj)
+    # factored data off the base point a: a canonical system, not a model
+    assert not isinstance(dressed_sys, TriangularModel) and dressed_sys.xi == 0.5
     via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-11)
     direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11, method="rk45")
     assert fro(via_multiplier.values[4] - np.eye(2)) < 1e-12  # x = xi

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cansys import rank_one, triangular
-from cansys.gbdt import evolve, sample_params, transfer, w0_at
+from cansys.gbdt import evolve, sample_params, transfer, transformed_system, w0_at
 from cansys.linalg import SingularMatrixError, _adj, fro
 from cansys.system import (
     CanonicalSystem,
@@ -24,7 +24,6 @@ from cansys.triangular import (
     discretize,
     resolvent_identity_check,
     similarity_probe,
-    transform_model,
 )
 
 from conftest import assert_bits
@@ -240,7 +239,8 @@ def test_transform_model_trivial(unit_system, rank_one_model):
 
     params = GbdtParams(B=np.diag([2.0, -1.0]), S0=np.eye(2), Pi0=np.zeros((2, 2)))
     traj = evolve(params, unit_system, tol=1e-10)
-    dressed = transform_model(rank_one_model, traj)
+    dressed = transformed_system(traj)
+    assert isinstance(dressed, TriangularModel)  # factored data, base point a
     assert max(fro(b - rank_one.BETA) for b in dressed.beta) < 1e-8
     z = 2j
     w = char_fn(discretize(rank_one_model, 128), z).value
@@ -250,7 +250,7 @@ def test_transform_model_trivial(unit_system, rank_one_model):
 
 def test_transform_model_multiplier_relation(rank_one_model, traj_n1):
     # W~(z) = v(b, z) W(z) v(a, z)^{-1}, both sides computed independently
-    dressed = transform_model(rank_one_model, traj_n1)
+    dressed = transformed_system(traj_n1)
     z = 2j
     w_t = char_fn(discretize(dressed, 1024), z).value
     w = char_fn(discretize(rank_one_model, 1024), z).value
@@ -259,8 +259,8 @@ def test_transform_model_multiplier_relation(rank_one_model, traj_n1):
     assert fro(w_t - v_b @ w @ v_a_inv) <= 1e-2
 
 
-def test_transformed_char_fn_tends_to_identity(rank_one_model, traj_n1):
-    dressed = transform_model(rank_one_model, traj_n1)
+def test_transformed_char_fn_tends_to_identity(traj_n1):
+    dressed = transformed_system(traj_n1)
     op = discretize(dressed, 256)
     assert fro(char_fn(op, 1e6 + 1e6j).value - np.eye(2)) < 1e-4
 
@@ -271,7 +271,7 @@ def test_transform_commutes_with_discretisation(rank_one_model, traj_n1):
     z = 1.0 + 1.5j
     v_b = transfer(traj_n1, 1.0, z).v
     v_a_inv = np.linalg.inv(transfer(traj_n1, 0.0, z).v)
-    dressed = transform_model(rank_one_model, traj_n1)
+    dressed = transformed_system(traj_n1)
     gaps = []
     for n in (64, 256, 1024):
         w_t = char_fn(discretize(dressed, n), z).value
@@ -383,7 +383,7 @@ def test_conjugate_transform_distinct_from_right_transform(rank_one_model, traj_
     sys_id = CanonicalSystem(J=np.eye(2), interval=interval, hamiltonian=spec)
     traj = evolve(sample_params(7, sys_id, n=2), sys_id, tol=1e-10)
     model = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
-    right = transform_model(model, traj)
+    right = transformed_system(traj)
     conj = conjugate_transform_model(model, traj)
     assert fro(right.beta_at(0.5) - conj.beta_at(0.5)) > 1e-6
 
