@@ -35,11 +35,10 @@ print("displacement-identity residual along the grid:", traj.identity_residual)
 print("evolved S(0.5) vs closed form:",
       abs(traj.s_at(0.5)[0, 0] - diag.s_at(0.5)[0, 0]))
 
-# the dressed system keeps the factored, degenerate structure: with base
-# point a it is a triangular model
+# the dressed system keeps the factored, degenerate structure: its factor
+# is beta w0, and the triangular routes take it as they take any model
 dressed = transformed_system(traj)
-print("dressed system:", type(dressed).__name__)
-print("dressed factor at x = 0.5:", np.round(dressed.beta_at(0.5), 6))
+print("dressed factor at x = 0.5:", np.round(dressed.hamiltonian.beta_at(0.5), 6))
 
 # transfer matrices: J-property and the closed-form inverse of w0
 te = transfer(traj, 0.5, 2j)

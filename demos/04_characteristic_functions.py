@@ -49,8 +49,9 @@ for num in (16, 32, 64, 128, 32768):
 check = resolvent_identity_check(discretize(model, 256), model, z)
 print("resolvent identity residual:", check.max_residual)
 
-# the dressed system of the same data is a model with the kernel factor
-# beta w0, and its characteristic function is W~ = v(b, z) W v(a, z)^{-1}
+# the dressed system of the same data is a factored system with the kernel
+# factor beta w0, which discretize takes as it takes the model; its
+# characteristic function is W~ = v(b, z) W v(a, z)^{-1}
 traj = evolve(
     rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0]).to_gbdt_params(),
     rank_one.make_system(1.0), grid=np.linspace(0, 1, 201), tol=1e-11,

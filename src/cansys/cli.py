@@ -99,7 +99,8 @@ SCHEMA_VERSION = 1
 
 #: Fixed check bounds, which no config moves.  Besides these six, the evolve
 #: residuals take 10 ode_tol, params_identity_residual 1e-10,
-#: transformed_psd_defect 100 PSD_TOL, transformed_degeneracy DEGENERACY_TOL
+#: transformed_psd_defect 100 PSD_TOL (relative to max(1, |H~|_F), as
+#: linalg.psd_bound), transformed_degeneracy DEGENERACY_TOL
 #: and probe_outside_fraction_N* 1e-2; every other check must read 0.
 CHARFN_TOL = 1e-2  # charfn_max_rel_error
 JUMP_TOL = 1e-3  # jump_max_error
@@ -482,8 +483,10 @@ class _Runner:
         # dressed H on the trajectory grid plus the base kinks
         dressed = transformed_system(traj).hamiltonian
         h = dressed.h if dressed.beta is None else _adj(dressed.beta) @ dressed.beta
-        self.check("transform", "transformed_psd_defect", np.max(psd_defect(h)),
-                   PSD_TOL * 100)
+        # psd_bound's criterion: the defect relative to max(1, |H~_j|_F)
+        scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        self.check("transform", "transformed_psd_defect",
+                   np.max(psd_defect(h) / scale), PSD_TOL * 100)
         self.emit("transformed_hamiltonian.csv", *_table(["x"], dressed.x, h))
         if dressed.is_factored:
             # kernel_bound's degeneracy test, without its O(N^2) supremum
@@ -499,9 +502,8 @@ class _Runner:
             self.emit("transformed_beta.csv", *_table(["x"], dressed.x, dressed.beta))
 
     def run_charfn(self, N, z):
-        spec = self.system.hamiltonian
-        model = TriangularModel(interval=self.system.interval, J=self.system.J,
-                                x=spec.x, beta=spec.beta, beta_fn=spec.beta_fn)
+        # the model is the system with base point a, whatever the config's xi
+        model = CanonicalSystem(self.system.J, self.system.interval, self.system.hamiltonian)
         op = discretize(model, N)
         values = [char_fn(op, point).value for point in z]
         # one stacked RK45 solve for every z: the reference shares no route

@@ -25,16 +25,20 @@ used everywhere (once per right-hand side evaluation of the evolution).
 pair DOP853, restarted at every kink of interpolated H data.
 
 :func:`transfer` is the one evaluator of w_A, w0, w0^{-1} and v: every
-dressed object takes its v from it.  It, :func:`w0_at` and
-:func:`g0_eval` take arrays of x (and z) and evaluate them as one batch.
-They all read (Pi, S) through one frame: one dense-output call for the
-whole stack, which evaluates the points of each piece of the trajectory
-in one stacked pass, one stacked SVD (|S| for n = 1) that raises
+dressed object takes its v from it.  It and :func:`w0_at` take arrays
+of x (and z) and evaluate them as one batch.  Both read (Pi, S) through
+one frame: one dense-output call for the whole stack, which evaluates
+the points of each piece of the trajectory in one stacked pass, one
+stacked SVD (|S| for n = 1) that raises
 :class:`~cansys.linalg.SingularMatrixError` at the first x, in order,
 where S(x) is singular to working tolerance, and one stacked solve
 against S.  :func:`transformed_system` is the one builder of the
-dressed system: one :func:`w0_at` call on the trajectory grid plus the
-kinks of the base data gives its samples.
+dressed system, a plain :class:`~cansys.system.CanonicalSystem` for
+every base: one :func:`w0_at` call on the trajectory grid plus the
+kinks of the base data gives its samples.  A factored base gives the
+factor beta w0, which the routes of :mod:`cansys.triangular` take as
+they take any factored system: the paper's one dressing of the
+triangular model.
 """
 
 from __future__ import annotations
@@ -367,8 +371,10 @@ class PositivityReport:
 
     ``q_step_defect`` is the worst negative eigenvalue of a Q increment
     (Q must be nondecreasing); ``inverse_bound_defect`` the worst
-    violation of S(x)^{-1} <= K(x)* S(xi)^{-1} K(x), the inverse of the
-    lower bound S(x) >= K(x)^{-1} S(xi) K(x)^{-*}.
+    violation of the inverse bound that monotone Q = K S K* gives on each
+    side of xi.  For x >= xi, Q(x) >= Q(xi) = S(xi) gives
+    S(x)^{-1} <= K(x)* S(xi)^{-1} K(x); for x <= xi, Q(x) <= S(xi) gives
+    the reverse, S(x)^{-1} >= K(x)* S(xi)^{-1} K(x), wherever S(x) > 0.
     """
 
     min_eig_s: float
@@ -387,13 +393,15 @@ class PositivityReport:
 
 def positivity_report(traj):
     """Verify positivity transport: S stays positive, Q monotone, and the
-    inverse bound S^{-1} <= K* S0^{-1} K holds within 10 * traj.ode_tol."""
+    inverse bound S^{-1} <= K* S0^{-1} K (right of xi, reversed left of
+    it) holds within 10 * traj.ode_tol."""
     s0 = hermitian_part(traj.params.S0)
     if float(np.linalg.eigvalsh(s0)[0]) <= 0:
         raise ValueError("positivity report requires S(xi) > 0")
     dq = hermitian_part(np.diff(traj.q, axis=0))
     bound = _adj(traj.k) @ np.linalg.solve(s0, traj.k)
     gap = hermitian_part(bound - np.linalg.inv(hermitian_part(traj.s)))
+    gap[traj.grid < traj.params.xi] *= -1.0  # the reverse bound left of xi
     scale = np.maximum(1.0, np.linalg.norm(bound, ord=2, axis=(1, 2)))
     return PositivityReport(
         min_eig_s=traj.min_eig_s,
@@ -528,14 +536,10 @@ def transformed_system(traj):
     nodes meet the kinks H~ inherits, and they come from one
     :func:`w0_at` call (on the grid, the dressing of the samples
     :func:`evolve` stored, bit for bit).  Factored data give the dressed
-    factor beta~ = beta w0, and with base point a the result is a
-    :class:`~cansys.triangular.TriangularModel`; other data give an
-    H-grid of the congruence.  An exact callable along the trajectory,
-    taking a point or an array of points, takes precedence over the
-    samples.
+    factor beta~ = beta w0, other data an H-grid of the congruence.  An
+    exact callable along the trajectory, taking a point or an array of
+    points, takes precedence over the samples.
     """
-    from .triangular import TriangularModel
-
     sys = traj.system
     spec = sys.hamiltonian
     grid, kinks = traj.grid, spec.kinks
@@ -545,10 +549,8 @@ def transformed_system(traj):
         def dressed_beta(t):
             return spec.beta_at(t) @ w0_at(traj, t)
 
-        beta = spec.beta_at(x) @ w0
-        if sys.xi == sys.interval[0]:
-            return TriangularModel(sys.interval, sys.J, x, beta, beta_fn=dressed_beta)
-        dressed = HamiltonianSpec.from_beta_grid(x, beta, beta_fn=dressed_beta)
+        dressed = HamiltonianSpec.from_beta_grid(x, spec.beta_at(x) @ w0,
+                                                 beta_fn=dressed_beta)
     else:
         def dressed_h(t):
             w = w0_at(traj, t)
@@ -587,21 +589,6 @@ def transformed_fundamental(traj, z, grid=None, tol=system.ODE_TOL):
         panels=base.panels,
         converged=base.converged,
     )
-
-
-def g0_eval(traj, x):
-    """Logarithmic derivative generator of w0: d/dx w0 = G0 w0 with
-
-        G0 = -J (i Pi* S^{-1} Pi - H J Pi* S^{-1} Pi + Pi* S^{-1} Pi J H);
-
-    ``x`` may be an array of points, as for :func:`w0_at`.
-    """
-    x = np.asarray(x, dtype=float)
-    pi, _, s_pi = _frame(traj, x)
-    J = traj.system.J
-    h = traj.system.hamiltonian.hamiltonian(x.ravel()).reshape(x.shape + J.shape)
-    core = _adj(pi) @ s_pi
-    return -J @ (1j * core - h @ J @ core + core @ J @ h)
 
 
 def transformed_boundary_values(traj, x, s, tol=system.ODE_TOL):

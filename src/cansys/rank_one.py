@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gbdt import GbdtParams
 from .linalg import SingularMatrixError, _adj, solve
+from .system import CanonicalSystem, HamiltonianSpec
 
 #: The constant 1x2 factor of the rank-one Hamiltonian.
 BETA = np.array([[1.0, 1j]])
@@ -58,8 +60,6 @@ def hamiltonian():
 
 def make_system(b=1.0):
     """Canonical system of the scenario on ``[0, b]`` with base point 0."""
-    from .system import CanonicalSystem, HamiltonianSpec
-
     if b <= 0:
         raise ValueError("right endpoint must be positive")
     spec = HamiltonianSpec.from_constant_beta(BETA, (0.0, b))
@@ -137,8 +137,6 @@ class DiagonalParams:
 
     def to_gbdt_params(self, xi=0.0):
         """Engine-ready parameter triple with S(xi) from the closed form."""
-        from .gbdt import GbdtParams
-
         return GbdtParams(
             B=np.diag(self.b_diag), S0=self.s_at(xi), Pi0=self.pi_at(xi), xi=xi
         )

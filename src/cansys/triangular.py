@@ -12,9 +12,13 @@ the node identity A - A* = i K J K*, and its characteristic function
     W(z) = I_m - i J K* (A - z I)^{-1} K
 
 coincides with the fundamental solution W(b, z) of the canonical system
-with H = beta* beta and base point a (Sakhnovich 1999).
-:class:`TriangularModel` is that system, so every route of
-:mod:`cansys.system` takes a model as it is.  This module discretises A
+with H = beta* beta and base point a (Sakhnovich 1999).  So the model is
+that system: every function here takes any :class:`CanonicalSystem`
+whose Hamiltonian is factored and reads its ``beta_at``, its samples
+``beta`` and their grid ``x``; :class:`TriangularModel` only builds one
+from the kernel data.  The two routes normalised at the base point,
+:func:`char_fn_via_fundamental` and :func:`resolvent_identity_check`,
+need xi = a.  This module discretises A
 by Gauss-Legendre collocation on uniform panels (symmetrised so the
 discrete adjoint matches the continuous one) and keeps only its blocks:
 two nodes per panel, so the characteristic function's error falls like
@@ -37,10 +41,9 @@ structure need O(N) memory:
 
 The dense matrix is assembled only on demand, for the node-identity and
 resolvent-identity diagnostics, which check the sweep independently.
-Dressing applies at the operator level: :func:`cansys.gbdt.transformed_system`
-dresses a model into the model with kernel factor beta w0, and
-:func:`conjugate_transform_model` into the one with w0* beta w0 (J = I);
-every function here takes either as it takes the original.
+The one dressing is GBDT: :func:`cansys.gbdt.transformed_system` dresses
+a factored system into the one with kernel factor beta w0, which every
+function here takes as it takes the original.
 """
 
 from __future__ import annotations
@@ -85,30 +88,24 @@ class TriangularModel(CanonicalSystem):
             raise ValueError(f"beta has {self.hamiltonian.m} columns, J is "
                              f"{self.m} x {self.m}")
 
-    @property
-    def x(self):
-        return self.hamiltonian.x
-
-    @property
-    def beta(self):
-        return self.hamiltonian.beta
-
-    @property
-    def beta_fn(self):
-        return self.hamiltonian.beta_fn
-
-    @property
-    def k(self):
-        return self.beta.shape[1]
-
     @classmethod
     def from_constant_beta(cls, beta, interval, J):
         spec = HamiltonianSpec.from_constant_beta(beta, interval)
         return cls(interval=interval, J=J, x=spec.x, beta=spec.beta)
 
-    def beta_at(self, x):
-        """beta(x), or a stack of them for an array of points."""
-        return self.hamiltonian.beta_at(x)
+
+def _factored(sys):
+    """The factored Hamiltonian of sys, whose beta the model operator reads."""
+    if not sys.hamiltonian.is_factored:
+        raise ValueError("the model operator needs a factored Hamiltonian, not H samples")
+    return sys.hamiltonian
+
+
+def _require_base_point_a(sys):
+    """W(b, z) is the characteristic function only when normalised at a."""
+    if sys.xi != sys.interval[0]:
+        raise ValueError(f"the characteristic function is W(b, z) normalised at "
+                         f"a = {sys.interval[0]}, not at xi = {sys.xi}")
 
 
 #: The two-stage Gauss-Legendre collocation tableau (c, a): the nodes c_i
@@ -261,25 +258,27 @@ class DiscretizedOperator:
         return fro(a - a.conj().T - 1j * kmap @ self.J @ kmap.conj().T)
 
 
-def _discretize(model, num_nodes, tableau):
+def _discretize(sys, num_nodes, tableau):
     """Nystrom discretisation on num_nodes / s uniform panels with the
     s-stage collocation tableau (c, a)."""
+    spec = _factored(sys)
     _require_count("num_nodes", num_nodes)
     c, a = tableau
     if num_nodes % c.size:
         raise ValueError(f"num_nodes must be even, two Gauss nodes per panel; "
                          f"got {num_nodes}")
-    lo, hi = model.interval
+    lo, hi = sys.interval
     panels = np.arange(num_nodes // c.size)
     step = (hi - lo) / panels.size
     nodes = (lo + (panels[:, None] + c) * step).ravel()
     return DiscretizedOperator(nodes=nodes, weights=np.full(num_nodes, step / c.size),
-                               beta=model.beta_at(nodes), J=model.J, tableau=a)
+                               beta=spec.beta_at(nodes), J=sys.J, tableau=a)
 
 
-def discretize(model, num_nodes):
-    """Two-node Gauss-Legendre discretisation on num_nodes / 2 uniform
-    panels; num_nodes must be even.  O(N k m) storage.
+def discretize(sys, num_nodes):
+    """Two-node Gauss-Legendre discretisation of the model operator of the
+    factored system ``sys`` on num_nodes / 2 uniform panels; num_nodes
+    must be even.  O(N k m) storage.
 
     The characteristic function converges at fourth order in N when beta
     is smooth on every panel: on a smooth non-commuting beta the error
@@ -292,7 +291,7 @@ def discretize(model, num_nodes):
     uniform grids of the benchmark and the bundled data, keep fourth
     order.
     """
-    return _discretize(model, num_nodes, _GAUSS2)
+    return _discretize(sys, num_nodes, _GAUSS2)
 
 
 @dataclass
@@ -355,16 +354,19 @@ def char_fn(op, z):
     return CharFnSample(z=z, value=value, method="resolvent")
 
 
-def char_fn_via_fundamental(model, z, tol=ODE_TOL):
+def char_fn_via_fundamental(sys, z, tol=ODE_TOL):
     """The same function through the canonical system route W(b, z), by
-    RK45: it shares no code with the sweep's scan.
+    RK45: it shares no code with the sweep's scan.  ``sys`` is factored
+    with base point a; another base point raises ValueError.
 
     ``z`` may be a 1-D array of points, solved as one stacked RK45 solve
     (each point held at least as tightly as alone); ``value`` then stacks
     (len(z), m, m).
     """
+    _factored(sys)
+    _require_base_point_a(sys)
     sol = fundamental_solution(
-        model, z, grid=np.array([model.interval[1]]), tol=tol, method="rk45"
+        sys, z, grid=np.array([sys.interval[1]]), tol=tol, method="rk45"
     )
     return CharFnSample(z=sol.z, value=sol.values[..., 0, :, :],
                         method="fundamental_solution")
@@ -379,39 +381,26 @@ class ResolventCheck:
     argmax_node: float
 
 
-def resolvent_identity_check(op, model, z, tol=ODE_TOL):
+def resolvent_identity_check(op, sys, z, tol=ODE_TOL):
     """Apply the discrete resolvent to the channel columns and compare with
-    the closed-form action through the fundamental solution.
+    the closed-form action through the fundamental solution of ``sys``,
+    the factored system ``op`` discretises, with base point a.
 
     The resolvent comes from a dense solve with ``op.matrix`` and W from
     RK45 on purpose: neither shares code with the sweep of :func:`char_fn`.
     """
+    spec = _factored(sys)
+    _require_base_point_a(sys)
     z = complex(z)
     a = op.matrix
     lhs = np.linalg.solve(a - z * np.eye(a.shape[0]), op.channel_map)
-    sol = fundamental_solution(model, z, grid=op.nodes, tol=tol, method="rk45")
+    sol = fundamental_solution(sys, z, grid=op.nodes, tol=tol, method="rk45")
     x = op.nodes
-    expected = model.beta_at(x) @ sol.values / (x - z)[:, None, None]
+    expected = spec.beta_at(x) @ sol.values / (x - z)[:, None, None]
     got = lhs.reshape(x.size, op.k, op.m) / np.sqrt(op.weights)[:, None, None]
     res = np.linalg.norm(got - expected, axis=(1, 2))
     j = int(np.argmax(res))
     return ResolventCheck(z=z, max_residual=float(res[j]), argmax_node=float(x[j]))
-
-
-def conjugate_transform_model(model, traj):
-    """Dress by conjugation: beta~ = w0* beta w0 (multiplication-operator
-    variant, used with J = I where w0 is unitary; needs square beta)."""
-    from .gbdt import w0_at
-
-    if model.k != model.m:
-        raise ValueError("conjugate transform needs square beta (k = m)")
-
-    def dressed(x):
-        w0 = w0_at(traj, x)
-        return _adj(w0) @ model.beta_at(x) @ w0
-
-    return TriangularModel(interval=model.interval, J=model.J, x=model.x,
-                           beta=dressed(model.x), beta_fn=dressed)
 
 
 @dataclass
@@ -434,8 +423,8 @@ class SimilarityReport:
     is 1 on every model, and the ``probe_outside_fraction_N*`` checks of
     ``cansys run`` cannot fail.  A probe that can fail, the growth of
     |Im z| |(A_N - z)^{-1}| as N doubles, is still open.  A dressed
-    model is probed as any other,
-    ``similarity_probe(conjugate_transform_model(model, traj), N)``.
+    system is probed as any other factored system with J = I and square
+    PSD samples.
     """
 
     num_nodes: int
@@ -443,8 +432,9 @@ class SimilarityReport:
     inside_fraction: float
 
 
-def similarity_probe(model, num_nodes):
-    """Eigenvalue probe for the multiplication-similarity regime.
+def similarity_probe(sys, num_nodes):
+    """Eigenvalue probe for the multiplication-similarity regime of the
+    model operator of the factored system ``sys``.
 
     The spectrum is that of the one-node midpoint discretisation on N
     uniform panels, nodes x_j = a + (j + 1/2) w with w = (b - a) / N: the
@@ -461,19 +451,21 @@ def similarity_probe(model, num_nodes):
     what these numbers can and cannot show.  Preconditions: J = I,
     square beta with beta(x) PSD at the sample points.
     """
-    if fro(model.J - np.eye(model.m)) > 1e-12:
+    spec = _factored(sys)
+    m = sys.m
+    if fro(sys.J - np.eye(m)) > 1e-12:
         raise ValueError("similarity probe requires J = I")
-    if model.k != model.m:
+    if spec.beta.shape[1:] != (m, m):
         raise ValueError("similarity probe requires square beta (k = m)")
-    bad = psd_defect(model.beta) > psd_bound(model.beta)
+    bad = psd_defect(spec.beta) > psd_bound(spec.beta)
     if bad.any():
-        raise ValueError(f"beta not PSD Hermitian at sample x = {model.x[np.argmax(bad)]}")
+        raise ValueError(f"beta not PSD Hermitian at sample x = {spec.x[np.argmax(bad)]}")
     _require_count("num_nodes", num_nodes)
-    lo, hi = model.interval
+    lo, hi = sys.interval
     step = (hi - lo) / num_nodes
     nodes = lo + (np.arange(num_nodes) + 0.5) * step
-    beta = model.beta_at(nodes)
-    if model.m == 2:
+    beta = spec.beta_at(nodes)
+    if m == 2:
         b = beta.transpose(1, 2, 0)  # entries-leading: each entry one long loop
         square = b.real * b.real + b.imag * b.imag
         g00, g11 = square[:, 0] + square[:, 1]

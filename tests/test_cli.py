@@ -716,6 +716,49 @@ def test_transform_checks_fail_on_a_non_degenerate_dressed_factor(tmp_path, monk
         assert checks[name]["pass"] is False
 
 
+@pytest.mark.parametrize("size", [1.0, 1e8])
+def test_transform_psd_check_is_relative_to_the_size_of_h(tmp_path, monkeypatch, size):
+    # rounding puts the PSD defect of PSD data near u |H~|: rank-one samples
+    # of size 1e8 pass, and a least eigenvalue of -1e-6 |H~_j| fails at any size
+    def dressed_h(broken):
+        def dressed(traj):
+            rng = np.random.default_rng(3)
+            shape = (traj.grid.size, 2, 1)
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            h = size * a @ a.conj().transpose(0, 2, 1)
+            if broken:
+                j = traj.grid.size // 2
+                h[j] -= (np.linalg.eigvalsh(h[j])[0]
+                         + 1e-6 * np.linalg.norm(h[j])) * np.eye(2)
+            return system.CanonicalSystem(traj.system.J, traj.system.interval,
+                                          system.HamiltonianSpec.from_grid(traj.grid, h))
+        return dressed
+
+    path = write_config(tmp_path, bundled_config(["transform"]))
+    for broken, code in ((False, 0), (True, 1)):
+        monkeypatch.setattr(cli, "transformed_system", dressed_h(broken))
+        out = tmp_path / f"out-{broken}"
+        assert main(["run", str(path), "--out", str(out)]) == code
+        check, = json.loads((out / "results.json").read_text())["checks"]
+        assert check["name"] == "transformed_psd_defect" and check["bound"] == 1e-8
+        assert check["pass"] is not broken
+        if broken:
+            assert check["value"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_interior_base_point_run_passes(tmp_path):
+    # evolve integrates both ways from xi = 0.5, where the inverse bound
+    # reverses left of xi, and transform dresses a plain factored system
+    config = bundled_config()
+    config["system"]["xi"] = 0.5
+    config["tasks"] = config["tasks"][:5]  # example-n1 and probe need xi = 0
+    config["tasks"][3]["s"] = [0.2, 0.8]
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "results.json").read_text())["checks"]}
+    assert checks["inverse_bound_defect"]["pass"] is True
+
+
 def test_bundled_run_forms_no_kernel_supremum(tmp_path, monkeypatch):
     def no_supremum(spec, J):
         raise AssertionError("kernel_bound called")

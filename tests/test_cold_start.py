@@ -4,6 +4,7 @@ Each cold-path case runs in a fresh interpreter whose ``sys.modules``
 maps "scipy" to None, so any scipy import there raises ImportError.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -41,6 +42,24 @@ def test_import_loads_no_scipy(tmp_path):
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded
     """, tmp_path, block_scipy=False)
+
+
+def test_no_function_imports_a_cansys_module():
+    # cansys modules import each other at their top, so no import cycle
+    # hides inside a function; scipy's lazy imports are pinned above
+    for path in sorted((ROOT / "src" / "cansys").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in (inner for func in functions for inner in ast.walk(func)):
+            if isinstance(node, ast.ImportFrom):
+                names = ["cansys"] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "cansys" for name in names), (
+                f"{path.name}:{node.lineno} imports {names} inside a function")
 
 
 def test_run_and_report_without_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from cansys import gbdt, rank_one, system
 from cansys.gbdt import (
     GbdtParams,
     evolve,
-    g0_eval,
     positivity_report,
     sample_params,
     transfer,
@@ -24,7 +25,6 @@ from cansys.system import (
     j_monotonicity_defect,
     kernel_bound,
 )
-from cansys.triangular import TriangularModel, conjugate_transform_model
 
 from conftest import assert_bits
 
@@ -327,6 +327,27 @@ def test_positivity_random_draws(unit_system):
         assert report.ok, f"seed {seed}: {report}"
 
 
+def test_positivity_holds_on_both_sides_of_an_interior_base_point(diag_n1):
+    # Q = K S K* nondecreasing gives S^{-1} <= K* S(xi)^{-1} K right of xi
+    # and the reverse left of it; on this trajectory (the bundled dressing
+    # anchored at xi = 0.5) the right-hand bound misses by 0.145 left of xi
+    spec = HamiltonianSpec.from_constant_beta(rank_one.BETA, (0.0, 1.0))
+    sys_mid = CanonicalSystem(J=J_OFF, interval=(0.0, 1.0), hamiltonian=spec, xi=0.5)
+    traj = evolve(diag_n1.to_gbdt_params(xi=0.5), sys_mid, tol=1e-10)
+    assert (traj.grid < 0.5).any() and (traj.grid > 0.5).any()
+    report = positivity_report(traj)
+    assert report.ok and report.inverse_bound_defect <= 10 * traj.ode_tol
+    # S one percent too small right of xi, or too large left of it, breaks
+    # that side's bound near xi, where the bound is tight; the other
+    # direction only widens the margin
+    for side, breaking in ((traj.grid > 0.5, 0.99), (traj.grid < 0.5, 1.01)):
+        for factor, ok in ((breaking, False), (2.0 - breaking, True)):
+            s = traj.s.copy()
+            s[side] *= factor
+            report = positivity_report(dataclasses.replace(traj, s=s))
+            assert report.ok is ok, (factor, report)
+
+
 def test_positivity_requires_definite_start(unit_system):
     params = GbdtParams(B=np.diag([2.0, -1.0]), S0=np.diag([1.0, -1.0]),
                         Pi0=np.zeros((2, 2)))
@@ -511,8 +532,8 @@ def test_transfer_names_first_singular_point(unit_system):
     ("z", lambda traj: transfer(traj, 0.5, np.nan)),
     ("x", lambda traj: transfer(traj, np.nan, 2j)),
     ("x", lambda traj: w0_at(traj, np.nan)),
-    ("x", lambda traj: g0_eval(traj, [0.5, np.inf])),
-], ids=["transfer-z", "transfer-x", "w0-x", "g0-x"])
+    ("x", lambda traj: w0_at(traj, [0.5, np.inf])),
+], ids=["transfer-z", "transfer-x", "w0-x", "w0-array-x"])
 def test_non_finite_points_raise_naming_them(traj_n1, name, call):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(traj_n1)
@@ -582,25 +603,13 @@ def dressed_callables(traj_n1, diag_n1):
     )
     traj_grid = evolve(diag_n1.to_gbdt_params(), sys_grid,
                        grid=np.linspace(0, 1, 51), tol=1e-11)
-    # J = I with k = m = 2 for the conjugated dressing; its w0 is not Hermitian
-    beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) + 0.3j * xx * J_OFF for xx in x])
-    sys_id = CanonicalSystem(J=np.eye(2), interval=(0.0, 1.0),
-                             hamiltonian=HamiltonianSpec.from_beta_grid(x, beta))
-    traj_id = evolve(sample_params(7, sys_id, n=2), sys_id, tol=1e-10)
-    w0 = w0_at(traj_id, x)
-    assert np.min(np.linalg.norm(w0 - _adj(w0), axis=(1, 2))) > 1e-3
-    square_model = TriangularModel(interval=(0.0, 1.0), J=np.eye(2), x=x, beta=beta)
     return {
-        "factored": transformed_system(traj_n1).beta_fn,
+        "factored": transformed_system(traj_n1).hamiltonian.beta_fn,
         "h-grid": transformed_system(traj_grid).hamiltonian.h_fn,
-        "conjugate_transform_model":
-            conjugate_transform_model(square_model, traj_id).beta_fn,
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["factored", "h-grid", "conjugate_transform_model"]
-)
+@pytest.mark.parametrize("name", ["factored", "h-grid"])
 def test_dressed_callables_take_arrays(dressed_callables, name):
     # one call on an array of points gives the stack of the scalar calls
     fn = dressed_callables[name]
@@ -668,17 +677,20 @@ def test_boundedness_transfer_constant(unit_system, traj_n1):
 # -- w0 generator ------------------------------------------------------------------
 
 
-def test_g0_trivial_is_zero(unit_system):
-    traj = evolve(trivial_params(), unit_system, tol=1e-10)
-    assert fro(g0_eval(traj, 0.5)) < 1e-9
-
-
 def test_g0_matches_finite_differences(traj_n1):
+    # the paper's identity d/dx w0 = G0 w0, with the generator
+    # G0 = -J (i Pi* S^{-1} Pi - H J Pi* S^{-1} Pi + Pi* S^{-1} Pi J H)
+    # formed here from the trajectory's state and H
+    J = traj_n1.system.J
     for x in (0.3, 0.7):
+        pi, s, _ = traj_n1.state_at(x)
+        core = _adj(pi) @ np.linalg.solve(s, pi)
+        h = traj_n1.system.hamiltonian.hamiltonian(x)
+        g0 = -J @ (1j * core - h @ J @ core + core @ J @ h)
         errs = []
-        for h in (1e-3, 1e-4):
-            fd = (w0_at(traj_n1, x + h) - w0_at(traj_n1, x - h)) / (2 * h)
-            errs.append(fro(fd - g0_eval(traj_n1, x) @ w0_at(traj_n1, x)))
+        for step in (1e-3, 1e-4):
+            fd = (w0_at(traj_n1, x + step) - w0_at(traj_n1, x - step)) / (2 * step)
+            errs.append(fro(fd - g0 @ w0_at(traj_n1, x)))
         assert errs[0] < 1e-4  # O(h^2) + integration noise
         assert errs[1] < max(1e-2 * errs[0], 1e-7)
 
@@ -790,7 +802,7 @@ def test_transformed_boundary_values_converge_on_a_kinked_base(kinked):
 def test_dressed_system_of_a_kinked_base_keeps_its_kinks(kinked):
     traj, _ = kinked
     dressed = transformed_system(traj)
-    assert np.isin(traj.system.hamiltonian.kinks, dressed.x).all()
+    assert np.isin(traj.system.hamiltonian.kinks, dressed.hamiltonian.x).all()
     sol = fundamental_solution(dressed, 0.4 + 0.5j, tol=1e-8)
     assert sol.converged and sol.panels <= system.MAX_CUT_PANELS
 
@@ -802,7 +814,7 @@ def test_dressed_system_samples_the_kinks_within_the_grid():
                   tol=1e-10)
     kinks = sys.hamiltonian.kinks
     expected = np.union1d(traj.grid, kinks[kinks < 0.5])
-    assert_bits(transformed_system(traj).x, expected)
+    assert_bits(transformed_system(traj).hamiltonian.x, expected)
 
 
 def test_transformed_boundary_values_spectrum_margin(unit_system):
@@ -873,8 +885,7 @@ def test_interior_base_point_end_to_end():
     grid = np.linspace(0.0, 1.0, 9)
     z = 0.4 + 1.1j
     dressed_sys = transformed_system(traj)
-    # factored data off the base point a: a canonical system, not a model
-    assert not isinstance(dressed_sys, TriangularModel) and dressed_sys.xi == 0.5
+    assert dressed_sys.xi == 0.5
     via_multiplier = transformed_fundamental(traj, z, grid=grid, tol=1e-11)
     direct = fundamental_solution(dressed_sys, z, grid=grid, tol=1e-11, method="rk45")
     assert fro(via_multiplier.values[4] - np.eye(2)) < 1e-12  # x = xi

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cansys import rank_one, triangular
-from cansys.gbdt import evolve, sample_params, transfer, transformed_system, w0_at
+from cansys.gbdt import evolve, sample_params, transfer, transformed_system
 from cansys.linalg import SingularMatrixError, _adj, fro
 from cansys.system import (
     CanonicalSystem,
@@ -20,7 +20,6 @@ from cansys.triangular import (
     _discretize,
     char_fn,
     char_fn_via_fundamental,
-    conjugate_transform_model,
     discretize,
     resolvent_identity_check,
     similarity_probe,
@@ -132,8 +131,9 @@ def test_model_is_the_canonical_system_with_base_point_a(structured_models):
     # the system routes take the model itself, and agree bitwise with the
     # plain system of the same data
     model = structured_models["psd"]
+    spec = model.hamiltonian
     plain = CanonicalSystem(J=model.J, interval=model.interval,
-                            hamiltonian=HamiltonianSpec.from_beta_grid(model.x, model.beta))
+                            hamiltonian=HamiltonianSpec.from_beta_grid(spec.x, spec.beta))
     assert isinstance(model, CanonicalSystem) and model.xi == 0.0
     assert validate_system(model).ok
     for z in (0.5 + 0.2j, 2j):
@@ -150,6 +150,66 @@ def test_char_fn_via_fundamental_is_the_models_rk45_solution(structured_models):
     for z in (0.5 + 0.2j, np.array([2j, 0.5 + 1e-2j])):
         want = fundamental_solution(model, z, grid=[1.0], method="rk45").values[..., 0, :, :]
         assert np.array_equal(char_fn_via_fundamental(model, z).value, want)
+
+
+def _zigzag_beta_grid(J):
+    """(x, beta) on 33 nodes, beta = c(x) beta0 with c a sine plus a
+    zigzag, so every node is a kink: beta0 J beta0* != 0 for J_OFF, and
+    for J = I beta0 is Hermitian positive, which the probe needs."""
+    rng = np.random.default_rng(1)
+    x = np.linspace(0.0, 1.0, 33)
+    zigzag = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(x.size)
+    c = 1.0 + 0.4 * np.sin(2 * np.pi * (x + rng.uniform())) + 0.02 * zigzag
+    beta0 = np.array([[1.0, 0.5 + 1j]]) if J is J_OFF else np.array([[1.0, 0.3j], [-0.3j, 1.0]])
+    return x, c[:, None, None] * beta0
+
+
+@pytest.mark.parametrize("name", ["rank_one", "zigzag", "zigzag_psd"])
+def test_plain_factored_system_gives_the_models_bits(name):
+    # the routes read the system's factored Hamiltonian, not a model type:
+    # a plain CanonicalSystem of the same data gives the same bits
+    if name == "rank_one":
+        plain = rank_one.make_system(1.0)
+        model = TriangularModel.from_constant_beta(rank_one.BETA, (0.0, 1.0), rank_one.J)
+    else:
+        J = J_OFF if name == "zigzag" else np.eye(2)
+        x, beta = _zigzag_beta_grid(J)
+        plain = CanonicalSystem(J, (0.0, 1.0), HamiltonianSpec.from_beta_grid(x, beta))
+        model = TriangularModel(interval=(0.0, 1.0), J=J, x=x, beta=beta)
+    assert type(plain) is CanonicalSystem
+    want, got = discretize(model, 64), discretize(plain, 64)
+    for field in ("nodes", "weights", "beta", "diag_blocks", "left_factor", "right_factor"):
+        assert_bits(getattr(got, field), getattr(want, field))
+    zs = np.array([0.5 + 0.2j, 2j, -0.3 + 1e-3j])
+    for z in zs:
+        assert_bits(char_fn(got, z).value, char_fn(want, z).value)
+    assert_bits(char_fn_via_fundamental(plain, zs).value,
+                char_fn_via_fundamental(model, zs).value)
+    if name == "zigzag_psd":
+        want, got = similarity_probe(model, 64), similarity_probe(plain, 64)
+        assert_bits(got.max_imag, want.max_imag)
+        assert_bits(got.inside_fraction, want.inside_fraction)
+
+
+def test_routes_need_factored_data_and_two_need_base_point_a(rank_one_model):
+    x = np.array([0.0, 1.0])
+    h_grid = CanonicalSystem(J_OFF, (0.0, 1.0), HamiltonianSpec.from_grid(
+        x, np.stack([rank_one.hamiltonian()] * 2)))
+    op = discretize(rank_one_model, 8)
+    for call in (lambda: discretize(h_grid, 8),
+                 lambda: char_fn_via_fundamental(h_grid, 2j),
+                 lambda: resolvent_identity_check(op, h_grid, 2j),
+                 lambda: similarity_probe(h_grid, 8)):
+        with pytest.raises(ValueError, match="factored Hamiltonian"):
+            call()
+    # W(b, z) normalised at xi = 0.5 is not the characteristic function
+    mid = CanonicalSystem(J_OFF, (0.0, 1.0), rank_one_model.hamiltonian, xi=0.5)
+    for call in (lambda: char_fn_via_fundamental(mid, 2j),
+                 lambda: resolvent_identity_check(op, mid, 2j)):
+        with pytest.raises(ValueError, match="normalised at a = 0.0"):
+            call()
+    # the operator does not depend on the base point
+    assert_bits(discretize(mid, 8).diag_blocks, op.diag_blocks)
 
 
 # -- characteristic functions ---------------------------------------------------
@@ -240,8 +300,8 @@ def test_transform_model_trivial(unit_system, rank_one_model):
     params = GbdtParams(B=np.diag([2.0, -1.0]), S0=np.eye(2), Pi0=np.zeros((2, 2)))
     traj = evolve(params, unit_system, tol=1e-10)
     dressed = transformed_system(traj)
-    assert isinstance(dressed, TriangularModel)  # factored data, base point a
-    assert max(fro(b - rank_one.BETA) for b in dressed.beta) < 1e-8
+    assert type(dressed) is CanonicalSystem and dressed.xi == 0.0
+    assert max(fro(b - rank_one.BETA) for b in dressed.hamiltonian.beta) < 1e-8
     z = 2j
     w = char_fn(discretize(rank_one_model, 128), z).value
     w_t = char_fn(discretize(dressed, 128), z).value
@@ -312,8 +372,7 @@ def test_similarity_probe_builds_no_operator(monkeypatch, structured_models):
     with pytest.raises(AssertionError, match="DiscretizedOperator"):
         midpoint(model, 8)
     assert similarity_probe(model, 64).max_imag == 0.5 / 64
-    dressed = conjugate_transform_model(structured_models["psd"], structured_models["traj"])
-    assert similarity_probe(dressed, 64).max_imag > 0.0
+    assert similarity_probe(structured_models["psd"], 64).max_imag > 0.0
 
 
 def test_similarity_probe_rejects_bad_inputs():
@@ -347,47 +406,6 @@ def test_bad_arguments_raise_naming_them(rank_one_model, name, call):
         call(rank_one_model, discretize(rank_one_model, 8))
 
 
-def test_similarity_probe_transformed_comparable():
-    # J = I system with varying PSD beta; w0 is then unitary and the
-    # conjugated model w0* beta w0 should stay spectrally comparable
-    interval = (0.0, 1.0)
-    x = np.linspace(*interval, 65)
-    beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) for xx in x]).astype(complex)
-    spec = HamiltonianSpec.from_beta_grid(x, beta)
-    sys_id = CanonicalSystem(J=np.eye(2), interval=interval, hamiltonian=spec)
-    params = sample_params(42, sys_id, n=2, positive=True)
-    traj = evolve(params, sys_id, tol=1e-10)
-    # J = I makes w0 unitary
-    w0 = w0_at(traj, 0.5)
-    assert fro(w0 @ w0.conj().T - np.eye(2)) < 1e-8
-
-    model = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
-    dressed = conjugate_transform_model(model, traj)
-    reports = [(similarity_probe(model, n), similarity_probe(dressed, n)) for n in (64, 128)]
-    for rep, dressed_rep in reports:
-        assert dressed_rep.max_imag <= 2.0 * rep.max_imag + 1e-3
-        assert dressed_rep.inside_fraction >= 0.99
-    assert reports[1][1].max_imag < reports[0][1].max_imag
-
-
-def test_conjugate_transform_distinct_from_right_transform(rank_one_model, traj_n1):
-    # the conjugated variant needs square beta; on a square model the two
-    # dressings genuinely differ
-    with pytest.raises(ValueError, match="square"):
-        conjugate_transform_model(rank_one_model, traj_n1)
-
-    interval = (0.0, 1.0)
-    x = np.linspace(*interval, 33)
-    beta = np.stack([(1.0 + 0.5 * xx) * np.eye(2) for xx in x]).astype(complex)
-    spec = HamiltonianSpec.from_beta_grid(x, beta)
-    sys_id = CanonicalSystem(J=np.eye(2), interval=interval, hamiltonian=spec)
-    traj = evolve(sample_params(7, sys_id, n=2), sys_id, tol=1e-10)
-    model = TriangularModel(interval=interval, J=np.eye(2), x=x, beta=beta)
-    right = transformed_system(traj)
-    conj = conjugate_transform_model(model, traj)
-    assert fro(right.beta_at(0.5) - conj.beta_at(0.5)) > 1e-6
-
-
 # -- structured layer: sweep, block spectrum, dense diagnostics ------------------
 
 SWEEP_ZS = [0.5 + 1e-3j, 0.5 - 1e-6j, 1e6 + 0.0j, 2j, -3.0 + 0.1j]
@@ -403,8 +421,9 @@ def _non_degenerate_model():
 @pytest.fixture(scope="module")
 def structured_models():
     """A k = 1 non-degenerate model, a PSD k = m = 2 model with J = I, its
-    conjugated dressing, with the J = I trajectory used for it, and a
-    k = 3, m = 2 model, whose block solves take the LAPACK route."""
+    GBDT dressing, a plain factored system, with the trajectory used for
+    it, and a k = 3, m = 2 model, whose block solves take the LAPACK
+    route."""
     interval = (0.0, 1.0)
     x = np.linspace(*interval, 65)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -419,7 +438,7 @@ def structured_models():
     return {
         "non_degenerate": _non_degenerate_model(),
         "psd": psd,
-        "dressed": conjugate_transform_model(psd, traj),
+        "dressed": transformed_system(traj),
         "traj": traj,
         "k3": TriangularModel(interval=interval, J=J_OFF, x=x, beta=tall),
     }
@@ -597,9 +616,7 @@ def test_similarity_probe_matches_dense_eigenvalues(structured_models, monkeypat
     # a negative band shrinks the interval, so the inside fraction is not 1
     band = -0.25
     monkeypatch.setattr(triangular, "PROBE_BAND", band)
-    models = [structured_models["psd"],
-              conjugate_transform_model(structured_models["psd"], structured_models["traj"]),
-              _square_psd_model(1), _square_psd_model(3)]
+    models = [structured_models["psd"], _square_psd_model(1), _square_psd_model(3)]
     for model in models:
         report = similarity_probe(model, 64)
         eigs = np.linalg.eigvals(midpoint(model, 64).matrix)
@@ -614,7 +631,7 @@ def _probe_by_eigensolve(model, num_nodes):
     lo, hi = model.interval
     step = (hi - lo) / num_nodes
     nodes = lo + (np.arange(num_nodes) + 0.5) * step
-    beta = model.beta_at(nodes)
+    beta = model.hamiltonian.beta_at(nodes)
     eigs = nodes[:, None] + 0.5j * step * np.linalg.eigvalsh(beta @ _adj(beta))
     band = triangular.PROBE_BAND
     inside = np.mean((eigs.real > lo - band) & (eigs.real < hi + band))
@@ -640,7 +657,8 @@ def test_similarity_probe_is_the_eigensolve_bitwise_but_for_the_m2_top(band, mon
                 else:
                     assert_bits(report.max_imag, max_imag)
             if k == 2:  # Gram matrices far from diagonal: the top needs |g01|
-                gram = model.beta @ _adj(model.beta)
+                beta = model.hamiltonian.beta
+                gram = beta @ _adj(beta)
                 assert np.all(np.abs(gram[:, 0, 1]) > 0.1 * np.abs(gram[:, 0, 0]))
 
 
