@@ -45,12 +45,14 @@ base data.  Its
 :func:`~cansys.system.kernel_bound` applies before it returns +inf
 (``system._degeneracy``): identical to ``kernel_bound(...).finite`` on
 finite samples barring overflow, without the O(N^2) pair supremum.
-``example-n1`` needs the system of ``rank_one.make_system(b)``, on which
-its closed forms hold.  The 'gbdt' block's ``b_diag``/``g``/``h``
-shorthand builds Pi(xi) and S(xi) by the closed forms of
-``rank_one.DiagonalParams``, on the frame ``rank_one.T`` of the signature
-``rank_one.J``, so it needs m = 2 and that J; any other system gives
-explicit ``B``, ``S0`` and ``Pi0``.
+``example-n1`` needs the system of ``rank_one.make_system(b)`` and a
+'gbdt' block with xi = 0, of any order and either form: it compares the
+engine with ``rank_one.dressed_forms``, which holds on that system for
+any pole matrix B that shares no eigenvalue with B*.  The 'gbdt' block's
+``b_diag``/``g``/``h`` shorthand builds Pi(xi) and S(xi) by the closed
+forms of ``rank_one.DiagonalParams``, on the frame ``rank_one.T`` of the
+signature ``rank_one.J``, so it needs m = 2 and that J; any other system
+gives explicit ``B``, ``S0`` and ``Pi0``.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ def _build_system(block):
 
 
 def _build_gbdt(block, sys):
-    """(GbdtParams, DiagonalParams or None) of the 'gbdt' block, anchored
-    inside the block as :func:`_build_system` is."""
+    """The GbdtParams of the 'gbdt' block, anchored inside the block as
+    :func:`_build_system` is."""
     at = ("gbdt",)
     _check_keys(block, {"n", "B", "S0", "Pi0", "b_diag", "g", "h", "xi"}, "'gbdt'", at)
     n = _positive_int(block.get("n"), (*at, "n"))
@@ -308,22 +310,20 @@ def _build_gbdt(block, sys):
         b_diag = _cvector_from(block.get("b_diag"), (*at, "b_diag"), length=n)
         g = _cvector_from(block.get("g"), (*at, "g"), length=n)
         h = _cvector_from(block.get("h"), (*at, "h"), length=n)
-        diag = rank_one.DiagonalParams(b_diag=b_diag, g=g, h=h)
         try:
-            return diag.to_gbdt_params(xi=xi), diag
+            return rank_one.DiagonalParams(b_diag=b_diag, g=g, h=h).to_gbdt_params(xi=xi)
         except ValueError as exc:
             # a real pole b_i = conj(b_i) leaves the closed-form S undefined
             raise ConfigError(f"'b_diag': {exc}", key=(*at, "b_diag")) from exc
     for required in ("B", "S0", "Pi0"):
         if required not in block:
             raise ConfigError(f"'gbdt' is missing '{required}'", key=at)
-    params = GbdtParams(
+    return GbdtParams(
         B=_cmatrix_from(block["B"], (*at, "B"), shape=(n, n)),
         S0=_cmatrix_from(block["S0"], (*at, "S0"), shape=(n, n)),
         Pi0=_cmatrix_from(block["Pi0"], (*at, "Pi0"), shape=(n, sys.m)),
         xi=xi,
     )
-    return params, None
 
 
 # -- output helpers ---------------------------------------------------------
@@ -381,9 +381,8 @@ class _Runner:
             self.ode_tol = _number_from(tol_override, "--tol", positive=True)
         self.system = _build_system(config["system"])
         self.params = None
-        self.diag = None
         if "gbdt" in config:
-            self.params, self.diag = _build_gbdt(config["gbdt"], self.system)
+            self.params = _build_gbdt(config["gbdt"], self.system)
         self.tasks = self._parse_tasks(config["tasks"])
         output = config.get("output", "out")
         if not isinstance(output, str):
@@ -561,24 +560,21 @@ class _Runner:
     def run_example_n1(self, z):
         a, b = self.system.interval
         traj = self.trajectory()
-        B = complex(self.diag.b_diag[0])
-        g = complex(self.diag.g[0])
-        h = complex(self.diag.h[0])
         xs = np.linspace(a + 0.1 * (b - a), b, 7)
         zs = [a + 2j * (b - a), b + 1.5j * (b - a), a - 0.7 * (b - a) + 0.5j]
         te = transfer(traj, xs[:, None], zs)
         s = traj.s_at(xs)
-        beta = self.system.hamiltonian.beta_at(xs) @ te.w0[:, 0]
-        # one stacked oracle call over the grid; S and beta w0 depend on x
-        # alone, so the zs[0] column holds them
-        forms = rank_one.order_one_closed_forms(B, g, h, xs[:, None], zs, b=b)
+        beta = self.system.hamiltonian.beta_at(xs)
+        # one stacked oracle call over the grid; S and w0 depend on x alone,
+        # so the zs[0] column holds them
+        forms = rank_one.dressed_forms(self.params, xs[:, None], zs)
         # one stacked RK45 solve for the sweep z and the grid's zs[0]: the base
         # solution has no shared route; the sweep is read at x = b
         solved = transformed_fundamental(
             traj, np.array([*z, zs[0]]), grid=np.linspace(a, b, 51), tol=self.ode_tol
         )
         sweep = solved.values[:-1, -1]
-        explicit = rank_one.transformed_fundamental_matrix(self.diag, b, np.array(z), b=b)
+        explicit = rank_one.transformed_fundamental_matrix(self.params, b, np.array(z), b=b)
 
         def worst(got, expected):
             return float(np.max(np.linalg.norm(got - expected, axis=(-2, -1))))
@@ -587,10 +583,9 @@ class _Runner:
             ["re_z", "im_z"], [(p.real, p.imag) for p in z], sweep))
         self.emit("transformed_solution.csv", *_table(
             ["x"], solved.grid, solved.values[-1]))
-        self.check("example-n1", "n1_s_residual",
-                   np.max(np.abs(s[:, 0, 0] - forms.s[:, 0])), N1_TOL)
+        self.check("example-n1", "n1_s_residual", worst(s, forms.s[:, 0]), N1_TOL)
         self.check("example-n1", "n1_beta_residual",
-                   worst(beta, forms.beta_t[:, 0]), N1_TOL)
+                   worst(beta @ te.w0[:, 0], beta @ forms.w0[:, 0]), N1_TOL)
         self.check("example-n1", "n1_wa_residual", worst(te.w_a, forms.w_a), TRANSFER_TOL)
         self.check("example-n1", "n1_v_residual", worst(te.v, forms.v), TRANSFER_TOL)
         self.check("example-n1", "n1_wtilde_residual", worst(sweep, explicit), N1_TOL)
@@ -627,13 +622,13 @@ class _Task(NamedTuple):
     needs: str | None = None  # a key of _NEEDS
 
 
-def _is_rank_one_order_one(run):
-    """The order-one shorthand on the system of ``rank_one.make_system(b)``,
-    the one the closed forms of example-n1 hold on: J = ``rank_one.J``
-    (which the shorthand already needs), constant beta = ``rank_one.BETA``
-    on [0, b] and xi = 0, the 'gbdt' block's xi included."""
+def _is_rank_one(run):
+    """A 'gbdt' block on the system of ``rank_one.make_system(b)``, the one
+    the closed forms of example-n1 hold on: J = ``rank_one.J``, constant
+    beta = ``rank_one.BETA`` on [0, b] and xi = 0, the 'gbdt' block's xi
+    included."""
     sys, beta = run.system, run.system.hamiltonian.beta
-    return (run.diag is not None and run.diag.n == 1
+    return (run.params is not None and np.array_equal(sys.J, rank_one.J)
             and sys.interval[0] == 0.0 and sys.xi == 0.0 and run.params.xi == 0.0
             and beta is not None and beta.shape[1:] == rank_one.BETA.shape
             and np.all(beta == rank_one.BETA))
@@ -644,9 +639,9 @@ _NEEDS = {
     "gbdt": ("a 'gbdt' block", lambda run: run.params is not None),
     "factored": ("a factored Hamiltonian",
                  lambda run: run.system.hamiltonian.is_factored),
-    "order-one": ("the order-one b_diag/g/h shorthand on the rank-one system: "
-                  "J = [[0, 1], [1, 0]], constant beta = [1, i] on [0, b], xi = 0",
-                  _is_rank_one_order_one),
+    "rank-one": ("the rank-one system with xi = 0 in both blocks: "
+                 "J = [[0, 1], [1, 0]], constant beta = [1, i] on [0, b]",
+                 _is_rank_one),
 }
 
 _COMPLEXES = _list_of(_complex_from)
@@ -670,7 +665,7 @@ _TASKS = {
         "z": (_COMPLEXES, lambda a, b, o: [
             [a + f * (b - a), 1.5 * (b - a)]
             for f in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)]),
-    }, needs="order-one"),
+    }, needs="rank-one"),
     "probe": _Task(_Runner.run_probe, {
         "N": (_list_of(_positive_int), lambda a, b, o: [64, 128]),
     }),

@@ -434,12 +434,12 @@ class TransferEval:
     w0_inv: np.ndarray
     v: np.ndarray
     _j: np.ndarray = field(repr=False)
-    _w_a_at: object = field(repr=False)
+    _w_a_of: object = field(repr=False)
 
     @cached_property
     def j_defect(self):
         J = self._j
-        w_a_conj = self._w_a_at(np.conj(self.z))
+        w_a_conj = self._w_a_of(np.conj(self.z))
         return np.linalg.norm(_adj(w_a_conj) @ J @ self.w_a - J, axis=(-2, -1))[()]
 
     @cached_property
@@ -507,13 +507,13 @@ def transfer(traj, x, z):
     core = j_pi @ s_bx
     w0_inv = eye_m + 1j * j_pi @ _adj(B - x[..., None, None] * eye_n) @ s_pi
 
-    def w_a_at(zs):
+    def w_a_of(zs):
         """w_A = I - i (x - z) J Pi* S^{-1} (B - x) (B - z)^{-1} Pi."""
         zz = zs[..., None, None]
         resolvent_pi = np.linalg.solve(B - zz * eye_n, pi)
         return eye_m - 1j * (x[..., None, None] - zz) * (core @ resolvent_pi)
 
-    w_a = w_a_at(z)
+    w_a = w_a_of(z)
     shape, mm = z.shape, (traj.m, traj.m)
     return TransferEval(
         x=np.broadcast_to(x, shape)[()],
@@ -523,7 +523,7 @@ def transfer(traj, x, z):
         w0_inv=np.broadcast_to(w0_inv, shape + mm).copy(),
         v=w0_inv @ w_a,
         _j=traj.system.J,
-        _w_a_at=w_a_at,
+        _w_a_of=w_a_of,
     )
 
 

@@ -89,18 +89,3 @@ def psd_bound(matrix):
 def cond2(matrix):
     """2-norm condition number; ``inf`` for exactly singular input."""
     return float(np.linalg.cond(matrix))
-
-
-def solve(a, b):
-    """Solve ``a @ x = b``; returns ``(x, cond)`` with a 2-norm condition
-    estimate.  Raises :class:`SingularMatrixError` when the estimate
-    exceeds :data:`SINGULAR_COND`.
-    """
-    a = ascomplex(a, "a", square=True)
-    b = ascomplex(b, "b")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"row count mismatch: a is {a.shape}, b is {b.shape}")
-    cond = cond2(a)
-    if not np.isfinite(cond) or cond > SINGULAR_COND:
-        raise SingularMatrixError("matrix singular to tolerance", cond_estimate=cond)
-    return np.linalg.solve(a, b), cond

@@ -8,8 +8,11 @@ logarithmic ingredients:
 
 * the fundamental solution is ``W(x, z) = I + L(x, z) N`` with
   ``L = ln(z / (z - x))`` and a nilpotent ``N``,
-* the dressing triple for a diagonal pole matrix ``B = diag(b_1..b_n)``
-  reduces to two parameter vectors ``g, h`` and logs ``ln(b_i - x)``,
+* the dressing by any pole matrix B has ``Pi(x) = Pi(xi) - i L(x)
+  Pi(xi) J H`` with ``L = log((B - x)^{-1} (B - xi))``, and S(x) solves
+  a Sylvester equation (:func:`dressed_forms`); for a diagonal B,
+  :class:`DiagonalParams` writes Pi and S with two parameter vectors
+  ``g, h`` and logs ``ln(b_i - x)``,
 * boundary values on the cut jump by the constant factor
   ``R^2 = I + 2 pi J beta* beta``.
 
@@ -18,11 +21,12 @@ These formulas are the independent oracles for the generic machinery in
 and they power the bundled demo scenario.
 
 Branch convention: every logarithm is continued continuously in ``x``
-starting from its principal value at ``x = 0``.  All admissible
-arguments (``z`` off ``[0, b]``, poles ``b_i`` off ``[0, b]``) move the
-log argument along a horizontal segment that never crosses the
-principal cut transversally, so ``numpy.log`` already realises the
-continuous branch.
+starting from its principal value at ``x = 0`` (at ``x = xi`` for L).
+All admissible arguments (``z`` off ``[0, b]``, poles ``b_i`` off
+``[0, b]``) move the log argument along a horizontal segment that never
+crosses the principal cut transversally, so ``numpy.log`` already
+realises the continuous branch, and so does the principal matrix
+logarithm for L.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbdt import GbdtParams
-from .linalg import SingularMatrixError, _adj, solve
+from .gbdt import GbdtParams, _check_s
+from .linalg import _adj
 from .system import CanonicalSystem, HamiltonianSpec
 
 #: The constant 1x2 factor of the rank-one Hamiltonian.
@@ -43,7 +47,6 @@ J = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 #: Stacked frame T = [beta; beta J]; satisfies T J T* = 2 J.
 T = np.array([[1.0, 1j], [1j, 1.0]])
-T_INV = 0.5 * np.array([[1.0, -1j], [-1j, 1.0]])
 
 #: Nilpotent direction of the fundamental solution: W = I + L*N, N^2 = 0.
 _NILPOTENT = np.array([[1.0, 1j], [1j, -1.0]])
@@ -86,12 +89,14 @@ def fundamental_matrix(x, z, b=1.0):
     """Closed-form fundamental solution W(x, z) of the scenario.
 
     Equals ``I + L N`` with ``L = ln(z/(z-x))``; W(0, z) = I and
-    det W = 1 identically.  An array of z stacks the 2 x 2 matrices
-    behind z's shape.
+    det W = 1 identically.  x and z broadcast against each other, and the
+    2 x 2 matrices stack behind the broadcast shape.
     """
     z = _check_off_cut(z, b)
-    if not (-1e-13 <= x <= b + 1e-13):
-        raise ValueError(f"x = {x} outside [0, {b}]")
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= -1e-13) & (x <= b + 1e-13))
+    if outside.any():
+        raise ValueError(f"x = {x[outside][0]} outside [0, {b}]")
     return np.eye(2) + log_ratio(x, z)[..., None, None] * _NILPOTENT
 
 
@@ -173,146 +178,99 @@ class DiagonalParams:
             )
         return (bi - x) * (bj - x) / (1j * den) * self.pi_j_pi(x)
 
-    def w0_at(self, x):
-        """Dressing factor w0(x) = I - i T^{-1} [g*; 2 phi*] S^{-1} (B - x) Pi."""
-        s = self.s_at(x)
-        stack = np.vstack([self.g.conj()[None, :], 2.0 * self._phi(x).conj()[None, :]])
-        core, _ = solve(s, np.diag(self.b_diag - x) @ self.pi_at(x))
-        return np.eye(2) - 1j * T_INV @ stack @ core
-
-    def beta_t_at(self, x):
-        """Transformed factor beta w0(x) = beta - i g* S^{-1} (B - x) Pi."""
-        s = self.s_at(x)
-        core, _ = solve(s, np.diag(self.b_diag - x) @ self.pi_at(x))
-        return BETA - 1j * self.g.conj()[None, :] @ core
-
-    def h_t_at(self, x):
-        """Transformed Hamiltonian (beta w0)* (beta w0)."""
-        bt = self.beta_t_at(x)
-        return bt.conj().T @ bt
-
-    def w_a_at(self, x, z, b=1.0):
-        """Transfer matrix w_A(x, z) with the diagonal resolvent in closed form.
-
-        An array of z stacks the 2 x 2 matrices behind z's shape; S(x),
-        Pi(x) and the checked solve against S(x) are made once for all z.
-        """
-        z = _check_off_cut(z, b)[..., None]
-        pi = self.pi_at(x)
-        resolvent = (x - z) * (self.b_diag - x) / (self.b_diag - z)
-        # every z's right-hand side side by side: one solve against S(x)
-        rhs = np.moveaxis(resolvent[..., None] * pi, -2, 0)
-        core, _ = solve(self.s_at(x), rhs.reshape(self.n, -1))
-        core = np.moveaxis(core.reshape(rhs.shape), 0, -2)
-        return np.eye(2) - 1j * J @ pi.conj().T @ core
-
-    def v_at(self, x, z, b=1.0):
-        """Normalised multiplier v(x, z) = w0(x)^{-1} w_A(x, z); an array of
-        z stacks as in :meth:`w_a_at`, with w0(x) formed once."""
-        w0 = self.w0_at(x)
-        w0_inv = J @ w0.conj().T @ J
-        return w0_inv @ self.w_a_at(x, z, b=b)
-
-
-def transformed_fundamental_matrix(params, x, z, b=1.0):
-    """Dressed fundamental solution v(x,z) W(x,z) v(0,z)^{-1}, all closed form.
-
-    Its value at ``x = b`` is the characteristic function of the dressed
-    triangular model operator.  An array of z stacks the 2 x 2 matrices
-    behind z's shape; the z-free pieces (S, Pi and w0 at x and at 0, and
-    the checked solves against each S) are built once for all z.
-    """
-    v_x = params.v_at(x, z, b=b)
-    v_0 = params.v_at(0.0, z, b=b)
-    w = fundamental_matrix(x, z, b=b)
-    return v_x @ w @ np.linalg.inv(v_0)
-
 
 @dataclass
-class OrderOneForms:
-    """Order-one (n = 1) closed forms at a point (x, z), or at every pair of
-    broadcast arrays x and z (fields then carry the broadcast shape in
-    front, as :class:`~cansys.gbdt.TransferEval`'s do)."""
+class DressedForms:
+    """Closed-form dressing data at (x, z), or at every pair of broadcast
+    arrays x and z: each field carries the broadcast shape in front, as
+    :class:`~cansys.gbdt.TransferEval`'s do."""
 
-    s: complex
-    beta_t: np.ndarray
+    pi: np.ndarray
+    s: np.ndarray
     w0: np.ndarray
     w_a: np.ndarray
     v: np.ndarray
 
 
-def _t_row(first, second):
-    """The row [first, second] T for every pair of broadcast coefficients."""
-    return first * T[:1] + second * T[1:]
+def dressed_forms(params, x, z):
+    """Pi, S, w0, w_A and v of the dressing of the scenario by the
+    :class:`~cansys.gbdt.GbdtParams` ``params``, in closed form for any
+    pole matrix B.
 
+    Since (J H)^2 = 0, Pi_x = -i A Pi J H integrates to
 
-def order_one_closed_forms(B, g, h, x, z, b=1.0):
-    """Fully expanded n = 1 formulas for S, beta w0, w0, w_A and v.
+        Pi(x) = Pi(xi) - i L(x) Pi(xi) J H,   L(x) = log((B - x)^{-1} (B - xi)),
 
-    Requires a non-real pole ``B`` and ``g != 0``.  The invertibility of
-    the scalar S(x) is equivalent to ``Im ln(B - x) != Re(h / g)``; a
-    violation raises :class:`~cansys.linalg.SingularMatrixError` at the
-    first such x.  For ``h = 0`` the simplified beta-row formula is used
-    and cross-checked against the general one at every x; a disagreement
-    above 1e-10 raises :class:`ArithmeticError`.
-
-    x and z broadcast against each other, and every field carries the
-    broadcast shape in front; scalars give one evaluation.  The z-free
-    pieces (S, beta w0, w0) are formed once per x, then broadcast.
+    on the principal branch: for every eigenvalue b of B off the interval,
+    (b - xi)/(b - x) keeps off the negative axis, so L is continuous in
+    x.  For n = 1, L is the scalar log; for n >= 2 it comes from
+    ``scipy.linalg.logm``, once per distinct x.  S(x) solves the
+    displacement identity multiplied out by (B - x) and (B* - x), the
+    Sylvester equation S B* - B S = i (B - x) Pi J Pi* (B* - x): one
+    Kronecker solve for all x, unique unless B and B* share an
+    eigenvalue, which raises ValueError.  ``params.S0`` is therefore not
+    read.  w0, w0^{-1}, w_A and v = w0^{-1} w_A follow from (Pi, S) by
+    the formulas :func:`~cansys.gbdt.transfer` uses.  A singular S(x)
+    raises :class:`~cansys.linalg.SingularMatrixError` at the first such
+    x, measured against the size S would have without the cancellation
+    in Pi J Pi*; a z on the spectrum of B raises ValueError.
     """
-    B = complex(B)
-    g = complex(g)
-    h = complex(h)
-    if abs(B.imag) < 1e-12:
-        raise ValueError("pole B must be non-real for the order-one formulas")
-    if g == 0:
-        raise ValueError("g must be nonzero")
-    z = _check_off_cut(z, b)
+    B, n = params.B, params.n
     x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=complex)
     shape = np.broadcast_shapes(x.shape, z.shape)
-    # x and z as stacks of 1 x 1 matrices: each coefficient below then
-    # scales the matrices it multiplies
-    x, z = x[..., None, None], z[..., None, None]
+    eigs = np.linalg.eigvals(B)
+    gap = np.min(np.abs(eigs[:, None] - eigs.conj()))
+    if gap < 1e-12 * max(1.0, np.max(np.abs(eigs))):
+        raise ValueError("B and B* share an eigenvalue: the displacement identity "
+                         "leaves S undetermined")
+    near = np.abs(z[..., None] - eigs).min(axis=-1) < 1e-10
+    if near.any():
+        raise ValueError(f"z = {complex(z[near][0])} meets the spectrum of B")
+    eye = np.eye(n)
+    bx = B - x[..., None, None] * eye
+    if n == 1:
+        log = np.log((B - params.xi) / bx)
+    else:
+        from scipy.linalg import logm
 
-    ln = np.log(B - x)
-    ln_delta = ln - np.conj(ln)  # 2i Im ln(B - x)
-    denom_core = abs(g) ** 2 * ln_delta - 1j * h * np.conj(g) - 1j * g * np.conj(h)
-    singular = np.abs(ln.imag - (h / g).real) < 1e-12
-    if singular.any():
-        raise SingularMatrixError(
-            "S(x) = 0: invertibility condition Im ln(B-x) != Re(h/g) fails",
-            location=float(x[singular][0]),
-        )
+        points, where = np.unique(x.ravel(), return_inverse=True)
+        logs = np.array([logm(np.linalg.solve(B - t * eye, B - params.xi * eye))
+                         for t in points])
+        log = logs[where.reshape(x.shape)]
+    pi = params.Pi0 - 1j * log @ (params.Pi0 @ J @ hamiltonian())
+    bx_pi = bx @ pi
+    rhs = 1j * bx_pi @ J @ _adj(bx_pi)
+    # S B* - B S = (I kron conj(B) - B kron I) vec S in row-major vec
+    sylvester = np.kron(eye, B.conj()) - np.kron(B, eye)
+    s = np.linalg.solve(sylvester, rhs.reshape(-1, n * n).T).T.reshape(rhs.shape)
+    scale = np.max(np.linalg.norm(bx_pi, axis=(-2, -1))) ** 2 / gap
+    _check_s(x, s, max(scale, 1e-300))
+    sol = np.linalg.solve(s, np.concatenate([bx, pi], axis=-1))
+    j_pi = J @ _adj(pi)
+    core = j_pi @ sol[..., :n]  # J Pi* S^{-1} (B - x)
+    w0 = np.eye(2) - 1j * core @ pi
+    w0_inv = np.eye(2) + 1j * j_pi @ _adj(bx) @ sol[..., n:]
+    zz = z[..., None, None]
+    w_a = np.eye(2) - 1j * (x[..., None, None] - zz) * (
+        core @ np.linalg.solve(B - zz * eye, pi))
 
-    s = denom_core * (B - x) * (np.conj(B) - x) / (B - np.conj(B))
+    def full(value):
+        return np.broadcast_to(value, shape + value.shape[-2:])
 
-    phi = 1j * g * ln + h
-    row = _t_row(2.0 * phi, g)
-    col = np.conj(g) * T_INV[:, :1] + 2.0 * np.conj(phi) * T_INV[:, 1:]  # T^-1 [g*; 2 phi*]
+    return DressedForms(pi=full(pi), s=full(s), w0=full(w0), w_a=w_a, v=w0_inv @ w_a)
 
-    c_beta = 1j * np.conj(g) * (B - np.conj(B)) / (2.0 * (np.conj(B) - x) * denom_core)
-    beta_t = BETA - c_beta * row
-    if h == 0:
-        simplified = BETA - (B - np.conj(B)) / (
-            4.0 * (np.conj(B) - x) * ln.imag
-        ) * _t_row(2j * ln, 1.0)
-        gap = np.max(np.linalg.norm(simplified - beta_t, axis=(-2, -1)))
-        if not gap < 1e-10:
-            raise ArithmeticError(
-                f"h = 0 beta-row formula disagrees with the general one by {gap:.2e}"
-            )
-        beta_t = simplified
 
-    c_w0 = 1j * (B - np.conj(B)) / (2.0 * (np.conj(B) - x) * denom_core)
-    w0 = np.eye(2) - c_w0 * col @ row
+def transformed_fundamental_matrix(params, x, z, b=1.0):
+    """Dressed fundamental solution v(x, z) W(x, z) v(0, z)^{-1}, all closed
+    form.
 
-    c_wa = c_w0 * (x - z) / (B - z)
-    w_a = np.eye(2) - c_wa * col @ row
-
-    v = ((x - z) * np.eye(2) + (B - x) * J @ _adj(w0) @ J) / (B - z)
-
-    def full(value, tail=(2, 2)):
-        return np.broadcast_to(value, shape + tail).copy()[()]
-
-    return OrderOneForms(s=full(s[..., 0, 0], ()), beta_t=full(beta_t, (1, 2)),
-                         w0=full(w0), w_a=w_a, v=v)
+    Its value at ``x = b`` is the characteristic function of the dressed
+    triangular model operator.  x and z broadcast against each other, and
+    the 2 x 2 matrices stack behind the broadcast shape; v at x and at 0
+    come from one :func:`dressed_forms` call.
+    """
+    w = fundamental_matrix(x, z, b=b)
+    x = np.broadcast_to(x, w.shape[:-2])
+    v = dressed_forms(params, np.stack([x, np.zeros_like(x)]), z).v
+    return v[0] @ w @ np.linalg.inv(v[1])

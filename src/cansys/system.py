@@ -832,14 +832,17 @@ def j_monotonicity_defect(sol):
     For Im z > 0 the form W* J W - J must be PSD (J-expanding), for
     Im z < 0 the mirrored form J - W* J W must be, and for real z off the
     cut W is exactly J-unitary; returned is the worst grid violation
-    (negative-eigenvalue magnitude, or the J-unitarity defect for real z).
+    (negative-eigenvalue magnitude, or the J-unitarity defect for real z),
+    over every z of a batch, each taken with its own sign.
     """
     J, w = sol.J, sol.values
     g = _adj(w) @ J @ w - J
-    if abs(sol.z.imag) < 1e-13:
-        return float(np.linalg.norm(g, axis=(1, 2)).max())
-    g = hermitian_part(g if sol.z.imag > 0 else -g)
-    return max(0.0, -float(np.linalg.eigvalsh(g)[:, 0].min()))
+    z = np.asarray(sol.z)[..., None]  # a batch's z against its grid axis
+    sign = np.where(z.imag < 0, -1.0, 1.0)[..., None, None]
+    negativity = -np.linalg.eigvalsh(hermitian_part(sign * g))[..., 0]
+    defect = np.where(np.abs(z.imag) < 1e-13, np.linalg.norm(g, axis=(-2, -1)),
+                      np.maximum(negativity, 0.0))
+    return float(defect.max())
 
 
 @dataclass

@@ -77,13 +77,15 @@ class TriangularModel(CanonicalSystem):
     """The canonical system with H = beta* beta and base point a, built
     from the kernel data of the model operator: the interval, the
     signature J and samples ``beta`` of the k x m factor on the grid
-    ``x``, with an exact callable ``beta_fn`` taking precedence over
-    them.  :class:`CanonicalSystem` checks J and the interval; the model
-    adds that beta has as many columns as J has rows."""
+    ``x``.  :class:`CanonicalSystem` checks J and the interval; the model
+    adds that beta has as many columns as J has rows.  A factor with an
+    exact callable is a ``CanonicalSystem`` on
+    ``HamiltonianSpec.from_beta_grid(x, beta, beta_fn=...)``, which the
+    routes take as they take a model."""
 
-    def __init__(self, interval, J, x, beta, beta_fn=None):
+    def __init__(self, interval, J, x, beta):
         super().__init__(J=J, interval=interval,
-                         hamiltonian=HamiltonianSpec.from_beta_grid(x, beta, beta_fn=beta_fn))
+                         hamiltonian=HamiltonianSpec.from_beta_grid(x, beta))
         if self.hamiltonian.m != self.m:
             raise ValueError(f"beta has {self.hamiltonian.m} columns, J is "
                              f"{self.m} x {self.m}")

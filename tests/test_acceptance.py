@@ -184,19 +184,17 @@ def test_criterion_5_closed_form_oracles(scenario_system):
         max(fro(traj2.pi[j] - diag2.pi_at(x)), fro(traj2.s[j] - diag2.s_at(x)))
         for j, x in enumerate(traj2.grid)
     )
-    # (c) order-one engine outputs vs the fully expanded formulas
-    diag1 = rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0])
-    traj1 = evolve(diag1.to_gbdt_params(), scenario_system,
-                   grid=np.linspace(0, 1, 201), tol=1e-12)
+    # (c) order-one engine outputs vs the closed forms
+    params1 = rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0]).to_gbdt_params()
+    traj1 = evolve(params1, scenario_system, grid=np.linspace(0, 1, 201), tol=1e-12)
     x1 = np.array([0.2, 0.5, 0.8])[:, None]
     z1 = [2j, -1.0 + 0.5j, 3.0 + 0.0j]
-    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x1, z1)
+    forms = rank_one.dressed_forms(params1, x1, z1)
     te = transfer(traj1, x1, z1)
-    beta_t = scenario_system.hamiltonian.beta_at(x1) @ te.w0
+    beta = scenario_system.hamiltonian.beta_at(x1)
     pairs = [(te.w0, forms.w0), (te.w_a, forms.w_a), (te.v, forms.v),
-             (beta_t, forms.beta_t)]
-    n1_err = max([np.max(np.abs(traj1.s_at(x1)[..., 0, 0] - forms.s))]
-                 + [np.max(np.linalg.norm(got - exp, axis=(-2, -1))) for got, exp in pairs])
+             (beta @ te.w0, beta @ forms.w0), (traj1.s_at(x1), forms.s)]
+    n1_err = max(np.max(np.linalg.norm(got - exp, axis=(-2, -1))) for got, exp in pairs)
     ok = w_err <= 1e-8 and pi_s_err <= 1e-8 and n1_err <= 1e-9
     _report(5, "closed-form scenario oracles", ok,
             f"W {w_err:.2e} <= 1e-8, (Pi,S) {pi_s_err:.2e} <= 1e-8, "

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import cansys
-from cansys import cli, system
+from cansys import cli, rank_one, system
 from cansys.cli import main
-from cansys.gbdt import GbdtTrajectory
+from cansys.gbdt import GbdtTrajectory, sample_params
 from cansys.scenarios import scenario_path
 from cansys.triangular import TriangularModel
 
@@ -639,6 +639,13 @@ BAD_TASKS = {
     "example_n1_on_an_interval_off_0": (
         bundled_with("system", interval=[0.25, 1.0], xi=0.25), ("charfn", "example-n1"),
     ),
+    # beta J beta* = 0 holds for J = diag(1, -1) too, but the forms are J's
+    "example_n1_on_another_signature": (
+        dict(bundled_config(["validate", "example-n1"]),
+             system=dict(bundled_config()["system"], J=signature(1, -1)),
+             gbdt={"n": 1, "B": [[[0, 1]]], "S0": [[[1, 0]]], "Pi0": [[[1, 0], [0, 0]]]}),
+        ("validate", "example-n1"),
+    ),
 }
 
 
@@ -757,6 +764,39 @@ def test_interior_base_point_run_passes(tmp_path):
     assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads((out / "results.json").read_text())["checks"]}
     assert checks["inverse_bound_defect"]["pass"] is True
+
+
+def config_matrix(matrix):
+    """A complex matrix as config entries of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+def explicit_gbdt(params):
+    return {"n": params.n, "B": config_matrix(params.B), "S0": config_matrix(params.S0),
+            "Pi0": config_matrix(params.Pi0)}
+
+
+def test_example_n1_takes_an_explicit_order_two_block(tmp_path):
+    # the closed forms hold for any pole matrix: a non-normal n = 2 draw
+    config = bundled_config()
+    config["gbdt"] = explicit_gbdt(sample_params(7, rank_one.make_system(), 2))
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    checks = json.loads((out / "results.json").read_text())["checks"]
+    n1 = {c["name"]: c for c in checks if c["task"] == "example-n1"}
+    assert sorted(n1) == sorted(N1_BOUNDS)
+    assert all(c["pass"] for c in checks)
+
+
+def test_example_n1_on_a_real_pole_is_a_numerical_failure(tmp_path, capsys):
+    # B = B* leaves the closed-form S undetermined: an explicit failure
+    config = bundled_config(["validate", "example-n1"])
+    config["gbdt"] = {"n": 1, "B": [[[2, 0]]], "S0": [[[1, 0]]], "Pi0": [[[1, 0], [0, 0]]]}
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    results = json.loads((out / "results.json").read_text())
+    assert all(c["pass"] for c in results["checks"])
+    assert "share an eigenvalue" in results["failure"]
 
 
 def test_bundled_run_forms_no_kernel_supremum(tmp_path, monkeypatch):

@@ -101,6 +101,27 @@ def test_numpy_routes_run_without_scipy_and_rk45_needs_it(tmp_path):
     """, tmp_path)
 
 
+def test_order_one_dressed_forms_run_without_scipy(tmp_path):
+    # n = 1 takes the scalar log; only n >= 2 needs scipy's logm
+    _fresh_python("""
+        import numpy as np
+        from cansys import rank_one
+
+        params = rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0]).to_gbdt_params()
+        forms = rank_one.dressed_forms(params, np.linspace(0.1, 1.0, 7)[:, None], [2j, 1 + 1j])
+        assert np.isfinite(forms.v).all()
+        wt = rank_one.transformed_fundamental_matrix(params, 1.0, [2j, 0.5 + 1.5j])
+        assert np.isfinite(wt).all()
+        order_two = rank_one.DiagonalParams(b_diag=[1j, 3j], g=[1.0, 1.0], h=[0.0, 0.0])
+        try:
+            rank_one.dressed_forms(order_two.to_gbdt_params(), 0.5, 2j)
+        except ImportError:
+            pass
+        else:
+            raise AssertionError("n = 2 ran without scipy")
+    """, tmp_path)
+
+
 def test_adaptive_solves_go_through_the_module_solve_ivp(monkeypatch, unit_system, diag_n1):
     spans = []
     original = system.solve_ivp

@@ -149,11 +149,10 @@ def test_bundled_trajectory_meets_the_closed_forms_to_rounding(
     xs = np.linspace(0.1, 1.0, 7)
     zs = [2j, 1.0 + 1.5j, -0.7 + 0.5j]
     te = transfer(traj, xs[:, None], zs)
-    s = traj.s_at(xs)
-    beta = unit_system.hamiltonian.beta_at(xs) @ te.w0[:, 0]
-    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, xs[:, None], zs)
+    beta = unit_system.hamiltonian.beta_at(xs)[:, None]
+    forms = rank_one.dressed_forms(traj.params, xs[:, None], zs)
     worst = [
-        np.max(np.abs(s[:, None, 0, 0] - forms.s)), worst_fro(beta[:, None], forms.beta_t),
+        worst_fro(traj.s_at(xs)[:, None], forms.s), worst_fro(beta @ te.w0, beta @ forms.w0),
         worst_fro(te.w_a, forms.w_a), worst_fro(te.v, forms.v),
     ]
     assert np.all(np.array(worst) <= 1e-13)
@@ -372,11 +371,11 @@ def test_transfer_large_z_approaches_w0(unit_system, traj_n1):
     assert correction < 1e-4 * max(1.0, fro(te_far.w0))
 
 
-def test_transfer_matches_order_one_closed_forms(traj_n1):
+def test_transfer_matches_the_closed_forms_at_order_one(traj_n1):
     # 0.123456 exercises the dense interpolation between grid samples
     xs = np.array([0.123456, 0.25, 0.5, 0.9])[:, None]
     zs = [2j, -1.0 + 0.5j, 3.0 + 0.0j]
-    forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, xs, zs)
+    forms = rank_one.dressed_forms(traj_n1.params, xs, zs)
     te = transfer(traj_n1, xs, zs)
     assert worst_fro(te.w_a, forms.w_a) < 1e-9
     assert worst_fro(te.v, forms.v) < 1e-9
@@ -556,10 +555,18 @@ def test_transformed_hamiltonian_trivial(unit_system):
         assert fro(dressed.hamiltonian(x) - rank_one.hamiltonian()) < 1e-8
 
 
+def closed_form_h_t(params, x):
+    """The dressed Hamiltonian w0* H w0 from rank_one.dressed_forms."""
+    w0 = rank_one.dressed_forms(params, x, 2j).w0
+    return _adj(w0) @ rank_one.hamiltonian() @ w0
+
+
 def test_transformed_hamiltonian_matches_closed_form(traj_n1, diag_n1):
     dressed = transformed_system(traj_n1).hamiltonian
-    for x in np.linspace(0.0, 1.0, 11):
-        assert fro(dressed.hamiltonian(x) - diag_n1.h_t_at(x)) < 1e-8
+    xs = np.linspace(0.0, 1.0, 11)
+    expected = closed_form_h_t(diag_n1.to_gbdt_params(), xs)
+    for x, h_t in zip(xs, expected):
+        assert fro(dressed.hamiltonian(x) - h_t) < 1e-8
 
 
 def test_transformed_hamiltonian_preserves_rank(traj_n1):
@@ -590,7 +597,7 @@ def test_transformed_hamiltonian_grid_fallback(unit_system, diag_n1):
     dressed = transformed_system(traj).hamiltonian
     assert not dressed.is_factored
     for xx in (0.3, 0.8):
-        assert fro(dressed.hamiltonian(xx) - diag_n1.h_t_at(xx)) < 1e-7
+        assert fro(dressed.hamiltonian(xx) - closed_form_h_t(traj.params, xx)) < 1e-7
 
 
 @pytest.fixture(scope="module")
@@ -650,9 +657,53 @@ def test_transformed_fundamental_j_monotone(traj_n1):
 def test_transformed_fundamental_matches_explicit(traj_n1, diag_n1):
     grid = np.linspace(0.0, 1.0, 9)
     sol = transformed_fundamental(traj_n1, 2j, grid=grid, tol=1e-12)
-    for j, x in enumerate(grid):
-        expected = rank_one.transformed_fundamental_matrix(diag_n1, x, 2j)
-        assert fro(sol.values[j] - expected) < 1e-8
+    expected = rank_one.transformed_fundamental_matrix(diag_n1.to_gbdt_params(), grid, 2j)
+    for j in range(grid.size):
+        assert fro(sol.values[j] - expected[j]) < 1e-8
+
+
+def jordan_params(n):
+    """Dressing parameters whose pole matrix B is one n x n Jordan block,
+    with S(0) = I.  A = B^{-1} = (1 + i)/2 I + M for a nilpotent M of rank
+    n - 1 chosen so that -i (A - A*) has one positive and one negative
+    eigenvalue; Pi(0) realises it as Pi(0) J Pi(0)* = p p* - q q*, so the
+    identity A S - S A* = i Pi J Pi* holds at 0."""
+    nilpotent = {2: [[0, 2], [0, 0]], 3: [[0, 3**0.5, -1j], [0, 0, 3**0.5], [0, 0, 0]]}[n]
+    a = (0.5 + 0.5j) * np.eye(n) + np.array(nilpotent)
+    eigs, vecs = np.linalg.eigh(-1j * (a - _adj(a)))  # -1, (0,) then 3 or 4
+    p, q = vecs[:, -1] * np.sqrt(eigs[-1]), vecs[:, 0] * np.sqrt(-eigs[0])
+    pi0 = np.column_stack([p + q, p - q]) / np.sqrt(2)  # J = [[0, 1], [1, 0]]
+    return GbdtParams(B=np.linalg.inv(a), S0=np.eye(n), Pi0=pi0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, None], ids=["draw0", "draw1", "draw2", "jordan"])
+def test_engine_meets_the_closed_forms_for_any_b(unit_system, seed, n):
+    # seeded non-normal draws and a Jordan block: evolve's (Pi, S), transfer
+    # and transformed_fundamental against rank_one.dressed_forms
+    params = jordan_params(n) if seed is None else sample_params(seed, unit_system, n)
+    if seed is None:
+        eig = np.linalg.eigvals(params.B)[0]
+        assert np.linalg.matrix_rank(params.B - eig * np.eye(n), tol=1e-8) == n - 1
+    grid = np.linspace(0.0, 1.0, 11)
+    zs = np.array([2j, -0.5 + 0.7j, 1.5 - 0.4j])
+    traj = evolve(params, unit_system, grid=grid, tol=1e-12)
+    forms = rank_one.dressed_forms(params, np.append(0.0, grid)[:, None], zs)
+    assert worst_fro(traj.pi, forms.pi[1:, 0]) <= 1e-10
+    assert worst_fro(traj.s, forms.s[1:, 0]) <= 1e-10
+    te = transfer(traj, grid[:, None], zs)
+    for name in ("w0", "w_a", "v"):
+        expected = getattr(forms, name)[1:]
+        gap = np.linalg.norm(getattr(te, name) - expected, axis=(-2, -1))
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, np.linalg.norm(expected, axis=(-2, -1))))
+    # W~ = v(x) W v(0)^{-1} amplifies the base solve's error by at most
+    # kappa = |v(x)| |v(0)^{-1}|
+    sol = transformed_fundamental(traj, zs, grid=grid, tol=1e-12)
+    expected = rank_one.transformed_fundamental_matrix(params, grid[:, None], zs)
+    kappa = (np.linalg.norm(forms.v[1:], axis=(-2, -1))
+             * np.linalg.norm(np.linalg.inv(forms.v[:1]), axis=(-2, -1)))
+    gap = np.linalg.norm(np.moveaxis(sol.values, 0, 1) - expected, axis=(-2, -1))
+    assert np.all(gap <= 1e-10 * kappa)
 
 
 def test_boundedness_transfer_constant(unit_system, traj_n1):

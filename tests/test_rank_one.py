@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cansys import rank_one
+from cansys.gbdt import GbdtParams
 from cansys.linalg import SingularMatrixError, fro
 
 
@@ -9,7 +10,6 @@ def test_scenario_constants():
     beta, J, T = rank_one.BETA, rank_one.J, rank_one.T
     assert fro(beta @ J @ beta.conj().T) == 0.0
     assert np.allclose(T @ J @ T.conj().T, 2.0 * J)
-    assert np.allclose(rank_one.T_INV @ T, np.eye(2))
     h = rank_one.hamiltonian()
     assert np.allclose(h, h.conj().T)
     assert np.allclose(sorted(np.linalg.eigvalsh(h)), [0.0, 2.0])
@@ -25,7 +25,7 @@ def test_fundamental_matrix_matches_stacked_form():
     for x, z in [(0.5, 2j), (1.0, -0.3 + 0.8j), (0.7, 3.0)]:
         L = np.log(z) - np.log(z - x)
         stacked = np.vstack([beta, 2j * L * beta + beta @ J])
-        expected = rank_one.T_INV @ stacked
+        expected = np.linalg.inv(rank_one.T) @ stacked
         assert fro(rank_one.fundamental_matrix(x, z) - expected) < 1e-14
         simplified = np.array([[1 + L, 1j * L], [1j * L, 1 - L]])
         assert fro(expected - simplified) < 1e-14
@@ -76,8 +76,8 @@ def test_closed_forms_satisfy_displacement_identity(diag_n2):
 
 
 def test_closed_form_w0_is_j_unitary(diag_n2):
-    for x in (0.1, 0.5, 0.9):
-        w0 = diag_n2.w0_at(x)
+    forms = rank_one.dressed_forms(diag_n2.to_gbdt_params(), [0.1, 0.5, 0.9], 2j)
+    for w0 in forms.w0:
         assert fro(w0 @ rank_one.J @ w0.conj().T - rank_one.J) < 1e-10
 
 
@@ -101,9 +101,23 @@ def test_closed_forms_satisfy_evolution_equations(diag_n2):
 
 
 def test_closed_form_beta_t_and_h_t(diag_n2):
-    beta_t = diag_n2.beta_t_at(0.4)
-    assert fro(beta_t - rank_one.BETA @ diag_n2.w0_at(0.4)) < 1e-11
-    assert fro(diag_n2.h_t_at(0.4) - beta_t.conj().T @ beta_t) < 1e-13
+    # beta w0 in the diagonal shorthand, beta - i g* S^{-1} (B - x) Pi
+    x = 0.4
+    forms = rank_one.dressed_forms(diag_n2.to_gbdt_params(), x, 2j)
+    w0 = forms.w0
+    beta_t = rank_one.BETA @ w0
+    core = np.linalg.solve(forms.s, np.diag(diag_n2.b_diag - x) @ forms.pi)
+    assert fro(beta_t - (rank_one.BETA - 1j * diag_n2.g.conj()[None, :] @ core)) < 1e-11
+    h_t = w0.conj().T @ rank_one.hamiltonian() @ w0
+    assert fro(h_t - beta_t.conj().T @ beta_t) < 1e-13 * fro(h_t)
+
+
+def test_dressed_forms_match_diagonal_params_at_order_two(diag_n2):
+    xs = np.linspace(0.0, 1.0, 11)
+    forms = rank_one.dressed_forms(diag_n2.to_gbdt_params(), xs, 2j)
+    for j, x in enumerate(xs):
+        assert fro(forms.pi[j] - diag_n2.pi_at(x)) <= 1e-12
+        assert fro(forms.s[j] - diag_n2.s_at(x)) <= 1e-12
 
 
 def test_degenerate_pole_pair_rejected():
@@ -112,38 +126,72 @@ def test_degenerate_pole_pair_rejected():
     )
     with pytest.raises(ValueError, match="evolve"):
         params.s_at(0.5)
+    shared = GbdtParams(B=np.diag([1j, -1j]), S0=np.eye(2), Pi0=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="share an eigenvalue"):
+        rank_one.dressed_forms(shared, 0.5, 2.0)
+
+
+def order_one_params(B, g, h):
+    return rank_one.DiagonalParams(b_diag=[B], g=[g], h=[h]).to_gbdt_params()
+
+
+def expanded_order_one(B, g, h, x, z):
+    """S, beta w0, w0, w_A and v of an order-one dressing at a point (x, z),
+    fully expanded on the frame T: an oracle written apart from
+    rank_one.dressed_forms."""
+    frame_inv = np.linalg.inv(rank_one.T)
+    ln = np.log(B - x)
+    denom = 2j * abs(g) ** 2 * ln.imag - 1j * h * np.conj(g) - 1j * g * np.conj(h)
+    phi = 1j * g * ln + h
+    row = np.array([[2.0 * phi, g]]) @ rank_one.T
+    col = frame_inv @ np.array([[np.conj(g)], [2.0 * np.conj(phi)]])
+    c_w0 = 1j * (B - np.conj(B)) / (2.0 * (np.conj(B) - x) * denom)
+    w0 = np.eye(2) - c_w0 * col @ row
+    J = rank_one.J
+    return {
+        "s": denom * (B - x) * (np.conj(B) - x) / (B - np.conj(B)),
+        "beta_t": rank_one.BETA - np.conj(g) * c_w0 * row,
+        "w0": w0,
+        "w_a": np.eye(2) - c_w0 * (x - z) / (B - z) * col @ row,
+        "v": ((x - z) * np.eye(2) + (B - x) * J @ w0.conj().T @ J) / (B - z),
+    }
 
 
 def test_order_one_invertibility_always_holds_for_h_zero():
     # Im ln(B - x) never vanishes for B off the real axis, so h = 0 is safe
-    for x in np.linspace(0.0, 1.0, 21):
-        forms = rank_one.order_one_closed_forms(1j, 1.0, 0.0, x, 2j)
-        assert abs(forms.s) > 0
+    forms = rank_one.dressed_forms(order_one_params(1j, 1.0, 0.0),
+                                   np.linspace(0.0, 1.0, 21), 2j)
+    assert np.all(np.abs(forms.s) > 0)
 
 
 def test_order_one_simplified_row_matches_general():
-    # (e5) is the h = 0 specialisation of (e4); compare at h exactly 0
-    # via the general path with a tiny h
-    x = 0.45
-    general = rank_one.order_one_closed_forms(1j, 0.7 - 0.3j, 1e-30, x, 2j)
-    simplified = rank_one.order_one_closed_forms(1j, 0.7 - 0.3j, 0.0, x, 2j)
-    assert fro(general.beta_t - simplified.beta_t) < 1e-12
+    # (e5), the h = 0 specialisation of the beta row, against beta w0
+    B, g, x = 1j, 0.7 - 0.3j, 0.45
+    ln = np.log(B - x)
+    simplified = rank_one.BETA - (B - np.conj(B)) / (
+        4.0 * (np.conj(B) - x) * ln.imag) * np.array([[2j * ln, 1.0]]) @ rank_one.T
+    general = rank_one.BETA @ rank_one.dressed_forms(order_one_params(B, g, 0.0), x, 2j).w0
+    assert fro(general - simplified) < 1e-12
 
 
 def test_order_one_singular_point_detected():
     B, g = 1j, 1.0
     x_target = 0.5
     h = np.log(B - x_target).imag * g  # Re(h/g) = Im ln(B - x_target)
+    params = order_one_params(B, g, h)
     with pytest.raises(SingularMatrixError):
-        rank_one.order_one_closed_forms(B, g, h, x_target, 2j)
-    rank_one.order_one_closed_forms(B, g, h, 0.1, 2j)  # fine away from it
+        rank_one.dressed_forms(params, x_target, 2j)
+    rank_one.dressed_forms(params, 0.1, 2j)  # fine away from it
 
 
 def test_order_one_rejects_bad_parameters():
+    real_pole = GbdtParams(B=[[2.0]], S0=[[1.0]], Pi0=[[1.0, 0.5]])
     with pytest.raises(ValueError):
-        rank_one.order_one_closed_forms(2.0, 1.0, 0.0, 0.5, 2j)  # real pole
+        rank_one.dressed_forms(real_pole, 0.5, 2j)
     with pytest.raises(ValueError):
-        rank_one.order_one_closed_forms(1j, 0.0, 0.0, 0.5, 2j)  # g = 0
+        rank_one.dressed_forms(order_one_params(1j, 0.0, 0.0), 0.5, 2j)  # g = 0
+    with pytest.raises(ValueError, match="spectrum of B"):
+        rank_one.dressed_forms(order_one_params(1j, 1.0, 0.0), 0.5, [2j, 1j])
 
 
 def test_jump_matrix_values_and_validation():
@@ -158,27 +206,28 @@ def test_jump_matrix_values_and_validation():
 
 @pytest.mark.parametrize("h_zero", [True, False], ids=["h=0", "h!=0"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_order_one_closed_forms_match_diagonal_params(seed, h_zero):
-    # the expanded n = 1 formulas and the general diagonal ones are two
-    # oracles written apart; they must agree to rounding
+def test_dressed_forms_match_the_expanded_order_one_formulas(seed, h_zero):
+    # the general forms at n = 1 and the expanded ones are two oracles
+    # written apart; they must agree to rounding
     rng = np.random.default_rng(seed)
     B = complex(rng.uniform(-1.0, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))
     g = complex(*rng.uniform(-1.0, 1.0, 2)) + 0.5
     h = 0.0 if h_zero else complex(*rng.uniform(-0.5, 0.5, 2))
-    params = rank_one.DiagonalParams(b_diag=[B], g=[g], h=[h])
+    diag = rank_one.DiagonalParams(b_diag=[B], g=[g], h=[h])
     for x in (0.0, 0.45, 1.0):
         for z in (2j, -0.5 + 0.3j, 1.5 - 0.2j):
-            forms = rank_one.order_one_closed_forms(B, g, h, x, z)
-            assert abs(forms.s - params.s_at(x)[0, 0]) <= 1e-13
-            assert fro(forms.beta_t - params.beta_t_at(x)) <= 1e-13
-            assert fro(forms.w0 - params.w0_at(x)) <= 1e-13
-            assert fro(forms.w_a - params.w_a_at(x, z)) <= 1e-13
-            assert fro(forms.v - params.v_at(x, z)) <= 1e-13
+            forms = rank_one.dressed_forms(diag.to_gbdt_params(), x, z)
+            expected = expanded_order_one(B, g, h, x, z)
+            assert fro(forms.pi - diag.pi_at(x)) <= 1e-13
+            assert abs(forms.s[0, 0] - expected["s"]) <= 1e-13
+            assert fro(rank_one.BETA @ forms.w0 - expected["beta_t"]) <= 1e-13
+            for name in ("w0", "w_a", "v"):
+                assert fro(getattr(forms, name) - expected[name]) <= 1e-13
 
 
 def test_transformed_fundamental_matrix_normalisation(diag_n2):
     for z in (2j, -1.0 + 1.0j):
-        wt = rank_one.transformed_fundamental_matrix(diag_n2, 0.0, z)
+        wt = rank_one.transformed_fundamental_matrix(diag_n2.to_gbdt_params(), 0.0, z)
         assert fro(wt - np.eye(2)) < 1e-11
 
 
@@ -194,38 +243,62 @@ def rel_gap(stacked, single):
 
 @pytest.mark.parametrize("h", [0.0, 0.3 - 0.1j], ids=["h=0", "h!=0"])
 def test_stacked_order_one_forms_match_the_per_point_ones(h):
-    forms = rank_one.order_one_closed_forms(1j, 1.0, h, GRID_X[:, None], GRID_Z)
-    assert forms.s.shape == (7, 3) and forms.beta_t.shape == (7, 3, 1, 2)
+    params = order_one_params(1j, 1.0, h)
+    forms = rank_one.dressed_forms(params, GRID_X[:, None], GRID_Z)
+    assert forms.s.shape == (7, 3, 1, 1) and forms.pi.shape == (7, 3, 1, 2)
     for name in ("w0", "w_a", "v"):
         assert getattr(forms, name).shape == (7, 3, 2, 2)
-    single = rank_one.order_one_closed_forms(1j, 1.0, h, 0.5, 2j)
-    assert np.ndim(single.s) == 0 and single.beta_t.shape == (1, 2)
+    single = rank_one.dressed_forms(params, 0.5, 2j)
+    assert single.s.shape == (1, 1) and single.pi.shape == (1, 2)
     assert single.w0.shape == single.w_a.shape == single.v.shape == (2, 2)
     for i, x in enumerate(GRID_X):
         for j, z in enumerate(GRID_Z):
-            single = rank_one.order_one_closed_forms(1j, 1.0, h, x, z)
-            for name in ("s", "beta_t", "w0", "w_a", "v"):
+            single = rank_one.dressed_forms(params, x, z)
+            for name in ("pi", "s", "w0", "w_a", "v"):
                 assert rel_gap(getattr(forms, name)[i, j], getattr(single, name)) <= 1e-14
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_stacked_transformed_fundamental_matrix_matches_the_per_point_one(order, diag_n2):
     diag = diag_n2 if order == 2 else rank_one.DiagonalParams(b_diag=[1j], g=[1.0], h=[0.0])
-    stacked = rank_one.transformed_fundamental_matrix(diag, 1.0, SWEEP_Z)
+    params = diag.to_gbdt_params()
+    stacked = rank_one.transformed_fundamental_matrix(params, 1.0, SWEEP_Z)
     assert stacked.shape == (7, 2, 2)
     for k, z in enumerate(SWEEP_Z):
-        single = rank_one.transformed_fundamental_matrix(diag, 1.0, z)
+        single = rank_one.transformed_fundamental_matrix(params, 1.0, z)
         assert single.shape == (2, 2)
         assert rel_gap(stacked[k], single) <= 1e-14
+    # x and z broadcast: a grid of x against the sweep
+    grid = rank_one.transformed_fundamental_matrix(params, GRID_X[:, None], SWEEP_Z)
+    assert grid.shape == (7, 7, 2, 2)
+    for i, x in enumerate(GRID_X):
+        single = rank_one.transformed_fundamental_matrix(params, x, SWEEP_Z[2])
+        assert rel_gap(grid[i, 2], single) <= 1e-14
 
 
 def test_a_cut_point_anywhere_in_a_stack_raises(diag_n2):
+    params = diag_n2.to_gbdt_params()
     with pytest.raises(rank_one.BranchCutError, match="0.5"):
-        rank_one.order_one_closed_forms(1j, 1.0, 0.0, GRID_X[:, None], [2j, 0.5, 1 + 1j])
+        rank_one.transformed_fundamental_matrix(params, GRID_X[:, None], [2j, 0.5, 1 + 1j])
     with pytest.raises(rank_one.BranchCutError, match="0.3"):
-        rank_one.transformed_fundamental_matrix(diag_n2, 1.0, [*SWEEP_Z, 0.3])
+        rank_one.transformed_fundamental_matrix(params, 1.0, [*SWEEP_Z, 0.3])
     with pytest.raises(rank_one.BranchCutError):
         rank_one.fundamental_matrix(0.5, [2j, 1.0])
+
+
+def test_fundamental_matrix_broadcasts_x_and_z():
+    stacked = rank_one.fundamental_matrix(np.array([0.2, 0.5]), 2j)
+    assert stacked.shape == (2, 2, 2)
+    grid = rank_one.fundamental_matrix(GRID_X[:, None], GRID_Z)
+    assert grid.shape == (7, 3, 2, 2)
+    for i, x in enumerate([0.2, 0.5]):
+        assert rel_gap(stacked[i], rank_one.fundamental_matrix(x, 2j)) <= 1e-15
+    for i, x in enumerate(GRID_X):
+        for j, z in enumerate(GRID_Z):
+            assert rel_gap(grid[i, j], rank_one.fundamental_matrix(x, z)) <= 1e-15
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            rank_one.fundamental_matrix(np.array([0.2, bad]), 2j)
 
 
 def test_stacked_singular_point_is_located_at_the_first_bad_x():
@@ -233,25 +306,5 @@ def test_stacked_singular_point_is_located_at_the_first_bad_x():
     h = np.log(B - x_target).imag * g  # Re(h/g) = Im ln(B - x_target)
     xs = np.array([0.9, x_target + 1e-13, 0.2, x_target])
     with pytest.raises(SingularMatrixError) as info:
-        rank_one.order_one_closed_forms(B, g, h, xs[:, None], GRID_Z)
+        rank_one.dressed_forms(order_one_params(B, g, h), xs[:, None], GRID_Z)
     assert info.value.location == x_target + 1e-13
-
-
-def test_h_zero_cross_check_covers_the_whole_stack(monkeypatch):
-    # spoil the simplified h = 0 row at the last x of a stack only: a check
-    # made at the first x alone would miss it
-    t_row = rank_one._t_row
-
-    def spoiled(first, second):
-        row = t_row(first, second)
-        if second == 1.0 and np.ndim(first) > 2:  # the simplified row, stacked
-            row = row.copy()
-            row[-1] += 1e-6
-        return row
-
-    monkeypatch.setattr(rank_one, "_t_row", spoiled)
-    g = 0.7 - 0.3j  # the general row's call then passes g, not 1
-    for x in GRID_X:
-        rank_one.order_one_closed_forms(1j, g, 0.0, x, 2j)
-    with pytest.raises(ArithmeticError, match="h = 0 beta-row"):
-        rank_one.order_one_closed_forms(1j, g, 0.0, GRID_X[:, None], GRID_Z)

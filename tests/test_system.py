@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -752,6 +753,18 @@ def test_j_monotonicity_rank_one_upper_half_plane(unit_system):
     sol = fundamental_solution(unit_system, -1j, grid=np.linspace(0, 1, 21), tol=1e-11)
     assert j_monotonicity_defect(sol) <= 1e-9
 
+
+
+def test_j_monotonicity_takes_each_z_of_a_batch_with_its_sign(unit_system):
+    grid = np.linspace(0, 1, 11)
+    for zs in ([2j, 1 + 1j], [2j, 0.5 - 1j, 3.0]):
+        sol = fundamental_solution(unit_system, zs, grid=grid, tol=1e-11, method="rk45")
+        alone = [j_monotonicity_defect(dataclasses.replace(sol, z=z, values=w))
+                 for z, w in zip(sol.z, sol.values)]
+        assert j_monotonicity_defect(sol) == max(alone) <= 1e-9
+    # the form of the other half-plane fails at every z of the batch
+    mirrored = dataclasses.replace(sol, z=np.conj(sol.z))
+    assert j_monotonicity_defect(mirrored) > 0.1
 
 # -- boundary values ---------------------------------------------------------
 

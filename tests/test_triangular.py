@@ -560,8 +560,9 @@ def _smooth_beta(t):
 
 def test_char_fn_converges_at_fourth_order_on_a_callable_beta():
     x = np.linspace(0.0, 1.0, 5)
-    model = TriangularModel(interval=(0.0, 1.0), J=J_OFF, x=x, beta=_smooth_beta(x),
-                            beta_fn=_smooth_beta)
+    model = CanonicalSystem(J_OFF, (0.0, 1.0),
+                            HamiltonianSpec.from_beta_grid(x, _smooth_beta(x),
+                                                           beta_fn=_smooth_beta))
     z = 0.5 + 0.3j
     ref = fundamental_solution(model, z, grid=np.array([1.0]), tol=1e-13).values[0]
     panels = np.array([16, 32, 64, 128])
